@@ -2,8 +2,9 @@
 
 Graphs are adjacency maps: vertex -> {neighbor: positive integer weight}.
 The entry point is stability_cut_ok, which answers "is the graph connected
-with min cut >= tau" while dodging the full Stoer-Wagner computation in
-the common cases (tau 1, all edges heavy, tau 2 via bridge search).
+with min cut >= tau".  It first contracts every edge of weight >= tau
+(Nagamochi & Ibaraki 1992) and runs Stoer-Wagner (JACM 1997) only on the
+quotient, which in assemblies is usually far smaller than the graph.
 """
 
 from __future__ import annotations
@@ -22,40 +23,6 @@ def connected(adj: dict) -> bool:
                 seen.add(u)
                 stack.append(u)
     return len(seen) == len(adj)
-
-
-def _has_light_bridge(adj: dict, tau: int) -> bool:
-    """True if some bridge edge weighs less than tau. Assumes connected."""
-    disc = {}
-    low = {}
-    counter = 0
-    root = next(iter(adj))
-    disc[root] = low[root] = counter
-    counter += 1
-    stack = [(root, None, iter(adj[root]))]
-    while stack:
-        v, parent, it = stack[-1]
-        pushed = False
-        for u in it:
-            if u == parent:
-                continue
-            if u in disc:
-                if disc[u] < low[v]:
-                    low[v] = disc[u]
-            else:
-                disc[u] = low[u] = counter
-                counter += 1
-                stack.append((u, v, iter(adj[u])))
-                pushed = True
-                break
-        if not pushed:
-            stack.pop()
-            if parent is not None:
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-                if low[v] > disc[parent] and adj[parent][v] < tau:
-                    return True
-    return False
 
 
 def stoer_wagner(adj: dict) -> int:
@@ -105,16 +72,32 @@ def stoer_wagner(adj: dict) -> int:
 
 
 def stability_cut_ok(adj: dict, tau: int) -> bool:
-    """Connected and every cut weighs at least tau."""
-    if len(adj) <= 1:
+    """Connected and every cut weighs at least tau.
+
+    An edge of weight >= tau never crosses a cut lighter than tau, so the
+    components joined by such edges are merged first; the graph passes
+    iff the quotient is one vertex or its minimum cut is positive and at
+    least tau.
+    """
+    comp = {}
+    for root in adj:
+        if root in comp:
+            continue
+        comp[root] = root
+        stack = [root]
+        while stack:
+            for u, w in adj[stack.pop()].items():
+                if w >= tau and u not in comp:
+                    comp[u] = root
+                    stack.append(u)
+    quotient = {c: {} for c in set(comp.values())}
+    if len(quotient) <= 1:
         return True
-    if not connected(adj):
-        return False
-    if tau <= 1:
-        return True
-    lightest = min(min(nbrs.values()) for nbrs in adj.values())
-    if lightest >= tau:
-        return True
-    if tau == 2:
-        return not _has_light_bridge(adj, tau)
-    return stoer_wagner(adj) >= tau
+    for v, nbrs in adj.items():
+        cv = comp[v]
+        edges = quotient[cv]
+        for u, w in nbrs.items():
+            cu = comp[u]
+            if cu != cv:
+                edges[cu] = edges.get(cu, 0) + w
+    return stoer_wagner(quotient) >= max(tau, 1)

@@ -7,7 +7,10 @@ nothing and never blocks placement.  A supertile is the translation class
 of a finite placement of tiles, and it is stable at temperature tau when
 its binding graph is connected and no cut of the graph severs less than
 tau worth of glue.  Two supertiles combine by translating one against the
-other so that they touch without overlap and the union is stable.
+other so that they touch without overlap and the union is stable.  For
+two stable supertiles that is the same as a seam of strength at least
+tau: a cut of the union either splits one of them, severing at least tau
+inside it, or is exactly the seam.
 """
 
 from __future__ import annotations
@@ -308,11 +311,13 @@ def _disjoint_at(a: Supertile, b: Supertile, ox: int, oy: int) -> bool:
 def combination_offsets(a: Supertile, b: Supertile, ts: TileSet, tau: int):
     """Every placement of b against a that yields a stable union.
 
-    Returns (offset, child) pairs in deterministic offset order.  Candidate
-    offsets are exactly those aligning a positive glue of a with a matching
-    open face of b; any other offset leaves the union disconnected.  The
-    seam test below is a sound filter only because both inputs are stable;
-    the union is still verified by a full cut check.
+    Precondition: a and b are both tau-stable.  Returns (offset, child)
+    pairs in deterministic offset order.  Candidate offsets are exactly
+    those aligning a positive glue of a with a matching open face of b;
+    any other offset leaves the union disconnected.  Under the
+    precondition the union is stable iff the seam weighs at least tau: a
+    cut either splits a or b, severing at least tau inside it, or is
+    exactly the seam.  So no cut check runs on the union.
     """
     afaces = a.faces(ts)
     bfaces = b.faces(ts)
@@ -335,14 +340,16 @@ def combination_offsets(a: Supertile, b: Supertile, ts: TileSet, tau: int):
             continue
         union = dict(a.cells)
         union.update(b.translated(ox, oy))
-        if not is_tau_stable(union, ts, tau):
-            continue
         out.append(((ox, oy), Supertile(union)))
     return out
 
 
 def combine(a: Supertile, b: Supertile, ts: TileSet, tau: int) -> list:
-    """The combination set of a and b: deduplicated, fingerprint-sorted."""
+    """The combination set of a and b: deduplicated, fingerprint-sorted.
+
+    Both inputs must be tau-stable (see combination_offsets); every
+    producible supertile is.
+    """
     seen = {}
     for _, child in combination_offsets(a, b, ts, tau):
         seen.setdefault(child.fingerprint, child)

@@ -91,22 +91,27 @@ TARGET_BOUND = 6
 _RUNS = {}
 
 
-def _compiled_runs(kind):
-    """(name, variant, comp, target, sim) tuples plus their build time."""
-    if kind not in _RUNS:
+def _compiled_runs(kind, factor=1):
+    """(name, variant, comp, target, sim) tuples plus their build time.
+
+    factor > 1 rescales every suite system to temperature 2 * factor first.
+    """
+    if (kind, factor) not in _RUNS:
         variants = (STRONG2, STRONG1) if kind == "strong" else (WEAK1, WEAK2, WEAK3)
         compiler = compile_strong if kind == "strong" else compile_weak
         t0 = time.perf_counter()
         runs = []
         for name, tas in suite():
+            if factor > 1:
+                tas = rescale_temperature(tas, factor)
             target = explore(tas, TARGET_BOUND)
             for variant in variants:
                 comp = compiler(tas, variant)
                 sim = explore(comp.simulator_tas(),
                               TARGET_BOUND * per_block_budget(comp))
                 runs.append((name, variant, comp, target, sim))
-        _RUNS[kind] = (runs, time.perf_counter() - t0)
-    return _RUNS[kind]
+        _RUNS[kind, factor] = (runs, time.perf_counter() - t0)
+    return _RUNS[kind, factor]
 
 
 def test_criterion_01_stability_matches_exhaustive_cuts():
@@ -114,18 +119,23 @@ def test_criterion_01_stability_matches_exhaustive_cuts():
     rng = random.Random(20260815)
     checked = 0
     disagreements = []
+    unstable = []
     for i in range(100):
         tau = 2 + (i % 2)
         ts = random_tileset(rng, ntiles=rng.randint(2, 4), max_strength=tau)
         prod = explore(TAS(ts, tau), 8)
         for s in prod.members():
             checked += 1
-            if is_tau_stable(s.cells, ts, tau) != oracle_stable(s.cells, ts, tau):
+            stable = oracle_stable(s.cells, ts, tau)
+            if not stable:
+                unstable.append((i, s.fingerprint))
+            if is_tau_stable(s.cells, ts, tau) != stable:
                 disagreements.append((i, s.fingerprint))
     elapsed = time.perf_counter() - t0
-    verdict(1, not disagreements and elapsed < 60,
+    verdict(1, not disagreements and not unstable and elapsed < 60,
             f"{checked} producibles across 100 randomized systems, "
-            f"{len(disagreements)} disagreements, {elapsed:.1f}s")
+            f"{len(disagreements)} disagreements, {len(unstable)} unstable, "
+            f"{elapsed:.1f}s")
 
 
 def test_criterion_02_half_ladder_counts():
@@ -393,3 +403,21 @@ def test_criterion_10_under_temperature_probe():
             f"ladder system (temperature 2, height-4 context) recompiled and "
             f"rerun at temperature 1: {len(report.violations)} follows "
             f"violations ({', '.join(kinds)}), {elapsed:.1f}s")
+
+
+def test_criterion_11_temperature_4_compiler_suite():
+    strong_runs, strong_s = _compiled_runs("strong", factor=2)
+    weak_runs, weak_s = _compiled_runs("weak", factor=2)
+    t0 = time.perf_counter()
+    failures = _relation_failures(strong_runs, (check_equivalent_productions,
+                                                check_follows, check_strongly_models))
+    failures += _relation_failures(weak_runs, (check_equivalent_productions,
+                                               check_follows, check_weakly_models))
+    elapsed = strong_s + weak_s + time.perf_counter() - t0
+    runs = strong_runs + weak_runs
+    verdict(11, not failures and all(c.tau == 4 for _, _, c, _, _ in runs)
+            and elapsed < 600,
+            f"{len(runs)} compilations (3 systems rescaled to temperature 4 "
+            f"x strong2+strong1+weak1+weak2+weak3), target bound "
+            f"{TARGET_BOUND}, zero violations, {elapsed:.1f}s"
+            + (f"; failures: {failures}" if failures else ""))

@@ -78,19 +78,23 @@ def test_single_step_relation():
 def test_explore_matches_naive_closure():
     """Worklist closure vs the dumb fixpoint oracle on small systems."""
     rng = random.Random(6060)
-    compared = 0
-    while compared < 6:
-        ts = random_tileset(rng, ntiles=2, max_strength=2)
-        tau = rng.randint(1, 2)
-        tas = TAS(ts, tau)
-        p = explore(tas, 4)
-        if len(p) > 25:
-            continue  # keep the oracle affordable
-        seeds = [{(0, 0): t.id} for t in ts]
-        want = oracle_closure(seeds, ts, tau, 4)
-        got = {canon(s.cells) for s in p.members()}
-        assert got == want
-        compared += 1
+    grown = {}
+    for tau in (1, 2, 3, 4):
+        compared = grown[tau] = 0
+        while compared < 40:
+            ts = random_tileset(rng, ntiles=3, max_strength=tau + 1)
+            p = explore(TAS(ts, tau), 5)
+            if len(p) > 25:
+                continue  # keep the oracle affordable
+            seeds = [{(0, 0): t.id} for t in ts]
+            want = oracle_closure(seeds, ts, tau, 5)
+            got = {canon(s.cells) for s in p.members()}
+            assert got == want
+            compared += 1
+            if len(want) > len(ts):
+                grown[tau] += 1
+    # every temperature must see systems that grow past their singletons
+    assert min(grown.values()) >= 3, grown
 
 
 def test_explore_confluent_under_shuffles():
