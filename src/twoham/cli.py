@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from . import ladders, strong, weak
-from .compiled import per_block_budget
 from .dynamics import explore
 from .enumeration import get_nth_tas
 from .errors import NotProducible, SchemaError, TwohamError
@@ -34,21 +33,11 @@ from .serialize import (
     serialize_tas,
 )
 
+# variant -> compile function; each looks its compiler up at call time
 METHODS = {
-    strong.STRONG2: lambda tas: strong.compile_strong(tas, strong.STRONG2),
-    strong.STRONG1: lambda tas: strong.compile_strong(tas, strong.STRONG1),
-    weak.WEAK1: lambda tas: weak.compile_weak(tas, weak.WEAK1),
-    weak.WEAK2: lambda tas: weak.compile_weak(tas, weak.WEAK2),
-    weak.WEAK3: lambda tas: weak.compile_weak(tas, weak.WEAK3),
-}
-
-# Relations each compiler variant claims; verify checks these by default.
-CLAIMS = {
-    strong.STRONG2: ("productions", "follows", "weak", "strong"),
-    strong.STRONG1: ("productions", "follows", "weak", "strong"),
-    weak.WEAK1: ("productions", "follows", "weak"),
-    weak.WEAK2: ("productions", "follows", "weak"),
-    weak.WEAK3: ("productions", "follows", "weak"),
+    **{v: lambda tas, v=v: strong.compile_strong(tas, v)
+       for v in strong.VARIANTS},
+    **{v: lambda tas, v=v: weak.compile_weak(tas, v) for v in weak.VARIANTS},
 }
 
 RENDER_BOUND = 8
@@ -139,18 +128,18 @@ def _cmd_verify(args) -> int:
     target = explore(tas, args.size_bound)
     print(f"target: {len(target)} producibles within size bound "
           f"{target.size_bound} ({_exploration_note(target)})")
-    sim_bound = args.size_bound * per_block_budget(comp)
+    sim_bound = args.size_bound * comp.budget
     sim = explore(comp.simulator_tas(), sim_bound)
     print(f"simulator: {len(sim)} producibles within size bound "
           f"{sim.size_bound} ({_exploration_note(sim)})")
 
     if args.relation is None:
-        names = CLAIMS[method]
+        names = comp.claims
     elif args.relation == "all":
         names = tuple(CHECKS)
     else:
         names = (args.relation,)
-    images = decode_producibles(sim, comp.rep)
+    decoded = decode_producibles(sim, comp.rep)
     failed = 0
     for name in names:
         kwargs = {}
@@ -158,10 +147,7 @@ def _cmd_verify(args) -> int:
         if name == "weak":
             kwargs["weak_def"] = args.weak_def
             label = f"weak[{args.weak_def}]"
-        # the productions check decodes for itself so alignment
-        # ambiguities surface as violations instead of silent Nones
-        report = CHECKS[name](sim, target, comp.rep,
-                              images=None if name == "productions" else images,
+        report = CHECKS[name](sim, target, comp.rep, decoded=decoded,
                               **kwargs)
         verdict = "PASS" if report.passed else "FAIL"
         print(f"{label}: {verdict} (checked {report.checked}, boundary "
@@ -198,6 +184,9 @@ def _cmd_ladders(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     canon = get_nth_tas(args.index, args.tau)
+    if not canon.tile_set:
+        raise ValueError(f"index {args.index} is the empty tile set, which "
+                         f"is not a system")
     sys.stdout.write(serialize_tas(TAS(canon.tile_set, args.tau)))
     return 0
 

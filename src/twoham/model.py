@@ -118,26 +118,8 @@ class TileSet:
         return tile_id in self._by_id
 
 
-class Assembly:
-    """A finite placement of tile ids on the integer lattice."""
-
-    __slots__ = ("cells",)
-
-    def __init__(self, cells):
-        cells = dict(cells)
-        if not cells:
-            raise EmptyAssembly("an assembly needs at least one tile")
-        self.cells = cells
-
-    def translate(self, dx: int, dy: int) -> "Assembly":
-        return Assembly({(x + dx, y + dy): t for (x, y), t in self.cells.items()})
-
-    def __len__(self):
-        return len(self.cells)
-
-
 def _cells_of(a) -> dict:
-    if isinstance(a, (Supertile, Assembly)):
+    if isinstance(a, Supertile):
         return a.cells
     return a
 
@@ -217,11 +199,6 @@ class Supertile:
                        for d, by in faces.items()}
         self._faces_ts = ts
         return self._faces
-
-
-def canonicalize(a) -> Supertile:
-    """Canonical translate of a placement; equal iff inputs are translates."""
-    return Supertile(a)
 
 
 def binding_graph(a, ts: TileSet) -> dict:

@@ -78,26 +78,28 @@ class Report:
         }
 
 
-def decode_producibles(sim, rep, violations=None):
+def decode_producibles(sim, rep):
     """Decode every explored simulator supertile once.
 
-    Returns {fingerprint: DecodedImage or None}.  A supertile whose
-    grid alignments disagree is recorded as an "ambiguous-alignment"
-    violation (when a list is supplied) and decodes to None.
+    Returns (images, ambiguities): images maps each fingerprint to its
+    DecodedImage or None, and ambiguities lists one "ambiguous-alignment"
+    violation per supertile whose grid alignments disagree (it decodes to
+    None).  Checks take this pair as decoded and put the ambiguities at
+    the head of their violations.
     """
     images = {}
+    ambiguities = []
     for s in sim.members():
         try:
             images[s.fingerprint] = decode_supertile(s, rep)
         except AmbiguousAlignment as exc:
             images[s.fingerprint] = None
-            if violations is not None:
-                violations.append({
-                    "kind": "ambiguous-alignment",
-                    "supertile": s.fingerprint,
-                    "detail": str(exc),
-                })
-    return images
+            ambiguities.append({
+                "kind": "ambiguous-alignment",
+                "supertile": s.fingerprint,
+                "detail": str(exc),
+            })
+    return images, ambiguities
 
 
 def _bound_notes(report, sim, target):
@@ -148,7 +150,7 @@ def _reachable(prod, start_fp):
     return seen
 
 
-def check_equivalent_productions(sim, target, rep, images=None):
+def check_equivalent_productions(sim, target, rep, decoded=None):
     """Images of simulator producibles == target producibles, plus junk rules.
 
     Supertiles with no image must fit inside a single block.  Supertiles
@@ -157,8 +159,8 @@ def check_equivalent_productions(sim, target, rep, images=None):
     Every target producible must be hit by some image.
     """
     report = Report("productions", True)
-    if images is None:
-        images = decode_producibles(sim, rep, report.violations)
+    images, ambiguities = decoded or decode_producibles(sim, rep)
+    report.violations.extend(ambiguities)
     covered = set()
     for fp in sorted(images):
         img = images[fp]
@@ -199,7 +201,7 @@ def check_equivalent_productions(sim, target, rep, images=None):
     return report
 
 
-def check_follows(sim, target, rep, images=None):
+def check_follows(sim, target, rep, decoded=None):
     """Every simulator step maps to at most one target step.
 
     A step whose endpoint images are equal maps to zero steps and
@@ -208,8 +210,8 @@ def check_follows(sim, target, rep, images=None):
     whose images exceed the target bound are boundary skips.
     """
     report = Report("follows", True)
-    if images is None:
-        images = decode_producibles(sim, rep, report.violations)
+    images, ambiguities = decoded or decode_producibles(sim, rep)
+    report.violations.extend(ambiguities)
     for parent_fp, child_fp in _transitions(sim):
         pimg = images.get(parent_fp)
         cimg = images.get(child_fp)
@@ -247,7 +249,7 @@ def check_follows(sim, target, rep, images=None):
     return report
 
 
-def check_weakly_models(sim, target, rep, images=None, weak_def="standard"):
+def check_weakly_models(sim, target, rep, decoded=None, weak_def="standard"):
     """Every target step is realizable from every preimage of its input.
 
     For a target step a -> b and a simulator supertile decoding to a,
@@ -258,8 +260,8 @@ def check_weakly_models(sim, target, rep, images=None, weak_def="standard"):
     if weak_def not in ("standard", "literal"):
         raise ValueError(f"unknown weak_def {weak_def!r}")
     report = Report("weak", True)
-    if images is None:
-        images = decode_producibles(sim, rep, report.violations)
+    images, ambiguities = decoded or decode_producibles(sim, rep)
+    report.violations.extend(ambiguities)
     index = _image_index(images)
 
     def image_of(fp):
@@ -297,7 +299,7 @@ def check_weakly_models(sim, target, rep, images=None, weak_def="standard"):
     return report
 
 
-def check_strongly_models(sim, target, rep, images=None):
+def check_strongly_models(sim, target, rep, decoded=None):
     """Every target combination is realizable from every preimage pair.
 
     For target producibles a, b and each explored product c of theirs:
@@ -308,8 +310,8 @@ def check_strongly_models(sim, target, rep, images=None):
     bound still count.
     """
     report = Report("strong", True)
-    if images is None:
-        images = decode_producibles(sim, rep, report.violations)
+    images, ambiguities = decoded or decode_producibles(sim, rep)
+    report.violations.extend(ambiguities)
     index = _image_index(images)
     by_pair = {}
     for pa, pb, child in target.edges:

@@ -54,7 +54,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .compiled import CompiledSimulator, solid_square_offsets
+from .compiled import (CompiledSimulator, framed_code, solid_square_offsets,
+                       wire_tiles)
 from .errors import BodyTooSmall, CorruptMacrotile
 from .model import (EAST, NORTH, NULL_GLUE, SOUTH, WEST, Glue, Supertile,
                     TAS, TileSet, TileType)
@@ -62,6 +63,7 @@ from .representation import BlockRepresentation
 
 STRONG2 = "strong2"
 STRONG1 = "strong1"
+VARIANTS = (STRONG2, STRONG1)
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,6 @@ class _Geometry:
     tau: int
     n_glues: int
     ell: int
-    bits: int
     framed: int
     s_len: int
     pad: int
@@ -117,8 +118,7 @@ class _Geometry:
 
 def _geometry(n_glues, tau, variant) -> _Geometry:
     ell = _side_count(n_glues)
-    bits = max(1, (n_glues - 1).bit_length())
-    framed = bits + 2
+    framed = max(1, (n_glues - 1).bit_length()) + 2
     s_len = tau if variant == STRONG2 else 1
     pad = 4 * framed + s_len
     k = max(ell * (pad + 1) + 3, 6 * ell + 6, 8)
@@ -127,22 +127,13 @@ def _geometry(n_glues, tau, variant) -> _Geometry:
     if ell and 2 + (ell - 1) * (pad + 1) + pad > k - 2:
         raise BodyTooSmall(
             f"body side {k} cannot host {n_glues} pad positions")
-    return _Geometry(variant, tau, n_glues, ell, bits, framed, s_len,
+    return _Geometry(variant, tau, n_glues, ell, framed, s_len,
                      pad, k, k // 2, 2 * k)
 
 
 def scale_for(n_glues, tau, variant=STRONG2) -> int:
     """Block scale the compiler will pick for a system of that shape."""
     return _geometry(n_glues, tau, variant).m
-
-
-def _framed_code(geo, index):
-    # prefix 1, index bits most significant first, suffix 0
-    code = [1]
-    for t in range(geo.bits - 1, -1, -1):
-        code.append((index >> t) & 1)
-    code.append(0)
-    return code
 
 
 def _binding_glue(geo, facing, strength, q):
@@ -161,7 +152,7 @@ def _arm_cells(geo, side, coords, strength):
     i, j = coords.i, coords.j
     xp = geo.pad_offset(i)
     k, h = geo.k, geo.h
-    code = _framed_code(geo, coords.pair_index)
+    code = framed_code(geo.framed, coords.pair_index)
     cells = []
     binding = []
     if side == WEST:
@@ -266,39 +257,6 @@ def layout_macrotile(t, ts, tau, variant=STRONG2) -> MacrotileLayout:
     return _build_layout(t, tidx, geo, ts.glues)
 
 
-def _cell_tiles(lay, internal_strength):
-    """Universal tile types for one layout.
-
-    Interior faces carry coordinate-keyed glues; binding cells add their
-    outward glue; everything else stays null.
-    """
-    cells = lay.cells
-    out = []
-    for (x, y), uid in cells.items():
-        n = e = s = w = NULL_GLUE
-        if (x, y + 1) in cells:
-            n = Glue(f"i:{x},{y}:v", internal_strength)
-        if (x, y - 1) in cells:
-            s = Glue(f"i:{x},{y - 1}:v", internal_strength)
-        if (x + 1, y) in cells:
-            e = Glue(f"i:{x},{y}:h", internal_strength)
-        if (x - 1, y) in cells:
-            w = Glue(f"i:{x - 1},{y}:h", internal_strength)
-        ext = lay.external.get((x, y))
-        if ext is not None:
-            facing, g = ext
-            if facing == NORTH:
-                n = g
-            elif facing == EAST:
-                e = g
-            elif facing == SOUTH:
-                s = g
-            else:
-                w = g
-        out.append(TileType(uid, north=n, east=e, south=s, west=w))
-    return out
-
-
 @dataclass
 class StrongMeta:
     geo: _Geometry
@@ -394,7 +352,7 @@ def compile_strong(tas, variant=STRONG2) -> CompiledSimulator:
     to rigid unions of macrotiles on the block grid with their counts
     preserved; no other seed material is added.
     """
-    if variant not in (STRONG2, STRONG1):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown strong variant {variant!r}")
     if tas.tau < 2:
         raise ValueError("macrotile compilation needs temperature >= 2")
@@ -410,7 +368,8 @@ def compile_strong(tas, variant=STRONG2) -> CompiledSimulator:
         layouts[t.id] = lay
         anchor_tiles[lay.cells[(geo.h, geo.h)]] = t.id
         by_signature.setdefault(_signature(t), []).append(t.id)
-        tiles.extend(_cell_tiles(lay, tas.tau))
+        faces = {xy: (ext,) for xy, ext in lay.external.items()}
+        tiles.extend(wire_tiles(lay.cells, faces, "i", tas.tau))
     by_signature = {sig: tuple(ids) for sig, ids in by_signature.items()}
     universal = TileSet(tiles)
     meta = StrongMeta(geo, tuple(glue_order), by_signature, anchor_tiles,
@@ -428,8 +387,11 @@ def compile_strong(tas, variant=STRONG2) -> CompiledSimulator:
             for (cx, cy), uid in lay.cells.items():
                 union[(cx + dx, cy + dy)] = uid
         inputs.append((Supertile(union), count))
+    budget = max(len(lay.cells) for lay in layouts.values())
     return CompiledSimulator(variant, tas.tau, universal, inputs, geo.m,
-                             rep, meta)
+                             rep, meta,
+                             ("productions", "follows", "weak", "strong"),
+                             budget)
 
 
 def rescale_temperature(tas, c) -> TAS:

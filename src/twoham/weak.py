@@ -36,16 +36,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .compiled import CompiledSimulator, solid_square_offsets
+from .compiled import (CompiledSimulator, framed_code, solid_square_offsets,
+                       wire_tiles)
 from .errors import CorruptMacrotile
-from .model import (DIRECTIONS, EAST, INFINITE, NORTH, NULL_GLUE, OFFSET,
-                    OPPOSITE, SOUTH, WEST, Glue, Supertile, TileSet, TileType,
-                    interaction)
+from .model import (DIRECTIONS, EAST, INFINITE, NORTH, OFFSET, OPPOSITE,
+                    SOUTH, WEST, Glue, Supertile, TileSet, interaction)
 from .representation import BlockRepresentation
 
 WEAK1 = "weak1"
 WEAK2 = "weak2"
 WEAK3 = "weak3"
+VARIANTS = (WEAK1, WEAK2, WEAK3)
 
 COMPLETION_SIDES = (NORTH, EAST)
 
@@ -96,14 +97,6 @@ def scale_for(n_tiles, n_glues, tau, variant=WEAK1) -> int:
     return _geometry(n_tiles, n_glues, tau, variant).m
 
 
-def _framed(length, index):
-    bits = length - 2
-    code = [1]
-    code.extend((index >> (bits - 1 - i)) & 1 for i in range(bits))
-    code.append(0)
-    return code
-
-
 def _tooth_positions(geo, code, complement):
     for p, bit in enumerate(code):
         base = geo.x_t + 4 * p + 2 * (bit ^ complement)
@@ -141,36 +134,13 @@ class PieceLayout:
     faces: dict
 
 
-def _wire(lay: PieceLayout, prefix, tau):
-    """TileTypes for one piece: coordinate-keyed glues hold it together."""
-    tiles = []
-    cells = lay.cells
-    for (x, y), uid in sorted(cells.items()):
-        sides = {}
-        if (x, y + 1) in cells:
-            sides[NORTH] = Glue(f"{prefix}:{x},{y}:v", tau)
-        if (x, y - 1) in cells:
-            sides[SOUTH] = Glue(f"{prefix}:{x},{y - 1}:v", tau)
-        if (x + 1, y) in cells:
-            sides[EAST] = Glue(f"{prefix}:{x},{y}:h", tau)
-        if (x - 1, y) in cells:
-            sides[WEST] = Glue(f"{prefix}:{x - 1},{y}:h", tau)
-        for d, g in lay.faces.get((x, y), ()):
-            sides[d] = g
-        tiles.append(TileType(uid, north=sides.get(NORTH, NULL_GLUE),
-                              east=sides.get(EAST, NULL_GLUE),
-                              south=sides.get(SOUTH, NULL_GLUE),
-                              west=sides.get(WEST, NULL_GLUE)))
-    return tiles
-
-
 def _mega_layout(t, ti, geo) -> PieceLayout:
     cells = {}
     for x in range(geo.d, geo.d + geo.k):
         for y in range(geo.d, geo.d + geo.k):
             cells[(x, y)] = f"w{ti}.{x}.{y}"
     faces = {}
-    code = _framed(geo.nt, ti)
+    code = framed_code(geo.nt, ti)
     for side in DIRECTIONS:
         if t.glue(side).strength <= 0:
             continue
@@ -200,7 +170,7 @@ def _gadget_layout(t, ti, side, gi, geo) -> PieceLayout:
         cells[xy] = f"{pid}.{xy[0]}.{xy[1]}"
         return xy
 
-    for a in _tooth_positions(geo, _framed(geo.nt, ti), 1):
+    for a in _tooth_positions(geo, framed_code(geo.nt, ti), 1):
         add(a, 0)
     if side in COMPLETION_SIDES:
         spine_end = geo.x_s
@@ -208,7 +178,7 @@ def _gadget_layout(t, ti, side, gi, geo) -> PieceLayout:
         spine_end = geo.x_s + max(slot for slot, _ in reds) + 1
     for a in range(geo.x_t, spine_end):
         add(a, 1)
-    gcode = _framed(geo.ng, gi)
+    gcode = framed_code(geo.ng, gi)
     for a in _tooth_positions(geo, gcode, 0 if side in COMPLETION_SIDES else 1):
         add(a, 2)
         add(a, 3)
@@ -247,6 +217,11 @@ def _completion_layout(side, gi, strength, geo) -> PieceLayout:
         (OPPOSITE[_ALONG[side]], Glue(f"comp{side}:{gi}", geo.tau - 1)))
     faces[first].append((OPPOSITE[side], Glue(f"comp{side}1", 1)))
     return PieceLayout(cells, faces)
+
+
+def _wire_piece(lay: PieceLayout, prefix, tau):
+    # sorted cell order fixes the order of the universal tile list
+    return wire_tiles(dict(sorted(lay.cells.items())), lay.faces, prefix, tau)
 
 
 @dataclass
@@ -318,7 +293,7 @@ def compile_weak(tas, variant=WEAK1) -> CompiledSimulator:
     step-for-step tracking is not claimed.  Auxiliary pieces are seeded
     in unlimited supply; seed assemblies keep their counts.
     """
-    if variant not in (WEAK1, WEAK2, WEAK3):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown weak variant {variant!r}")
     if tas.tau < 2:
         raise ValueError("gadget compilation needs temperature >= 2")
@@ -335,14 +310,14 @@ def compile_weak(tas, variant=WEAK1) -> CompiledSimulator:
         lay = _mega_layout(t, ti, geo)
         megas[t.id] = lay
         anchor_tiles[lay.cells[(geo.d, geo.d)]] = t.id
-        tiles.extend(_wire(lay, f"w{ti}", geo.tau))
+        tiles.extend(_wire_piece(lay, f"w{ti}", geo.tau))
         for side in DIRECTIONS:
             g = t.glue(side)
             if g.strength <= 0:
                 continue
             glay = _gadget_layout(t, ti, side, gidx[g], geo)
             gadgets[(t.id, side)] = glay
-            tiles.extend(_wire(glay, f"g{ti}{side}", geo.tau))
+            tiles.extend(_wire_piece(glay, f"g{ti}{side}", geo.tau))
             if side in COMPLETION_SIDES:
                 used[side].add(g)
     completions = {}
@@ -352,7 +327,7 @@ def compile_weak(tas, variant=WEAK1) -> CompiledSimulator:
                 continue
             clay = _completion_layout(side, gidx[g], g.strength, geo)
             completions[(side, gidx[g])] = clay
-            tiles.extend(_wire(clay, f"c{side}{gidx[g]}", geo.tau))
+            tiles.extend(_wire_piece(clay, f"c{side}{gidx[g]}", geo.tau))
     universal = TileSet(tiles)
     meta = WeakMeta(geo, tuple(glue_order), megas, gadgets, completions,
                     anchor_tiles)
@@ -366,8 +341,13 @@ def compile_weak(tas, variant=WEAK1) -> CompiledSimulator:
         inputs.append((Supertile(lay.cells), INFINITE))
     for lay in completions.values():
         inputs.append((Supertile(lay.cells), INFINITE))
+    # budget: a megatile plus, on each side, two gadgets and a completion
+    mega = max(len(lay.cells) for lay in megas.values())
+    gad = max((len(lay.cells) for lay in gadgets.values()), default=0)
+    fill = max((len(lay.cells) for lay in completions.values()), default=0)
     return CompiledSimulator(variant, tas.tau, universal, inputs, geo.m,
-                             rep, meta)
+                             rep, meta, ("productions", "follows", "weak"),
+                             mega + 4 * (2 * gad + fill))
 
 
 def gadget_attachment_sites(s: Supertile, meta: WeakMeta):

@@ -25,7 +25,6 @@ from twoham import (
     explore,
     interface_strength,
 )
-from twoham.compiled import per_block_budget
 from twoham.enumeration import (
     canonicalize_tileset,
     functionally_equivalent,
@@ -108,7 +107,7 @@ def _compiled_runs(kind, factor=1):
             for variant in variants:
                 comp = compiler(tas, variant)
                 sim = explore(comp.simulator_tas(),
-                              TARGET_BOUND * per_block_budget(comp))
+                              TARGET_BOUND * comp.budget)
                 runs.append((name, variant, comp, target, sim))
         _RUNS[kind, factor] = (runs, time.perf_counter() - t0)
     return _RUNS[kind, factor]
@@ -273,7 +272,8 @@ def test_criterion_06_clean_images_and_anchor_lattice():
     unclean = 0
     ambiguous = []
     for name, variant, comp, target, sim in strong_runs + weak_runs:
-        images = decode_producibles(sim, comp.rep, violations=ambiguous)
+        images, found = decode_producibles(sim, comp.rep)
+        ambiguous += found
         for img in images.values():
             if img is not None:
                 decoded += 1

@@ -130,6 +130,21 @@ def test_enumerate_emits_a_parseable_system(capsys):
     assert run(capsys, "enumerate", "--index", "3", "--tau", "2")[1] == out
 
 
+def test_enumerate_rejects_the_empty_tile_set(capsys):
+    for index in (0, 32768):
+        code, out, err = run(capsys, "enumerate", "--index", str(index),
+                             "--tau", "2")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        message = json.loads(err)["error"]["message"]
+        assert f"index {index} " in message and "empty tile set" in message
+    for index in (1, 3, 32769, 65535):
+        code, out, _ = run(capsys, "enumerate", "--index", str(index),
+                           "--tau", "2")
+        assert code == 0
+        assert serialize_tas(parse_tas(out)) == out
+
+
 def test_rescale_multiplies_temperature(capsys, tmp_path):
     tas = write_pair(tmp_path)
     out_path = tmp_path / "scaled.json"

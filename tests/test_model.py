@@ -14,7 +14,6 @@ from twoham import (
     TileType,
     UnknownTileId,
     binding_graph,
-    canonicalize,
     combine,
     interaction,
     interface_strength,
@@ -161,15 +160,15 @@ def test_stability_matches_exhaustive_oracle():
 def test_canonicalize_translation_invariance():
     ts = TileSet([tile("a", e=("g", 1)), tile("b", w=("g", 1))])
     shape = {(5, 7): "a", (6, 7): "b"}
-    assert canonicalize(shape) == canonicalize({(0, 0): "a", (1, 0): "b"})
-    assert canonicalize(shape).cells == {(0, 0): "a", (1, 0): "b"}
+    assert Supertile(shape) == Supertile({(0, 0): "a", (1, 0): "b"})
+    assert Supertile(shape).cells == {(0, 0): "a", (1, 0): "b"}
 
 
 def test_canonicalize_idempotent_and_discriminating():
-    a = canonicalize({(3, -2): "a"})
-    assert canonicalize(a.cells) == a
-    horizontal = canonicalize({(0, 0): "a", (1, 0): "a"})
-    vertical = canonicalize({(0, 0): "a", (0, 1): "a"})
+    a = Supertile({(3, -2): "a"})
+    assert Supertile(a.cells) == a
+    horizontal = Supertile({(0, 0): "a", (1, 0): "a"})
+    vertical = Supertile({(0, 0): "a", (0, 1): "a"})
     assert horizontal != vertical
     assert horizontal.fingerprint != vertical.fingerprint
 
@@ -181,7 +180,7 @@ def test_random_canonicalize_quotient():
         cells = random_placement(rng, ts, rng.randint(1, 6))
         dx, dy = rng.randint(-9, 9), rng.randint(-9, 9)
         moved = {(x + dx, y + dy): t for (x, y), t in cells.items()}
-        assert canonicalize(cells) == canonicalize(moved)
+        assert Supertile(cells) == Supertile(moved)
 
 
 def test_combine_two_singletons():

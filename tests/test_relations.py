@@ -22,6 +22,7 @@ from twoham import (
     check_follows,
     check_strongly_models,
     check_weakly_models,
+    decode_producibles,
     explore,
 )
 
@@ -318,6 +319,15 @@ def test_ambiguous_members_surface_as_violations():
     assert not report.passed
     assert {v["kind"] for v in report.violations} == {
         "ambiguous-alignment", "missing-image"}
+    # a shared decode, as verify passes it, still reports the ambiguity
+    # in every check, at the head of its violations
+    decoded = decode_producibles(sim, rep)
+    for check in (check_equivalent_productions, check_follows,
+                  check_weakly_models, check_strongly_models):
+        for report in (check(sim, target, rep),
+                       check(sim, target, rep, decoded=decoded)):
+            assert not report.passed, check.__name__
+            assert report.violations[0]["kind"] == "ambiguous-alignment"
 
 
 def test_unclean_image_is_a_violation():

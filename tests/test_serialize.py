@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from twoham import INFINITE, TAS, Glue, Supertile, TileSet, TileType
 from twoham import ladders, weak
+from twoham.cli import METHODS
 from twoham.errors import DanglingTileId, NegativeStrength, SchemaError
 from twoham.serialize import (
     compiled_document,
@@ -12,6 +14,9 @@ from twoham.serialize import (
     serialize_compiled,
     serialize_tas,
 )
+from twoham.strong import rescale_temperature
+
+from test_acceptance import suite
 
 
 def one_tile_tas():
@@ -158,3 +163,83 @@ def test_compiled_document_rejects_other_formats():
         parse_compiled(json.dumps(doc))
     with pytest.raises(SchemaError, match="missing field 'method'"):
         parse_compiled(json.dumps({"format": "twoham-compiled"}))
+
+
+# SHA-256 of serialize_compiled for the acceptance suite under every
+# method at temperatures 2 and 4.  verify recompiles and compares against
+# a document written by the same code, so only pinned digests notice a
+# change to the compiled bytes.
+FROZEN_COMPILED = {
+    ("pair", 2, "strong2"):
+        "97071cf745b69013f11458ff7f028e552e1fce546bcb98ae3f4ed547d83b345e",
+    ("pair", 2, "strong1"):
+        "4eda5a769c6213ea2dfe00a78068370ccdceb5ed2596a4581aba1ecb720669ef",
+    ("pair", 2, "weak1"):
+        "5c9fba0343454a081fe2967e50ef8777cb187f7bf0338dde0d1d42c667cd71be",
+    ("pair", 2, "weak2"):
+        "bd7da26e6aadc1834ec58a55b45f4fc4c766eb5069b39ff498efeb39ba976bf3",
+    ("pair", 2, "weak3"):
+        "c06423073a89082defb2efd1b45dc61acd103d240ba0cf9ec5c4f79c3c3d9569",
+    ("mismatch-square", 2, "strong2"):
+        "0e35903e89db03545c6a100e6fd13e7acdd835e4097f0a8e583b6c33806d218c",
+    ("mismatch-square", 2, "strong1"):
+        "71b4575708dfa95f017c1c7632308ab4dee55514dc916d0bb955608b7fbf5222",
+    ("mismatch-square", 2, "weak1"):
+        "355ba393f0702b4a9b90a3093d3fb05abc9da57dc43862041d3e4c9458a8eb01",
+    ("mismatch-square", 2, "weak2"):
+        "f56635f0f3bd20527249aa9e63fc6c6e5005ea70f3fd2232961d8768ac72bb25",
+    ("mismatch-square", 2, "weak3"):
+        "a2462aa764f0efa1e493def183112b10e7f4b069a3dad4aa1411adbf8e16dae4",
+    ("seeded-chain", 2, "strong2"):
+        "4e027adbd34540842e605d1e7ea3ed8fb30eec67179ab42dddc4e431da2d5a2e",
+    ("seeded-chain", 2, "strong1"):
+        "f6fcb0f8aff848499413b6252d493dd6e9c655e62da263338bfff16c3b743af0",
+    ("seeded-chain", 2, "weak1"):
+        "83681a3b1d90427e6da7f957a725f512f4d490dc3e619b094b2b8821566289f4",
+    ("seeded-chain", 2, "weak2"):
+        "ad4c90523e167cbdf198d247464c2493480a913db746b0bf4e56bbb777bc3194",
+    ("seeded-chain", 2, "weak3"):
+        "8d01779d6a37cd88bb186fcfd2d3eed11488c3cbbbbd3485720ebbb57fb57add",
+    ("pair", 4, "strong2"):
+        "e2dc993679ba68ff002839a2ca5ba79e85471f3008d49233b3067d7c6532a5cd",
+    ("pair", 4, "strong1"):
+        "4270740045fa49cf70644125915821beb021adfe0cae2175e2b92b268cbc5881",
+    ("pair", 4, "weak1"):
+        "e8ae22c4e31e09456a85345b259e2554f1fc3f89bf6ea2d0d332967deb27480b",
+    ("pair", 4, "weak2"):
+        "707f9d8d851e197b97376b7a077526bd81cc841843b1f97e4aba48adb175f635",
+    ("pair", 4, "weak3"):
+        "e05e041f9c9371a776199ab2bc6e7d365a4dde0b10133227179c6cfc1db12302",
+    ("mismatch-square", 4, "strong2"):
+        "d327d317367e3db53fd2e6b82e1812352d4a4b4156bd5c23b241e6dc2e10e53c",
+    ("mismatch-square", 4, "strong1"):
+        "31d62ca638dc42048f3b3e8e9321ff54620ff6045f4420f8264bc152b7459849",
+    ("mismatch-square", 4, "weak1"):
+        "9cf75b533d30986d6c6aca5a6e4640df372a9693652609dbfd1d952192b7f71a",
+    ("mismatch-square", 4, "weak2"):
+        "deefdf5145d7efe3c21103822947b997669e536d7f94696dc088f70f263a3f9c",
+    ("mismatch-square", 4, "weak3"):
+        "5b6e0a231aff674b46730756f246534d29b6a608147d966c7e0229c80d09047b",
+    ("seeded-chain", 4, "strong2"):
+        "8a8a637054bc39ab1d643269af13de484f2f9c519d9929df2821ff3665b79dbf",
+    ("seeded-chain", 4, "strong1"):
+        "a62351df50abb8e7af0b51955b35f5abac5e42d91660bc19b4962adeab989732",
+    ("seeded-chain", 4, "weak1"):
+        "a8cae0ee6ee8b0c7d80c3570434e8b43de530e5b6b3e8f48d9fabd5a27cc4a59",
+    ("seeded-chain", 4, "weak2"):
+        "75e6e488e36d7d5c9a550a9b12fb6c0bd204bb31e031888a8fd7332128b42e29",
+    ("seeded-chain", 4, "weak3"):
+        "d995ba39887d44f380727ee253820bb1b19d99439e0cfe98d2e780f018519983",
+}
+
+
+def test_compiled_documents_are_frozen():
+    got = {}
+    for tau in (2, 4):
+        for name, tas in suite():
+            if tau != tas.tau:
+                tas = rescale_temperature(tas, tau // tas.tau)
+            for method in METHODS:
+                doc = serialize_compiled(METHODS[method](tas))
+                got[name, tau, method] = hashlib.sha256(doc.encode()).hexdigest()
+    assert got == FROZEN_COMPILED

@@ -195,10 +195,10 @@ def test_equal_strength_glues_keep_their_lanes_apart(variant):
     target = explore(tas, 3)
     bound = sum(st.size for st, _ in comp.input_supertiles)
     sim = explore(comp.simulator_tas(), bound)
-    images = decode_producibles(sim, comp.rep)
+    decoded = decode_producibles(sim, comp.rep)
     for check in (check_equivalent_productions, check_follows,
                   check_weakly_models):
-        report = check(sim, target, comp.rep, images=images)
+        report = check(sim, target, comp.rep, decoded=decoded)
         assert report.passed, (check.__name__, report.violations)
     if variant != WEAK1:
         parked = only(combine(right, gadget(comp, "M", WEST), uts, 2))
@@ -300,15 +300,15 @@ def test_mismatch_rig_is_weak_but_not_strong():
     comp = compile_weak(tas, WEAK1)
     bound = sum(st.size for st, _ in comp.input_supertiles)
     sim = explore(comp.simulator_tas(), bound)
-    images = decode_producibles(sim, comp.rep)
+    decoded = decode_producibles(sim, comp.rep)
     for check in (check_equivalent_productions, check_follows,
                   check_weakly_models):
-        report = check(sim, target, comp.rep, images=images)
+        report = check(sim, target, comp.rep, decoded=decoded)
         assert report.passed, (check.__name__, report.violations)
     # a preimage pair that pre-attached gadgets on the mismatched lane
     # can never join: attachment is irreversible, so the strong check
     # must report it
-    report = check_strongly_models(sim, target, comp.rep, images=images)
+    report = check_strongly_models(sim, target, comp.rep, decoded=decoded)
     assert not report.passed
     assert {v["kind"] for v in report.violations} == {"unrealizable-combination"}
 
