@@ -1,36 +1,50 @@
 """Shared container and building blocks for compiler output.
 
 A compiled simulator packages the universal tile set, the preformed input
-supertiles with their counts, the block scale, the representation used to
-read simulator assemblies back, the relations the compiler claims, the
-per-block size budget, and whatever per-compilation metadata the decoder
-needs.  Compilers differ only in how they fill these fields.
+supertiles with their counts, the block scale, the anchor table, the
+representation used to read simulator assemblies back, the relations the
+compiler claims, the per-block size budget, and whatever per-compilation
+metadata the decoder needs.  Compilers differ only in how they fill these
+fields.
+
+Both compilers read blocks the same way: every macrotile has a solid k x k
+body whose lower-left cell carries a tile type used nowhere else, its
+anchor.  anchored_rep builds the block representation from that table, so
+the anchors are the one alignment key, and each compiler adds only its
+own consistency check on a block that already has a complete body.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+from .errors import CorruptMacrotile
 from .model import EAST, NORTH, NULL_GLUE, SOUTH, TAS, WEST, Glue, TileType
+from .representation import BlockRepresentation
 
 
 class CompiledSimulator:
     """One compilation of a source system into a block-scale simulator.
 
-    claims names the relation checks (keys of relations.CHECKS) that
-    verify runs by default.  budget is the simulator tiles one source
-    tile can cost, attached pieces included, so a target-side size bound
-    times budget covers every assembly whose image fits that bound.
+    anchors maps the universal id of each macrotile's body anchor cell to
+    its source tile id.  claims names the relation checks (keys of
+    relations.CHECKS) that verify runs by default.  budget is the
+    simulator tiles one source tile can cost, attached pieces included,
+    so a target-side size bound times budget covers every assembly whose
+    image fits that bound.
     """
 
     __slots__ = ("variant", "tau", "universal_tiles", "input_supertiles",
-                 "m", "rep", "meta", "claims", "budget")
+                 "m", "anchors", "rep", "meta", "claims", "budget")
 
     def __init__(self, variant, tau, universal_tiles, input_supertiles,
-                 m, rep, meta, claims, budget):
+                 m, anchors, rep, meta, claims, budget):
         self.variant = variant
         self.tau = tau
         self.universal_tiles = universal_tiles
         self.input_supertiles = tuple(input_supertiles)
         self.m = m
+        self.anchors = anchors
         self.rep = rep
         self.meta = meta
         self.claims = tuple(claims)
@@ -49,6 +63,46 @@ class CompiledSimulator:
         return (f"<CompiledSimulator {self.variant} m={self.m} "
                 f"tiles={len(self.universal_tiles)} "
                 f"inputs={len(self.input_supertiles)}>")
+
+
+@dataclass
+class Piece:
+    """Cells and outward faces of one rigid piece in its block frame.
+
+    cells maps (x, y) to a universal tile id; faces maps a cell to the
+    list of (direction, Glue) pairs it shows outward.
+    """
+
+    cells: dict
+    faces: dict
+
+
+def anchored_rep(m, k, corner, anchors, check) -> BlockRepresentation:
+    """Block representation that reads a block at its body anchor cell.
+
+    A block decodes only when its k x k body, lower-left at (corner,
+    corner), is complete; the cell there must then be an anchor, or the
+    block is a CorruptMacrotile.  check(block, tile_id) runs the
+    compiler's own consistency test and returns the tile id.  Only
+    alignments that put an anchor cell on the body corner can decode,
+    so those, and no others, are the candidate offsets.
+    """
+    body = [(x, y) for x in range(corner, corner + k)
+            for y in range(corner, corner + k)]
+
+    def decode(block):
+        if len(block) < k * k or any(xy not in block for xy in body):
+            return None
+        tid = anchors.get(block[(corner, corner)])
+        if tid is None:
+            raise CorruptMacrotile("body anchor cell is no macrotile anchor")
+        return check(block, tid)
+
+    def offsets(s):
+        return sorted({((x - corner) % m, (y - corner) % m)
+                       for (x, y), uid in s.cells.items() if uid in anchors})
+
+    return BlockRepresentation(m, decode, candidate_offsets=offsets)
 
 
 def framed_code(length, index):
@@ -84,27 +138,3 @@ def wire_tiles(cells, faces, prefix, strength):
                               south=sides.get(SOUTH, NULL_GLUE),
                               west=sides.get(WEST, NULL_GLUE)))
     return tiles
-
-
-def solid_square_offsets(side, anchor_x, anchor_y, m):
-    """Alignment hint: grid offsets that put a solid square at the anchor.
-
-    Any side x side solid square has a cell whose largest-solid-square
-    value reaches side under the standard corner dynamic program, so
-    collecting the implied anchors covers every alignment that could
-    decode a body.  Supertiles without such a square get no candidates.
-    """
-    def offsets(s):
-        dp = {}
-        out = set()
-        for xy in sorted(s.cells):
-            x, y = xy
-            d = min(dp.get((x - 1, y), 0),
-                    dp.get((x, y - 1), 0),
-                    dp.get((x - 1, y - 1), 0)) + 1
-            dp[xy] = d
-            if d >= side:
-                out.add(((x - side + 1 - anchor_x) % m,
-                         (y - side + 1 - anchor_y) % m))
-        return sorted(out)
-    return offsets

@@ -17,7 +17,7 @@ from __future__ import annotations
 from .errors import CapExceeded, FeasibilityCapExceeded
 from .model import DIRECTIONS, NULL_GLUE, OPPOSITE, Glue, TileSet, TileType, interaction
 
-DEFAULT_SUBSET_CAP = 1 << 16
+_SUBSET_CAP = 1 << 16
 _MAX_GLUE_COUNT = 8
 
 
@@ -79,7 +79,7 @@ def full_tile_list(num_glues, strengths):
     return tiles
 
 
-def get_nth_tas(n, tau, subset_cap=DEFAULT_SUBSET_CAP) -> CanonicalTileSet:
+def get_nth_tas(n, tau) -> CanonicalTileSet:
     """The n-th tile set in the frozen enumeration order (0-indexed)."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"index must be a non-negative integer, got {n!r}")
@@ -92,10 +92,10 @@ def get_nth_tas(n, tau, subset_cap=DEFAULT_SUBSET_CAP) -> CanonicalTileSet:
         block = 1 << tile_count
         for strengths in _strength_vectors(num_glues, tau):
             if remaining < block:
-                if remaining >= subset_cap:
+                if remaining >= _SUBSET_CAP:
                     raise FeasibilityCapExceeded(
                         f"index {n} sits {remaining} subsets into a block; "
-                        f"the budget is {subset_cap}")
+                        f"the budget is {_SUBSET_CAP}")
                 tiles = full_tile_list(num_glues, strengths)
                 chosen = [tiles[i] for i in range(tile_count)
                           if (remaining >> i) & 1]

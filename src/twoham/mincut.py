@@ -10,31 +10,16 @@ quotient, which in assemblies is usually far smaller than the graph.
 from __future__ import annotations
 
 
-def connected(adj: dict) -> bool:
-    if len(adj) <= 1:
-        return True
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(adj)
-
-
 def stoer_wagner(adj: dict) -> int:
     """Weight of a global minimum cut (0 when disconnected).
 
     Deterministic: vertices are merged in maximum-adjacency order with ties
-    broken by original sort position.
+    broken by original sort position.  The algorithm is exact for any
+    non-negative weights, so a disconnected graph comes out as 0 with no
+    special case.
     """
     if len(adj) < 2:
         raise ValueError("a cut needs at least two vertices")
-    if not connected(adj):
-        return 0
     names = sorted(adj)
     index = {v: i for i, v in enumerate(names)}
     graph = {i: {} for i in range(len(names))}

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 from .errors import AmbiguousAlignment
 from .model import combine
@@ -55,16 +55,19 @@ class Report:
     checked counts the proof obligations examined; boundary counts the
     ones skipped because they fell outside an exploration bound; skipped
     counts the ones that were vacuous (no preimage, junk-only step).
-    passed is true exactly when violations is empty.
     """
 
     relation: str
-    passed: bool
     checked: int = 0
     boundary: int = 0
     skipped: int = 0
     violations: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+
+    @property
+    def passed(self):
+        """True exactly when no violation was found."""
+        return not self.violations
 
     def to_dict(self):
         return {
@@ -158,7 +161,7 @@ def check_equivalent_productions(sim, target, rep, decoded=None):
     bound must be target-producible, larger ones are boundary skips.
     Every target producible must be hit by some image.
     """
-    report = Report("productions", True)
+    report = Report("productions")
     images, ambiguities = decoded or decode_producibles(sim, rep)
     report.violations.extend(ambiguities)
     covered = set()
@@ -197,7 +200,6 @@ def check_equivalent_productions(sim, target, rep, decoded=None):
                 "image": t.fingerprint,
             })
     _bound_notes(report, sim, target)
-    report.passed = not report.violations
     return report
 
 
@@ -209,7 +211,7 @@ def check_follows(sim, target, rep, decoded=None):
     explored target edge.  Steps into or out of junk are skipped; steps
     whose images exceed the target bound are boundary skips.
     """
-    report = Report("follows", True)
+    report = Report("follows")
     images, ambiguities = decoded or decode_producibles(sim, rep)
     report.violations.extend(ambiguities)
     for parent_fp, child_fp in _transitions(sim):
@@ -245,7 +247,6 @@ def check_follows(sim, target, rep, decoded=None):
                 "child_image": b,
             })
     _bound_notes(report, sim, target)
-    report.passed = not report.violations
     return report
 
 
@@ -259,7 +260,7 @@ def check_weakly_models(sim, target, rep, decoded=None, weak_def="standard"):
     """
     if weak_def not in ("standard", "literal"):
         raise ValueError(f"unknown weak_def {weak_def!r}")
-    report = Report("weak", True)
+    report = Report("weak")
     images, ambiguities = decoded or decode_producibles(sim, rep)
     report.violations.extend(ambiguities)
     index = _image_index(images)
@@ -295,7 +296,6 @@ def check_weakly_models(sim, target, rep, decoded=None, weak_def="standard"):
                     "preimage": start,
                 })
     _bound_notes(report, sim, target)
-    report.passed = not report.violations
     return report
 
 
@@ -309,7 +309,7 @@ def check_strongly_models(sim, target, rep, decoded=None):
     computed directly, so products beyond the simulator's exploration
     bound still count.
     """
-    report = Report("strong", True)
+    report = Report("strong")
     images, ambiguities = decoded or decode_producibles(sim, rep)
     report.violations.extend(ambiguities)
     index = _image_index(images)
@@ -351,16 +351,14 @@ def check_strongly_models(sim, target, rep, decoded=None):
         if not pre_a or not pre_b:
             report.skipped += 1
             continue
-        if a == b:
-            start_pairs = list(combinations_with_replacement(pre_a, 2))
-        else:
-            seen = set()
-            start_pairs = []
-            for pair in product(pre_a, pre_b):
-                key = tuple(sorted(pair))
-                if key not in seen:
-                    seen.add(key)
-                    start_pairs.append(pair)
+        # each unordered preimage pair once, in the order product meets it
+        seen = set()
+        start_pairs = []
+        for pair in product(pre_a, pre_b):
+            key = tuple(sorted(pair))
+            if key not in seen:
+                seen.add(key)
+                start_pairs.append(pair)
         for a_fp, b_fp in start_pairs:
             report.checked += 1
             achievable = product_images(a_fp, b_fp)
@@ -384,7 +382,6 @@ def check_strongly_models(sim, target, rep, decoded=None):
                     "preimages": [a_fp, b_fp],
                 })
     _bound_notes(report, sim, target)
-    report.passed = not report.violations
     return report
 
 

@@ -2,9 +2,11 @@
 
 A representation carries a scale m and a decoder from m x m blocks of
 simulator tiles to simulated tile ids.  Decoding a supertile tries block
-grids at every offset (or at the offsets a registered hint function
-proposes), and succeeds when exactly one grid alignment produces a
-non-empty image.  Distinct non-empty images at two alignments mean the
+grids at every offset, or only at the offsets a registered hint function
+proposes (the compilers read blocks at anchor cells and propose exactly
+the offsets that put one on a body corner; see compiled.anchored_rep),
+and succeeds when exactly one grid alignment produces a non-empty
+image.  Distinct non-empty images at two alignments mean the
 supertile cannot be read at all, which is reported loudly rather than
 resolved by preference.
 """
@@ -45,7 +47,7 @@ class BlockRepresentation:
 
     candidate_offsets, when given, maps a supertile to the grid offsets
     worth trying; it must cover every offset that could decode to a
-    non-empty image, and exists so geometric decoders can skip the full
+    non-empty image, and exists so anchored decoders can skip the full
     m * m scan.
     """
 

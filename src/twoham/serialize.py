@@ -170,7 +170,9 @@ def compiled_document(comp) -> dict:
     needs: the method tag lets verify rerun the deterministic compiler
     and cross-check this document against the fresh result, then reuse
     the fresh decoder.  The anchor table is included so the mapping
-    from block anchors to source tiles is inspectable on its own.
+    from block anchors to source tiles is inspectable on its own; it is
+    also the decoder's alignment key, since blocks are read at anchor
+    cells.
     """
     return {
         "format": "twoham-compiled",
@@ -187,7 +189,7 @@ def compiled_document(comp) -> dict:
         "decoder": {
             "kind": "block-anchor",
             "anchors": [[uid, tid] for uid, tid
-                        in sorted(comp.meta.anchor_tiles.items())],
+                        in sorted(comp.anchors.items())],
         },
     }
 

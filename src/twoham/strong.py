@@ -42,11 +42,11 @@ Interior cohesion uses coordinate-keyed glue labels at the simulated
 temperature on every interior adjacency, so each macrotile is rigid and
 none of its labels can ever bind across distinct blocks.
 
-Decoding runs on one block's cells: find the solid body, then read each
+Blocks are read at their body anchor cell (compiled.anchored_rep),
+which names the simulated tile.  The arms must agree with it: each
 side's backbone base cell (its lane gives j) and base tag (its distance
-gives i).  The resulting glue 4-tuple plus the body anchor cell identify
-the simulated tile; disagreement between the two is reported as a
-corrupt macrotile.
+gives i) spell a glue, and a glue 4-tuple that does not belong to the
+anchor's tile is reported as a corrupt macrotile.
 """
 
 from __future__ import annotations
@@ -54,24 +54,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .compiled import (CompiledSimulator, framed_code, solid_square_offsets,
+from .compiled import (CompiledSimulator, Piece, anchored_rep, framed_code,
                        wire_tiles)
 from .errors import BodyTooSmall, CorruptMacrotile
 from .model import (EAST, NORTH, NULL_GLUE, SOUTH, WEST, Glue, Supertile,
                     TAS, TileSet, TileType)
-from .representation import BlockRepresentation
 
 STRONG2 = "strong2"
 STRONG1 = "strong1"
 VARIANTS = (STRONG2, STRONG1)
-
-
-@dataclass(frozen=True)
-class GlueCoordinates:
-    glue: Glue
-    i: int
-    j: int
-    pair_index: int
 
 
 def _side_count(n):
@@ -79,18 +70,6 @@ def _side_count(n):
     if n <= 0:
         return 0
     return math.isqrt(n - 1) + 1
-
-
-def glue_coordinates(g, glue_order) -> GlueCoordinates:
-    """Row-major grid coordinates of a glue within its declared order."""
-    order = list(glue_order)
-    try:
-        idx = order.index(g)
-    except ValueError:
-        raise ValueError(f"glue {g.label!r}/{g.strength} is not in the "
-                         f"declared glue order") from None
-    ell = _side_count(len(order))
-    return GlueCoordinates(g, idx // ell, idx % ell, idx)
 
 
 @dataclass(frozen=True)
@@ -147,12 +126,16 @@ def _binding_glue(geo, facing, strength, q):
     return Glue(label, 1)
 
 
-def _arm_cells(geo, side, coords, strength):
-    """One arm's cells and binding faces, in the tile's block frame."""
-    i, j = coords.i, coords.j
+def _arm_cells(geo, side, index, strength):
+    """One arm's cells and binding faces, in the tile's block frame.
+
+    The glue's index in the declared order sits row-major on the
+    ell x ell grid: i = index // ell picks the pad slot, j the lane.
+    """
+    i, j = divmod(index, geo.ell)
     xp = geo.pad_offset(i)
     k, h = geo.k, geo.h
-    code = framed_code(geo.framed, coords.pair_index)
+    code = framed_code(geo.framed, index)
     cells = []
     binding = []
     if side == WEST:
@@ -207,63 +190,40 @@ def _arm_cells(geo, side, coords, strength):
     for (x, y, facing, q) in binding:
         bg = _binding_glue(geo, facing, strength, q)
         if bg is not None:
-            faces[(x, y)] = (facing, bg)
+            faces[(x, y)] = [(facing, bg)]
     return cells, faces
-
-
-@dataclass
-class MacrotileLayout:
-    """Cell-level plan of one macrotile in its own block frame."""
-    tile: str
-    k: int
-    m: int
-    cells: dict      # (x, y) -> universal tile id
-    external: dict   # (x, y) -> (facing, Glue) on binding cells
-    arms: dict       # side -> GlueCoordinates or None
 
 
 def _sides(t):
     return ((NORTH, t.north), (EAST, t.east), (SOUTH, t.south), (WEST, t.west))
 
 
-def _build_layout(t, tidx, geo, glue_order) -> MacrotileLayout:
+def _build_layout(t, tidx, geo, gidx) -> Piece:
     h, k = geo.h, geo.k
     occupied = {}
-    external = {}
-    arms = {}
+    faces = {}
     for x in range(h, h + k):
         for y in range(h, h + k):
             occupied[(x, y)] = None
     for side, g in _sides(t):
         if g.strength <= 0:
-            arms[side] = None
             continue
-        coords = glue_coordinates(g, glue_order)
-        arms[side] = coords
-        cells, faces = _arm_cells(geo, side, coords, g.strength)
+        cells, arm_faces = _arm_cells(geo, side, gidx[g], g.strength)
         for xy in cells:
             if xy in occupied:
                 raise BodyTooSmall(f"arm cell {xy} of {t.id!r} collides")
             occupied[xy] = None
-        external.update(faces)
+        faces.update(arm_faces)
     named = {xy: f"m{tidx}.{xy[0]}.{xy[1]}" for xy in occupied}
-    return MacrotileLayout(t.id, k, geo.m, named, external, arms)
-
-
-def layout_macrotile(t, ts, tau, variant=STRONG2) -> MacrotileLayout:
-    """Plan the macrotile for one tile type of ts at temperature tau."""
-    geo = _geometry(len(ts.glues), tau, variant)
-    tidx = next(n for n, u in enumerate(ts) if u.id == t.id)
-    return _build_layout(t, tidx, geo, ts.glues)
+    return Piece(named, faces)
 
 
 @dataclass
 class StrongMeta:
     geo: _Geometry
     glues: tuple
-    by_signature: dict   # normalized glue 4-tuple -> tuple of tile ids
-    anchor_tiles: dict   # universal id of the body anchor cell -> tile id
-    layouts: dict        # tile id -> MacrotileLayout
+    signatures: dict     # tile id -> normalized glue 4-tuple
+    layouts: dict        # tile id -> Piece
 
 
 def _signature(t):
@@ -305,21 +265,14 @@ def _read_arm(block, meta, side, bases):
     return meta.glues[index]
 
 
-def geometric_decode(block, meta):
-    """Read one block's cells back to a simulated tile id.
+def _check_arms(block, tid, meta):
+    """tid when the block's arms spell the glues of tile tid.
 
-    Returns None when the block holds no complete body (stray arm cells
-    from neighbouring blocks land here and are ignored); raises
-    CorruptMacrotile when a body is present but its arms do not add up.
+    Runs on a block whose body is complete and anchored at tid; raises
+    CorruptMacrotile when the arms do not add up or belong to another
+    tile.
     """
-    geo = meta.geo
-    h, k = geo.h, geo.k
-    if len(block) < k * k:
-        return None
-    for x in range(h, h + k):
-        for y in range(h, h + k):
-            if (x, y) not in block:
-                return None
+    h, k = meta.geo.h, meta.geo.k
     west, east, north, south = [], [], [], []
     for (x, y) in block:
         if x == h - 1:
@@ -334,15 +287,11 @@ def geometric_decode(block, meta):
            _read_arm(block, meta, EAST, east),
            _read_arm(block, meta, SOUTH, south),
            _read_arm(block, meta, WEST, west))
-    candidates = meta.by_signature.get(sig, ())
-    anchor = meta.anchor_tiles.get(block[(h, h)])
-    if anchor is None:
-        raise CorruptMacrotile("body anchor cell is no macrotile anchor")
-    if anchor not in candidates:
+    if sig != meta.signatures[tid]:
         raise CorruptMacrotile(
             f"arms decode to {[g.label for g in sig]} which does not "
-            f"match the body of {anchor!r}")
-    return anchor
+            f"match the body of {tid!r}")
+    return tid
 
 
 def compile_strong(tas, variant=STRONG2) -> CompiledSimulator:
@@ -358,26 +307,21 @@ def compile_strong(tas, variant=STRONG2) -> CompiledSimulator:
         raise ValueError("macrotile compilation needs temperature >= 2")
     ts = tas.tile_set
     glue_order = ts.glues
+    gidx = {g: i for i, g in enumerate(glue_order)}
     geo = _geometry(len(glue_order), tas.tau, variant)
     layouts = {}
     tiles = []
-    anchor_tiles = {}
-    by_signature = {}
+    anchors = {}
     for tidx, t in enumerate(ts):
-        lay = _build_layout(t, tidx, geo, glue_order)
+        lay = _build_layout(t, tidx, geo, gidx)
         layouts[t.id] = lay
-        anchor_tiles[lay.cells[(geo.h, geo.h)]] = t.id
-        by_signature.setdefault(_signature(t), []).append(t.id)
-        faces = {xy: (ext,) for xy, ext in lay.external.items()}
-        tiles.extend(wire_tiles(lay.cells, faces, "i", tas.tau))
-    by_signature = {sig: tuple(ids) for sig, ids in by_signature.items()}
+        anchors[lay.cells[(geo.h, geo.h)]] = t.id
+        tiles.extend(wire_tiles(lay.cells, lay.faces, "i", tas.tau))
     universal = TileSet(tiles)
-    meta = StrongMeta(geo, tuple(glue_order), by_signature, anchor_tiles,
-                      layouts)
-    rep = BlockRepresentation(
-        geo.m,
-        lambda block: geometric_decode(block, meta),
-        candidate_offsets=solid_square_offsets(geo.k, geo.h, geo.h, geo.m))
+    signatures = {t.id: _signature(t) for t in ts}
+    meta = StrongMeta(geo, tuple(glue_order), signatures, layouts)
+    rep = anchored_rep(geo.m, geo.k, geo.h, anchors,
+                       lambda block, tid: _check_arms(block, tid, meta))
     inputs = []
     for st, count in tas.initial_state:
         union = {}
@@ -389,7 +333,7 @@ def compile_strong(tas, variant=STRONG2) -> CompiledSimulator:
         inputs.append((Supertile(union), count))
     budget = max(len(lay.cells) for lay in layouts.values())
     return CompiledSimulator(variant, tas.tau, universal, inputs, geo.m,
-                             rep, meta,
+                             anchors, rep, meta,
                              ("productions", "follows", "weak", "strong"),
                              budget)
 

@@ -26,22 +26,22 @@ stack stays strictly below temperature or, where it can close a loop on
 its own, forms a harmless strip that later completes the same join.
 
 Megatiles with and without attached side pieces decode to the same
-tile: decoding reads the solid body and its anchor cell and treats
-everything in the inter-block gap as fuzz.  That freedom of preimage is
-the point; the output models the original system but does not track it
-step for step.
+tile: decoding reads the block at its body anchor cell
+(compiled.anchored_rep), checks that the rest of the body belongs to the
+same megatile, and treats everything in the inter-block gap as fuzz.
+That freedom of preimage is the point; the output models the original
+system but does not track it step for step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .compiled import (CompiledSimulator, framed_code, solid_square_offsets,
+from .compiled import (CompiledSimulator, Piece, anchored_rep, framed_code,
                        wire_tiles)
 from .errors import CorruptMacrotile
 from .model import (DIRECTIONS, EAST, INFINITE, NORTH, OFFSET, OPPOSITE,
                     SOUTH, WEST, Glue, Supertile, TileSet, interaction)
-from .representation import BlockRepresentation
 
 WEAK1 = "weak1"
 WEAK2 = "weak2"
@@ -126,15 +126,7 @@ def _red_glues(geo, gi, strength):
     return [(0, Glue(f"wsv:{gi}:t", geo.tau - 1))], True
 
 
-@dataclass
-class PieceLayout:
-    """Cells and outward faces of one rigid piece, in tile-local coords."""
-
-    cells: dict
-    faces: dict
-
-
-def _mega_layout(t, ti, geo) -> PieceLayout:
+def _mega_layout(t, ti, geo) -> Piece:
     cells = {}
     for x in range(geo.d, geo.d + geo.k):
         for y in range(geo.d, geo.d + geo.k):
@@ -156,10 +148,10 @@ def _mega_layout(t, ti, geo) -> PieceLayout:
             cells[(x, y)] = f"w{ti}.{x}.{y}"
             faces.setdefault((x, y), []).append(
                 (side, Glue(f"comp{side}1", 1)))
-    return PieceLayout(cells, faces)
+    return Piece(cells, faces)
 
 
-def _gadget_layout(t, ti, side, gi, geo) -> PieceLayout:
+def _gadget_layout(t, ti, side, gi, geo) -> Piece:
     reds, helper = _red_glues(geo, gi, t.glue(side).strength)
     put = _CELL[side]
     pid = f"g{ti}{side}"
@@ -196,10 +188,10 @@ def _gadget_layout(t, ti, side, gi, geo) -> PieceLayout:
     if helper:
         xy = add(geo.x_s - 1, 2)
         faces.setdefault(xy, []).append((side, Glue(f"wse:{gi}", 1)))
-    return PieceLayout(cells, faces)
+    return Piece(cells, faces)
 
 
-def _completion_layout(side, gi, strength, geo) -> PieceLayout:
+def _completion_layout(side, gi, strength, geo) -> Piece:
     reds, _ = _red_glues(geo, gi, strength)
     width = max(3, max(slot for slot, _ in reds) + 1)
     put = _CELL[side]
@@ -216,10 +208,10 @@ def _completion_layout(side, gi, strength, geo) -> PieceLayout:
     faces.setdefault(first, []).append(
         (OPPOSITE[_ALONG[side]], Glue(f"comp{side}:{gi}", geo.tau - 1)))
     faces[first].append((OPPOSITE[side], Glue(f"comp{side}1", 1)))
-    return PieceLayout(cells, faces)
+    return Piece(cells, faces)
 
 
-def _wire_piece(lay: PieceLayout, prefix, tau):
+def _wire_piece(lay: Piece, prefix, tau):
     # sorted cell order fixes the order of the universal tile list
     return wire_tiles(dict(sorted(lay.cells.items())), lay.faces, prefix, tau)
 
@@ -231,18 +223,11 @@ class WeakMeta:
     megas: dict
     gadgets: dict
     completions: dict
-    anchor_tiles: dict
 
 
-def _decode_block(block, meta: WeakMeta):
+def _check_body(block, tid, meta: WeakMeta):
+    """tid, once every cell of the complete body is tile tid's own."""
     geo = meta.geo
-    for x in range(geo.d, geo.d + geo.k):
-        for y in range(geo.d, geo.d + geo.k):
-            if (x, y) not in block:
-                return None
-    tid = meta.anchor_tiles.get(block[(geo.d, geo.d)])
-    if tid is None:
-        raise CorruptMacrotile("body anchor cell is no megatile anchor")
     expect = meta.megas[tid].cells
     for x in range(geo.d, geo.d + geo.k):
         for y in range(geo.d, geo.d + geo.k):
@@ -303,13 +288,13 @@ def compile_weak(tas, variant=WEAK1) -> CompiledSimulator:
     geo = _geometry(len(ts.tiles), len(glue_order), tas.tau, variant)
     megas = {}
     gadgets = {}
-    anchor_tiles = {}
+    anchors = {}
     tiles = []
     used = {side: set() for side in COMPLETION_SIDES}
     for ti, t in enumerate(ts):
         lay = _mega_layout(t, ti, geo)
         megas[t.id] = lay
-        anchor_tiles[lay.cells[(geo.d, geo.d)]] = t.id
+        anchors[lay.cells[(geo.d, geo.d)]] = t.id
         tiles.extend(_wire_piece(lay, f"w{ti}", geo.tau))
         for side in DIRECTIONS:
             g = t.glue(side)
@@ -329,12 +314,9 @@ def compile_weak(tas, variant=WEAK1) -> CompiledSimulator:
             completions[(side, gidx[g])] = clay
             tiles.extend(_wire_piece(clay, f"c{side}{gidx[g]}", geo.tau))
     universal = TileSet(tiles)
-    meta = WeakMeta(geo, tuple(glue_order), megas, gadgets, completions,
-                    anchor_tiles)
-    rep = BlockRepresentation(
-        geo.m,
-        lambda block: _decode_block(block, meta),
-        candidate_offsets=solid_square_offsets(geo.k, geo.d, geo.d, geo.m))
+    meta = WeakMeta(geo, tuple(glue_order), megas, gadgets, completions)
+    rep = anchored_rep(geo.m, geo.k, geo.d, anchors,
+                       lambda block, tid: _check_body(block, tid, meta))
     inputs = [(_loaded_union(st, meta, ts), count)
               for st, count in tas.initial_state]
     for lay in gadgets.values():
@@ -346,11 +328,12 @@ def compile_weak(tas, variant=WEAK1) -> CompiledSimulator:
     gad = max((len(lay.cells) for lay in gadgets.values()), default=0)
     fill = max((len(lay.cells) for lay in completions.values()), default=0)
     return CompiledSimulator(variant, tas.tau, universal, inputs, geo.m,
-                             rep, meta, ("productions", "follows", "weak"),
+                             anchors, rep, meta,
+                             ("productions", "follows", "weak"),
                              mega + 4 * (2 * gad + fill))
 
 
-def gadget_attachment_sites(s: Supertile, meta: WeakMeta):
+def gadget_attachment_sites(s: Supertile, comp: CompiledSimulator):
     """Free (block, side) slots where a side gadget could still attach.
 
     Blocks are numbered relative to the first megatile anchor found.  A
@@ -358,16 +341,17 @@ def gadget_attachment_sites(s: Supertile, meta: WeakMeta):
     sides already gadgeted, and sides blocked by a mismatched
     neighbour's pegs, both drop out.
     """
+    meta = comp.meta
     geo = meta.geo
     anchors = sorted((x, y) for (x, y), uid in s.cells.items()
-                     if uid in meta.anchor_tiles)
+                     if uid in comp.anchors)
     if not anchors:
         return []
     ox, oy = anchors[0]
     order = {side: i for i, side in enumerate(DIRECTIONS)}
     found = []
     for ax, ay in anchors:
-        tid = meta.anchor_tiles[s.cells[(ax, ay)]]
+        tid = comp.anchors[s.cells[(ax, ay)]]
         for side in DIRECTIONS:
             glay = meta.gadgets.get((tid, side))
             if glay is None:

@@ -284,7 +284,7 @@ def test_criterion_06_clean_images_and_anchor_lattice():
     for name, variant, comp, target, sim in strong_runs:
         lattice = 2 * comp.meta.geo.k
         assert comp.m == lattice
-        anchor_ids = set(comp.meta.anchor_tiles)
+        anchor_ids = set(comp.anchors)
         for s in sim.members():
             spots = sorted(xy for xy, uid in s.cells.items()
                            if uid in anchor_ids)

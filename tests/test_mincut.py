@@ -57,6 +57,7 @@ def test_stability_cut_ok_matches_exhaustive_oracle():
     rng = random.Random(5150)
     disagreements = []
     deep = {True: 0, False: 0}  # verdicts with a quotient of >= 3 vertices
+    disconnected = 0  # Stoer-Wagner must read these as a cut of 0
     for i in range(800):
         tau = 2 + i % 4
         cells, ts = weighted_shape(rng, tau)
@@ -65,9 +66,12 @@ def test_stability_cut_ok_matches_exhaustive_oracle():
             disagreements.append((i, tau, sorted(cells)))
         if heavy_components(cells, ts, tau) >= 3:
             deep[got] += 1
+        if heavy_components(cells, ts, 1) > 1:
+            disconnected += 1
     assert disagreements == []
     # the general path must run on both verdicts, not just on shortcuts
     assert deep[True] >= 30 and deep[False] >= 300, deep
+    assert disconnected >= 200, disconnected
 
 
 def test_tau4_seed_check_is_fast():

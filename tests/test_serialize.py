@@ -152,7 +152,7 @@ def test_compiled_document_round_trips():
     assert doc == compiled_document(comp)
     assert doc["method"] == weak.WEAK1
     assert doc["scale"] == comp.m
-    assert dict(doc["decoder"]["anchors"]) == comp.meta.anchor_tiles
+    assert dict(doc["decoder"]["anchors"]) == comp.anchors
 
 
 def test_compiled_document_rejects_other_formats():

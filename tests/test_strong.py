@@ -25,14 +25,11 @@ from twoham import (
     decode_supertile,
     explore,
 )
-from twoham.compiled import solid_square_offsets
 from twoham.errors import CorruptMacrotile
 from twoham.strong import (
     STRONG1,
     STRONG2,
     compile_strong,
-    glue_coordinates,
-    layout_macrotile,
     rescale_temperature,
     scale_for,
 )
@@ -54,19 +51,6 @@ def image_cells(img):
     return img.supertile.cells
 
 
-def test_glue_coordinates_row_major():
-    order = [Glue(f"g{n}", 2) for n in range(5)]
-    first = glue_coordinates(order[0], order)
-    assert (first.i, first.j, first.pair_index) == (0, 0, 0)
-    fifth = glue_coordinates(order[4], order)
-    assert (fifth.i, fifth.j) == (1, 1)
-    pairs = {(glue_coordinates(g, order).i, glue_coordinates(g, order).j)
-             for g in order}
-    assert len(pairs) == 5
-    with pytest.raises(ValueError):
-        glue_coordinates(Glue("zz", 2), order)
-
-
 def test_scale_grid_and_documented_constant():
     # the one-glue geometry used in the hand checks below
     assert scale_for(1, 2) == 36
@@ -80,12 +64,12 @@ def test_scale_grid_and_documented_constant():
 
 def test_all_null_tile_is_body_only():
     ts = TileSet((TileType("T"),))
-    lay = layout_macrotile(ts.tile("T"), ts, 2)
-    assert lay.k == 8 and lay.m == 16
+    comp = compile_strong(TAS(ts, 2))
+    lay = comp.meta.layouts["T"]
+    assert comp.meta.geo.k == 8 and comp.m == 16
     assert len(lay.cells) == 64
     assert all(4 <= x < 12 and 4 <= y < 12 for (x, y) in lay.cells)
-    assert all(a is None for a in lay.arms.values())
-    comp = compile_strong(TAS(ts, 2))
+    assert lay.faces == {}
     assert len(comp.input_supertiles) == 1
     img = decode_supertile(comp.input_supertiles[0][0], comp.rep)
     assert image_cells(img) == {(0, 0): "T"} and img.clean
@@ -140,15 +124,16 @@ def test_strength_region_splits_inert_and_binding():
     # strength 4 at temperature 6: two inert spacers then four binding cells
     ts = TileSet((TileType("A", east=Glue("g", 4)),
                   TileType("B", west=Glue("g", 4))))
-    lay = layout_macrotile(ts.tile("B"), ts, 6)
-    assert len(lay.external) == 4
+    comp = compile_strong(TAS(ts, 6))
+    lay = comp.meta.layouts["B"]
+    assert len(lay.faces) == 4
     assert all(g.strength == 1 and g.label == "bindH"
-               for _, g in lay.external.values())
-    k, h = lay.k, lay.k // 2
+               for faces in lay.faces.values() for _, g in faces)
+    k, h = comp.meta.geo.k, comp.meta.geo.h
     # west pad of glue 0: strength cells start 14 cells into the gap
     spacers = [(h - k + 14 + q, h + 3) for q in range(2)]
     for xy in spacers:
-        assert xy in lay.cells and xy not in lay.external
+        assert xy in lay.cells and xy not in lay.faces
 
 
 def test_strong2_exposes_only_unit_strength_glues():
@@ -225,8 +210,7 @@ def test_duplicate_glue_signatures_decode_by_body():
 def test_corrupt_macrotile_reports():
     comp = compile_strong(two_tile())
     lay = comp.meta.layouts["A"]
-    k = lay.k
-    h = k // 2
+    k, h = comp.meta.geo.k, comp.meta.geo.h
     body_only = {xy: uid for xy, uid in lay.cells.items()
                  if h <= xy[0] < h + k and h <= xy[1] < h + k}
     with pytest.raises(CorruptMacrotile):
@@ -241,12 +225,12 @@ def test_corrupt_macrotile_reports():
 def test_partial_body_decodes_to_nothing():
     comp = compile_strong(two_tile())
     lay = comp.meta.layouts["A"]
-    h = lay.k // 2
+    k, h = comp.meta.geo.k, comp.meta.geo.h
     holed = dict(lay.cells)
     del holed[(h + 3, h + 3)]
     assert decode_supertile(Supertile(holed), comp.rep) is None
     arms_only = {xy: uid for xy, uid in lay.cells.items()
-                 if xy[0] >= h + lay.k}
+                 if xy[0] >= h + k}
     assert decode_supertile(Supertile(arms_only), comp.rep) is None
 
 
@@ -292,9 +276,7 @@ def test_six_blocks_with_two_mismatches_assemble_on_grid():
         (0, 1): "T01", (1, 1): "T11", (2, 1): "T21",
     }
     assert img.clean
-    k = comp.meta.geo.k
-    anchors = solid_square_offsets(k, k // 2, k // 2, comp.m)(whole)
-    assert len(anchors) == 1
+    assert comp.rep.offsets_for(whole) == [img.offset]
 
 
 def test_lowering_the_simulator_temperature_breaks_follows():

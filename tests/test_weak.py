@@ -2,7 +2,6 @@ import pytest
 
 from twoham import (TAS, Glue, INFINITE, Supertile, TileSet, TileType,
                     CorruptMacrotile)
-from twoham.compiled import solid_square_offsets
 from twoham.dynamics import explore
 from twoham.model import EAST, NORTH, SOUTH, WEST, combination_offsets, combine, interface_strength
 from twoham.relations import (check_equivalent_productions, check_follows,
@@ -230,16 +229,16 @@ def test_gadget_attachment_sites_track_free_sides():
     comp = compile_weak(TAS(TileSet([quad]), 2), WEAK1)
     uts = comp.universal_tiles
     bare = mega(comp, "Q")
-    assert gadget_attachment_sites(bare, comp.meta) == [
+    assert gadget_attachment_sites(bare, comp) == [
         ((0, 0), NORTH), ((0, 0), EAST), ((0, 0), SOUTH), ((0, 0), WEST)]
     one = only(combine(bare, gadget(comp, "Q", NORTH), uts, 2))
-    assert gadget_attachment_sites(one, comp.meta) == [
+    assert gadget_attachment_sites(one, comp) == [
         ((0, 0), EAST), ((0, 0), SOUTH), ((0, 0), WEST)]
     loaded = one
     for side in (EAST, SOUTH, WEST):
         loaded = only(combine(loaded, gadget(comp, "Q", side), uts, 2))
-    assert gadget_attachment_sites(loaded, comp.meta) == []
-    assert gadget_attachment_sites(gadget(comp, "Q", NORTH), comp.meta) == []
+    assert gadget_attachment_sites(loaded, comp) == []
+    assert gadget_attachment_sites(gadget(comp, "Q", NORTH), comp) == []
 
 
 def test_seed_union_is_loaded_at_interior_interfaces():
@@ -317,12 +316,9 @@ def test_offset_hint_matches_full_scan():
     from twoham.representation import BlockRepresentation
 
     comp = compile_weak(vertical_pair(), WEAK1)
-    geo = comp.meta.geo
-    offsets = solid_square_offsets(geo.k, geo.d, geo.d, geo.m)
     full = grown(comp, "A", NORTH, Glue("g", 2))
-    assert len(offsets(full)) == 1
-    scan = BlockRepresentation(geo.m, comp.rep.decode_block)
+    scan = BlockRepresentation(comp.m, comp.rep.decode_block)
     hinted = decode_supertile(full, comp.rep)
     brute = decode_supertile(full, scan)
-    assert offsets(full) == [hinted.offset]
+    assert comp.rep.offsets_for(full) == [hinted.offset]
     assert hinted.supertile.fingerprint == brute.supertile.fingerprint
