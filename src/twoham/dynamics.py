@@ -9,10 +9,11 @@ is only used to replay explicit assembly sequences, never during closure.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right, insort
 from collections import deque
 
 from .errors import BoundTooSmall, NotProducible
-from .model import INFINITE, Supertile, combine
+from .model import INFINITE, OPPOSITE, Supertile, combine
 
 
 class ProducibleSet:
@@ -78,10 +79,19 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
     worklist to exercise confluence, without changing the resulting set.
     One step is the full pairing of one supertile against everything
     processed before it (and itself).
+
+    Pairing lemma: a pair in which no open face of one carries the same
+    glue as an opposite open face of the other has no candidate offset
+    (see combination_offsets), so it has no combination.  Processed
+    members are therefore indexed by exposed (direction, glue), and a step
+    combines its supertile only with itself and with the members exposing
+    a matching glue, in processing order.  Every member pair whose union
+    would exceed the bound still counts toward ``overflow``.
     """
     if size_bound < 1:
         raise BoundTooSmall("size bound must be at least 1")
     rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
+    ts, tau = tas.tile_set, tas.tau
     supers = {}
     for st, _ in tas.initial_state:
         if st.size > size_bound:
@@ -93,6 +103,8 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
         rng.shuffle(pending)
     queue = deque(pending)
     done = []
+    done_sizes = []
+    exposed = {}  # (direction, glue) -> positions in done
     edges = set()
     overflow = 0
     steps = 0
@@ -102,19 +114,29 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
         steps += 1
         fp = queue.popleft()
         st = supers[fp]
+        room = size_bound - st.size
+        overflow += len(done_sizes) - bisect_right(done_sizes, room)
+        keys = [(d, g) for d, by_glue in st.faces(ts).items() for g in by_glue]
+        partners = set()
+        for d, g in keys:
+            partners.update(exposed.get((OPPOSITE[d], g), ()))
+        others = [done[i] for i in sorted(partners) if supers[done[i]].size <= room]
+        if st.size <= room:
+            others.append(fp)
+        else:
+            overflow += 1
         discovered = []
-        for ofp in done + [fp]:
-            other = supers[ofp]
-            if st.size + other.size > size_bound:
-                overflow += 1
-                continue
+        for ofp in others:
             lo, hi = (fp, ofp) if fp <= ofp else (ofp, fp)
-            for child in combine(st, other, tas.tile_set, tas.tau):
+            for child in combine(st, supers[ofp], ts, tau):
                 edges.add((lo, hi, child.fingerprint))
                 if child.fingerprint not in supers:
                     supers[child.fingerprint] = child
                     discovered.append(child.fingerprint)
+        for key in keys:
+            exposed.setdefault(key, []).append(len(done))
         done.append(fp)
+        insort(done_sizes, st.size)
         discovered.sort()
         if rng is not None:
             rng.shuffle(discovered)

@@ -133,7 +133,7 @@ class Supertile:
     """
 
     __slots__ = ("cells", "size", "width", "height", "fingerprint",
-                 "_faces_ts", "_faces", "_cols")
+                 "_faces_ts", "_faces", "_cols", "_parents")
 
     def __init__(self, cells):
         cells = _cells_of(cells)
@@ -149,11 +149,43 @@ class Supertile:
         self.size = len(cells)
         self.width = 1 + max(x for x, _ in cells)
         self.height = 1 + max(y for _, y in cells)
-        enc = repr(sorted(cells.items())).encode()
+        self._seal(None, None)
+
+    @classmethod
+    def union(cls, a: Supertile, b: Supertile, offset, ts: TileSet):
+        """The union of a and b with b translated by offset; no overlap.
+
+        Cells keep the order of Supertile(merged dict): a's, then b's.
+        The box comes from the parents, and faces(ts) is derived on first
+        use from the parents' faces, so a union that is dropped as a
+        duplicate never pays for them.  Deriving costs the parents' open
+        faces rather than every cell, which is what pays on the large
+        supertiles of a compiled simulator.
+        """
+        ox, oy = offset
+        ax, ay = max(0, -ox), max(0, -oy)
+        bx, by = ox + ax, oy + ay
+        if ax or ay:
+            cells = {(x + ax, y + ay): t for (x, y), t in a.cells.items()}
+        else:
+            cells = dict(a.cells)
+        for (x, y), t in b.cells.items():
+            cells[(x + bx, y + by)] = t
+        st = cls.__new__(cls)
+        st.cells = cells
+        st.size = a.size + b.size
+        st.width = max(a.width + ax, b.width + bx)
+        st.height = max(a.height + ay, b.height + by)
+        st._seal(ts, ((a, ax, ay), (b, bx, by)))
+        return st
+
+    def _seal(self, faces_ts, parents):
+        enc = repr(sorted(self.cells.items())).encode()
         self.fingerprint = hashlib.sha1(enc).hexdigest()
-        self._faces_ts = None
+        self._faces_ts = faces_ts
         self._faces = None
         self._cols = None
+        self._parents = parents
 
     @property
     def sort_key(self):
@@ -168,9 +200,6 @@ class Supertile:
     def __repr__(self):
         return f"<Supertile {self.size} tiles {self.fingerprint[:10]}>"
 
-    def translated(self, dx: int, dy: int) -> dict:
-        return {(x + dx, y + dy): t for (x, y), t in self.cells.items()}
-
     def columns(self) -> dict:
         if self._cols is None:
             cols = {}
@@ -180,9 +209,17 @@ class Supertile:
         return self._cols
 
     def faces(self, ts: TileSet) -> dict:
-        """Positive glues on open faces, per direction: glue -> coordinates."""
+        """Positive glues on open faces, per direction: glue -> coordinates.
+
+        A union derives them from its parents on the first call with the
+        tile set it was built with; any other TileSet object gets a scan.
+        """
         if self._faces_ts is ts:
+            if self._faces is None:
+                self._faces = self._union_faces(ts)
+                self._parents = None
             return self._faces
+        self._parents = None
         cells = self.cells
         faces = {d: {} for d in DIRECTIONS}
         for (x, y), tid in cells.items():
@@ -199,6 +236,23 @@ class Supertile:
                        for d, by in faces.items()}
         self._faces_ts = ts
         return self._faces
+
+    def _union_faces(self, ts: TileSet) -> dict:
+        # a parent's open face stays open unless the other parent covers it
+        cells = self.cells
+        parents = [(p.faces(ts), sx, sy) for p, sx, sy in self._parents]
+        faces = {}
+        for d in DIRECTIONS:
+            dx, dy = OFFSET[d]
+            by_glue = {}
+            for pfaces, sx, sy in parents:
+                for g, coords in pfaces[d].items():
+                    kept = [(x + sx, y + sy) for x, y in coords
+                            if (x + sx + dx, y + sy + dy) not in cells]
+                    if kept:
+                        by_glue.setdefault(g, []).extend(kept)
+            faces[d] = {g: tuple(sorted(cs)) for g, cs in by_glue.items()}
+        return faces
 
 
 def binding_graph(a, ts: TileSet) -> dict:
@@ -315,9 +369,7 @@ def combination_offsets(a: Supertile, b: Supertile, ts: TileSet, tau: int):
             continue
         if interface_strength(a, b, ts, (ox, oy)) < tau:
             continue
-        union = dict(a.cells)
-        union.update(b.translated(ox, oy))
-        out.append(((ox, oy), Supertile(union)))
+        out.append(((ox, oy), Supertile.union(a, b, (ox, oy), ts)))
     return out
 
 

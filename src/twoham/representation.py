@@ -62,7 +62,11 @@ class BlockRepresentation:
 
     @classmethod
     def from_table(cls, m, table):
-        """Lookup-table decoder; keys are sorted (i, j, tile id) tuples."""
+        """Lookup-table decoder; keys are sorted (i, j, tile id) tuples.
+
+        This is the paper's table form of a representation function, a
+        model concept the tests check the relations against.
+        """
         frozen = {}
         for key, out in table.items():
             frozen[tuple(sorted(key))] = out

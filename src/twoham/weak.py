@@ -332,33 +332,3 @@ def compile_weak(tas, variant=WEAK1) -> CompiledSimulator:
                              ("productions", "follows", "weak"),
                              mega + 4 * (2 * gad + fill))
 
-
-def gadget_attachment_sites(s: Supertile, comp: CompiledSimulator):
-    """Free (block, side) slots where a side gadget could still attach.
-
-    Blocks are numbered relative to the first megatile anchor found.  A
-    slot counts as free when every cell of its gadget is unoccupied, so
-    sides already gadgeted, and sides blocked by a mismatched
-    neighbour's pegs, both drop out.
-    """
-    meta = comp.meta
-    geo = meta.geo
-    anchors = sorted((x, y) for (x, y), uid in s.cells.items()
-                     if uid in comp.anchors)
-    if not anchors:
-        return []
-    ox, oy = anchors[0]
-    order = {side: i for i, side in enumerate(DIRECTIONS)}
-    found = []
-    for ax, ay in anchors:
-        tid = comp.anchors[s.cells[(ax, ay)]]
-        for side in DIRECTIONS:
-            glay = meta.gadgets.get((tid, side))
-            if glay is None:
-                continue
-            dx, dy = ax - geo.d, ay - geo.d
-            if any((x + dx, y + dy) in s.cells for (x, y) in glay.cells):
-                continue
-            block = ((ax - ox) // geo.m, (ay - oy) // geo.m)
-            found.append((block, side))
-    return sorted(found, key=lambda bs: (bs[0], order[bs[1]]))

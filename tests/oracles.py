@@ -7,6 +7,8 @@ only usable for small inputs.
 """
 
 import itertools
+import random
+from collections import deque
 
 
 def pair_strength(ts, cells, u, v):
@@ -175,3 +177,44 @@ def oracle_closure(seed_cells, ts, tau, size_bound):
                     shapes.add(c)
                     changed = True
     return shapes
+
+
+def oracle_explore(tas, size_bound, step_bound=None, shuffle_seed=None):
+    """The all-pairs worklist: each step pairs its supertile with every
+    processed member and with itself, counting every pair whose union
+    would exceed the bound.  Returns (supertiles, edges, overflow, steps,
+    complete) with supertiles keyed by fingerprint."""
+    # imported here so that loading the module needs no twoham on the path
+    from twoham.model import combine
+
+    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
+    supers = {st.fingerprint: st for st, _ in tas.initial_state}
+    pending = sorted(supers)
+    if rng is not None:
+        rng.shuffle(pending)
+    queue = deque(pending)
+    done = []
+    edges = set()
+    overflow = steps = 0
+    while queue and (step_bound is None or steps < step_bound):
+        steps += 1
+        fp = queue.popleft()
+        st = supers[fp]
+        discovered = []
+        for ofp in done + [fp]:
+            other = supers[ofp]
+            if st.size + other.size > size_bound:
+                overflow += 1
+                continue
+            lo, hi = sorted((fp, ofp))
+            for child in combine(st, other, tas.tile_set, tas.tau):
+                edges.add((lo, hi, child.fingerprint))
+                if child.fingerprint not in supers:
+                    supers[child.fingerprint] = child
+                    discovered.append(child.fingerprint)
+        done.append(fp)
+        discovered.sort()
+        if rng is not None:
+            rng.shuffle(discovered)
+        queue.extend(discovered)
+    return supers, edges, overflow, steps, not queue

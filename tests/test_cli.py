@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,6 +7,8 @@ from twoham import Glue, INFINITE, Supertile, TAS, TileSet, TileType
 from twoham import ladders
 from twoham.cli import main
 from twoham.serialize import parse_tas, serialize_tas
+
+from test_acceptance import TARGET_BOUND, suite
 
 
 def write_pair(tmp_path):
@@ -212,3 +215,56 @@ def test_compile_accepts_every_method(capsys, tmp_path):
         assert code == 0, method
         doc = json.loads(out_path.read_text())
         assert doc["method"] == method
+
+
+def square_tas(n, tau):
+    """Uniquely glued n x n square: horizontal glues tau, vertical 1."""
+    tiles = []
+    for y in range(n):
+        for x in range(n):
+            sides = {}
+            if x + 1 < n:
+                sides["east"] = Glue(f"h{x}_{y}", tau)
+            if x > 0:
+                sides["west"] = Glue(f"h{x - 1}_{y}", tau)
+            if y + 1 < n:
+                sides["north"] = Glue(f"v{x}_{y}", 1)
+            if y > 0:
+                sides["south"] = Glue(f"v{x}_{y - 1}", 1)
+            tiles.append(TileType(f"s{x}_{y}", **sides))
+    return TAS(TileSet(tiles), tau)
+
+
+# SHA-256 of `twoham simulate` stdout: pins the fingerprint bytes, the
+# listing order, the edges and the skipped-pairs count of the header
+FROZEN_LISTINGS = {
+    "pair":
+        "75272fc1f570ff2aba75052fed94997471eeaf2b84e8be7ce22bab7346f39561",
+    "mismatch-square":
+        "2b828c0e452884ab402b4ecb9b8944f9afb640043f8cc3dabd16d6c913e64b46",
+    "seeded-chain":
+        "71d0c56b303eb7e6cdfd81680be733f8fefde441dd6bd3707171496bb928d12d",
+    "square5-t2-b8":
+        "3ad0fc725b862bb7b16230e172626858edfca6588d6f1f437ba3e976aa743e30",
+    "square5-t2-b8-s40":
+        "d9d3c7fd0bc42f7d3b130e5028cc5316b0c7d0a8ad411d4f6650d1c7e306a2f4",
+    "square5-t3-b10":
+        "368faccdd296170b5675b12f04ecf06d180380e8131c1afccce33979de899b80",
+}
+
+
+def test_simulate_listings_are_frozen(capsys, tmp_path):
+    runs = [(name, tas, ["--size-bound", str(TARGET_BOUND)])
+            for name, tas in suite()]
+    runs += [("square5-t2-b8", square_tas(5, 2), ["--size-bound", "8"]),
+             ("square5-t2-b8-s40", square_tas(5, 2),
+              ["--size-bound", "8", "--step-bound", "40"]),
+             ("square5-t3-b10", square_tas(5, 3), ["--size-bound", "10"])]
+    got = {}
+    for name, tas, argv in runs:
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_tas(tas))
+        code, out, err = run(capsys, "simulate", "--tas", str(path), *argv)
+        assert code == 0 and err == "", name
+        got[name] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == FROZEN_LISTINGS

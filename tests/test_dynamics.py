@@ -6,7 +6,7 @@ from twoham import INFINITE, TAS, Glue, Supertile, TileSet, TileType, combine
 from twoham.dynamics import ProducibleSet, StateMultiset, explore, is_terminal, single_step_reachable
 from twoham.errors import BoundTooSmall, NotProducible
 
-from oracles import canon, oracle_closure
+from oracles import canon, oracle_closure, oracle_explore, oracle_stable
 from test_model import random_placement, random_tileset, tile
 
 
@@ -95,6 +95,61 @@ def test_explore_matches_naive_closure():
                 grown[tau] += 1
     # every temperature must see systems that grow past their singletons
     assert min(grown.values()) >= 3, grown
+
+
+def _random_system(rng, tau):
+    """Three random tiles; half the systems also seed one stable pair."""
+    ts = random_tileset(rng, ntiles=3, max_strength=tau + 1)
+    if rng.random() < 0.5:
+        return TAS(ts, tau)
+    state = [(Supertile({(0, 0): t.id}), INFINITE) for t in ts]
+    extra = random_placement(rng, ts, 2)
+    if oracle_stable(extra, ts, tau):
+        state.append((Supertile(extra), INFINITE))
+    return TAS(ts, tau, state)
+
+
+def test_indexed_explore_matches_all_pairs_loop():
+    """Indexed pairing vs the all-pairs worklist: same members (down to
+    the stored representative's cell order), edges, overflow, steps and
+    completeness, with shuffles and step-bound clips, tau 1 to 4."""
+    rng = random.Random(7331)
+    grown = {}
+    seen = {"clipped": 0, "overflow": 0}
+    for tau in (1, 2, 3, 4):
+        grown[tau] = 0
+        for _ in range(1000):
+            if grown[tau] >= 8:
+                break
+            tas = _random_system(rng, tau)
+            bound = rng.randint(3, 6)
+            full = explore(tas, bound)
+            if len(full) > 60:
+                continue  # keep the all-pairs loop affordable
+            runs = [{}, {"shuffle_seed": rng.randint(0, 999)},
+                    {"step_bound": rng.randint(1, full.steps + 1)},
+                    {"step_bound": rng.randint(1, full.steps + 1),
+                     "shuffle_seed": rng.randint(0, 999)}]
+            for kwargs in runs:
+                p = explore(tas, bound, **kwargs)
+                supers, edges, overflow, steps, complete = oracle_explore(
+                    tas, bound, **kwargs)
+                assert ({fp: list(st.cells.items()) for fp, st in p.supertiles.items()}
+                        == {fp: list(st.cells.items()) for fp, st in supers.items()})
+                assert (p.edges, p.overflow, p.steps, p.complete) == (
+                    edges, overflow, steps, complete), (tau, bound, kwargs)
+                seen["clipped"] += not p.complete
+            # a complete run sets aside every unordered pair over the bound
+            assert full.complete
+            sizes = sorted(s.size for s in full.members())
+            over = sum(1 for i, si in enumerate(sizes) for sj in sizes[i:]
+                       if si + sj > bound)
+            assert full.overflow == over
+            grown[tau] += len(full) > len(tas.initial_state)
+            seen["overflow"] += over > 0
+    # every temperature must see systems that grow past their seeds
+    assert min(grown.values()) >= 8, grown
+    assert seen["clipped"] >= 40 and seen["overflow"] >= 12, seen
 
 
 def test_explore_confluent_under_shuffles():

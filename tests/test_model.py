@@ -14,6 +14,7 @@ from twoham import (
     TileType,
     UnknownTileId,
     binding_graph,
+    combination_offsets,
     combine,
     interaction,
     interface_strength,
@@ -252,6 +253,52 @@ def test_combine_matches_offset_window_oracle():
                 nonempty[tau] += 1
     # the loop must exercise real combinations at every temperature
     assert min(nonempty.values()) >= 4, nonempty
+
+
+def _merged(a, b, offset):
+    ox, oy = offset
+    cells = dict(a.cells)
+    cells.update({(x + ox, y + oy): t for (x, y), t in b.cells.items()})
+    return Supertile(cells)
+
+
+def _same_supertile(got, want, ts):
+    assert list(got.cells.items()) == list(want.cells.items())
+    assert (got.size, got.width, got.height, got.fingerprint) == (
+        want.size, want.width, want.height, want.fingerprint)
+    assert got.faces(ts) == want.faces(ts)
+
+
+def test_union_matches_merged_dict():
+    """Supertile.union vs Supertile(merged dict) for every child of
+    random stable pairs, and for every union of such a child with its
+    first parent (faces derived from derived faces), tau 1 to 4."""
+    rng = random.Random(90125)
+    checked, nested = {}, 0
+    for tau in (1, 2, 3, 4):
+        pairs = checked[tau] = 0
+        while pairs < 1000:
+            ts = random_tileset(rng, ntiles=3, max_strength=tau + 1)
+            for _ in range(10):
+                pa = random_placement(rng, ts, rng.randint(1, 4))
+                pb = random_placement(rng, ts, rng.randint(1, 4))
+                if not oracle_stable(pa, ts, tau) or not oracle_stable(pb, ts, tau):
+                    continue
+                pairs += 1
+                a, b = Supertile(pa), Supertile(pb)
+                for offset, child in combination_offsets(a, b, ts, tau):
+                    _same_supertile(child, _merged(a, b, offset), ts)
+                    checked[tau] += 1
+                    for off2, grand in combination_offsets(child, a, ts, tau):
+                        _same_supertile(grand, _merged(child, a, off2), ts)
+                        nested += 1
+                    # another TileSet object, even an equal one, gets a full scan
+                    other = TileSet(ts.tiles)
+                    fresh = Supertile.union(a, b, offset, ts)
+                    assert fresh.faces(other) == _merged(a, b, offset).faces(other)
+                    assert fresh.faces(ts) == child.faces(ts)
+    # the loop must check real unions at every temperature
+    assert min(checked.values()) >= 30 and nested >= 200, (checked, nested)
 
 
 def test_combine_is_symmetric_and_sized():

@@ -3,13 +3,12 @@ import pytest
 from twoham import (TAS, Glue, INFINITE, Supertile, TileSet, TileType,
                     CorruptMacrotile)
 from twoham.dynamics import explore
-from twoham.model import EAST, NORTH, SOUTH, WEST, combination_offsets, combine, interface_strength
+from twoham.model import DIRECTIONS, EAST, NORTH, SOUTH, WEST, combination_offsets, combine, interface_strength
 from twoham.relations import (check_equivalent_productions, check_follows,
                               check_strongly_models, check_weakly_models,
                               decode_producibles)
 from twoham.representation import decode_supertile
-from twoham.weak import (WEAK1, WEAK2, WEAK3, compile_weak,
-                         gadget_attachment_sites, scale_for)
+from twoham.weak import WEAK1, WEAK2, WEAK3, compile_weak, scale_for
 
 VARIANTS = (WEAK1, WEAK2, WEAK3)
 
@@ -221,6 +220,37 @@ def test_decoding_ignores_gadgets_and_flags_corruption():
         comp.rep.decode_block(block)
     del block[(geo.d + 1, geo.d + 1)]
     assert comp.rep.decode_block(block) is None
+
+
+def gadget_attachment_sites(s, comp):
+    """Free (block, side) slots where a side gadget could still attach.
+
+    Blocks are numbered relative to the first megatile anchor found.  A
+    slot counts as free when every cell of its gadget is unoccupied, so
+    sides already gadgeted, and sides blocked by a mismatched
+    neighbour's pegs, both drop out.
+    """
+    meta = comp.meta
+    geo = meta.geo
+    anchors = sorted((x, y) for (x, y), uid in s.cells.items()
+                     if uid in comp.anchors)
+    if not anchors:
+        return []
+    ox, oy = anchors[0]
+    order = {side: i for i, side in enumerate(DIRECTIONS)}
+    found = []
+    for ax, ay in anchors:
+        tid = comp.anchors[s.cells[(ax, ay)]]
+        for side in DIRECTIONS:
+            glay = meta.gadgets.get((tid, side))
+            if glay is None:
+                continue
+            dx, dy = ax - geo.d, ay - geo.d
+            if any((x + dx, y + dy) in s.cells for (x, y) in glay.cells):
+                continue
+            block = ((ax - ox) // geo.m, (ay - oy) // geo.m)
+            found.append((block, side))
+    return sorted(found, key=lambda bs: (bs[0], order[bs[1]]))
 
 
 def test_gadget_attachment_sites_track_free_sides():
