@@ -114,6 +114,21 @@ def framed_code(length, index):
     return code
 
 
+def tooth_offsets(start, code, flip):
+    """Where each bit's tooth starts along a side.
+
+    Bit p with value v sits at start + 4p + 2(v ^ flip), so a code and its
+    framed complement, written with opposite flips, interlock.
+    """
+    return [start + 4 * p + 2 * (bit ^ flip) for p, bit in enumerate(code)]
+
+
+def place_piece(union, cells, m, bx, by):
+    """Copy a piece's cells into union at block (bx, by) of scale m."""
+    for (x, y), uid in cells.items():
+        union[(x + m * bx, y + m * by)] = uid
+
+
 def wire_tiles(cells, faces, prefix, strength):
     """Tile types for one rigid piece, in the iteration order of cells.
 

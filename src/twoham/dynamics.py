@@ -2,8 +2,8 @@
 
 Exploration uses set semantics: every supertile present is treated as
 available in unlimited supply, matching the usual convention that initial
-counts are infinite.  Finite-count bookkeeping lives in StateMultiset and
-is only used to replay explicit assembly sequences, never during closure.
+counts are infinite.  StateMultiset holds the finite-count state of the
+model; exploration never uses it.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def single_step_reachable(a, b, p: ProducibleSet, reflexive=False) -> bool:
 
 
 class StateMultiset:
-    """Finite-count state of a system; immutable, stepped by combination."""
+    """The model's finite-count state, checked by the tests; immutable."""
 
     __slots__ = ("counts",)
 

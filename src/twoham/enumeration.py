@@ -49,15 +49,6 @@ def _digits_lsd(value, base, width):
     return out
 
 
-def _strength_vectors(num_glues, tau):
-    """Strength assignments a_1..a_g, least significant glue first."""
-    base = tau + 1
-    start = sum(base ** i for i in range(num_glues))  # all-1s numeral
-    end = base ** num_glues - 1  # all-taus numeral
-    for value in range(start, end + 1):
-        yield tuple(_digits_lsd(value, base, num_glues))
-
-
 def full_tile_list(num_glues, strengths):
     """Every tile type over the given glues, in side-code counter order.
 
@@ -86,23 +77,26 @@ def get_nth_tas(n, tau) -> CanonicalTileSet:
     if not isinstance(tau, int) or isinstance(tau, bool) or tau < 1:
         raise ValueError(f"temperature must be a positive integer, got {tau!r}")
     remaining = n
-    num_glues = 1
-    while num_glues <= _MAX_GLUE_COUNT:
+    base = tau + 1
+    for num_glues in range(1, _MAX_GLUE_COUNT + 1):
         tile_count = (num_glues + 1) ** 4 - 1
         block = 1 << tile_count
-        for strengths in _strength_vectors(num_glues, tau):
-            if remaining < block:
-                if remaining >= _SUBSET_CAP:
-                    raise FeasibilityCapExceeded(
-                        f"index {n} sits {remaining} subsets into a block; "
-                        f"the budget is {_SUBSET_CAP}")
-                tiles = full_tile_list(num_glues, strengths)
-                chosen = [tiles[i] for i in range(tile_count)
-                          if (remaining >> i) & 1]
-                return CanonicalTileSet(TileSet(chosen), num_glues,
-                                        strengths, remaining)
-            remaining -= block
-        num_glues += 1
+        # strength numerals run from all 1s to all taus, lsd first
+        start = sum(base ** i for i in range(num_glues))
+        span = block * (base ** num_glues - start)
+        if remaining >= span:
+            remaining -= span
+            continue
+        offset, remaining = divmod(remaining, block)
+        if remaining >= _SUBSET_CAP:
+            raise FeasibilityCapExceeded(
+                f"index {n} sits {remaining} subsets into a block; "
+                f"the budget is {_SUBSET_CAP}")
+        strengths = tuple(_digits_lsd(start + offset, base, num_glues))
+        tiles = full_tile_list(num_glues, strengths)
+        chosen = [tiles[i] for i in range(tile_count) if (remaining >> i) & 1]
+        return CanonicalTileSet(TileSet(chosen), num_glues, strengths,
+                                remaining)
     raise FeasibilityCapExceeded(
         f"index {n} lies beyond every block with at most "
         f"{_MAX_GLUE_COUNT} glues")

@@ -33,6 +33,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 
+from .dynamics import single_step_reachable
 from .errors import AmbiguousAlignment
 from .model import combine
 from .representation import decode_supertile, fits_single_block
@@ -238,7 +239,7 @@ def check_follows(sim, target, rep, decoded=None):
                 "child_image": b,
             })
             continue
-        if not any(a in pair for pair in target.parents_of(b)):
+        if not single_step_reachable(a, b, target):
             report.violations.append({
                 "kind": "unmatched-step",
                 "parent": parent_fp,

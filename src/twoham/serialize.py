@@ -45,6 +45,11 @@ def _glue_obj(g: Glue) -> dict:
     return {"label": g.label, "strength": g.strength}
 
 
+def _tile_obj(t: TileType) -> dict:
+    return {"id": t.id, "north": _glue_obj(t.north), "east": _glue_obj(t.east),
+            "south": _glue_obj(t.south), "west": _glue_obj(t.west)}
+
+
 def _parse_glue(obj, path) -> Glue:
     _require(obj, path, ("label", "strength"))
     label = obj["label"]
@@ -64,11 +69,7 @@ def tas_document(tas: TAS) -> dict:
     """The document form of a system; default states are left implicit."""
     doc = {
         "temperature": tas.tau,
-        "tiles": [
-            {"id": t.id, "north": _glue_obj(t.north), "east": _glue_obj(t.east),
-             "south": _glue_obj(t.south), "west": _glue_obj(t.west)}
-            for t in tas.tile_set
-        ],
+        "tiles": [_tile_obj(t) for t in tas.tile_set],
     }
     default = TAS(tas.tile_set, tas.tau)
     if tas.supertile_counts() != default.supertile_counts():
@@ -179,11 +180,7 @@ def compiled_document(comp) -> dict:
         "method": comp.variant,
         "temperature": comp.tau,
         "scale": comp.m,
-        "universal_tiles": [
-            {"id": t.id, "north": _glue_obj(t.north), "east": _glue_obj(t.east),
-             "south": _glue_obj(t.south), "west": _glue_obj(t.west)}
-            for t in comp.universal_tiles
-        ],
+        "universal_tiles": [_tile_obj(t) for t in comp.universal_tiles],
         "input_supertiles": [_state_obj(st, count)
                              for st, count in comp.input_supertiles],
         "decoder": {

@@ -11,26 +11,24 @@ for different glues occupy disjoint pad intervals and slide past each
 other without touching, so a simulated mismatch neither binds nor blocks.
 
 Geometry, in a tile's own block frame with the body on [h, h+k) squared
-and h = k/2:
+and h = k/2; the side table _ARMS both writes and reads it:
 
 * a glue with index g in the declared order gets grid coordinates
   (i, j) = (g // L, g % L) where L = ceil(sqrt(|G|)); j picks the lane
-  and i picks the pad slot x_p = 2 + i*(P + 1) along the gap.
-* horizontal lanes (east/west arms) use row r = h + 3 + 6j.  A west arm
-  runs its backbone on row r+1 with its surface on row r and its tag at
-  (h-2-i, r+2); an east arm mirrors below with backbone row r-2, surface
-  row r-1 and tag at (h+k+1+i, r-3).  Pegs of both arms contest rows
-  {r-1, r}.
-* vertical lanes (north/south arms) use column c = h + 2 + 6j, the same
-  picture transposed: north like east (backbone c-1, surface c, tag
-  (c-2, h+k+1+i)), south like west (backbone c+2, surface c+1, tag
-  (c+3, h-2-i)); pegs contest columns {c, c+1}.
-* west and south arms extend k - x_p cells from the body, east and north
-  arms x_p + P cells, so both pads cover the same gap interval
-  [x_p, x_p + P) and meet exactly at the one-block offset.
+  row r = h + 3 + 6j and i the pad slot x_p = 2 + i*(P + 1) in the gap.
+* a west arm has its backbone on row r+1 from x = x_p - h to the body,
+  its pad on rows {r-1, r} from x = x_p - h, its strength cells on row r
+  and its tag at (h-2-i, r+2).  An east arm mirrors it below: backbone
+  on row r-2 from the body to h+k+x_p+P, pad on rows {r-1, r} from
+  x = h+k+x_p, strength cells on row r-1, tag at (h+k+1+i, r-3).  Both
+  pads cover the gap interval [x_p, x_p + P), so they meet exactly at
+  the one-block offset.
+* a north arm is an east arm and a south arm a west arm with x and y
+  swapped, with two exceptions: the peg sub-slot parity below, and a
+  south arm lists its two peg rows in the opposite order.
 * the peg code is the glue index framed as 1 <bits> 0, one 2x2 peg per
-  bit occupying one of two sub-slots: the first sub-slot for the bit
-  value on west/north arms, the second on east/south arms.  The framed
+  bit: bit p of value v sits at the pad start + 4p + 2(v ^ flip), flip
+  0 on west and north arms and 1 on east and south ones.  The framed
   complement interlocks; every other overlap collides on the frame bits.
 * the pad ends with the strength region.  The strength-preserving
   variant (STRONG2) places tau cells there, the last str(g) of which
@@ -55,10 +53,10 @@ import math
 from dataclasses import dataclass
 
 from .compiled import (CompiledSimulator, Piece, anchored_rep, framed_code,
-                       wire_tiles)
+                       place_piece, tooth_offsets, wire_tiles)
 from .errors import BodyTooSmall, CorruptMacrotile
-from .model import (EAST, NORTH, NULL_GLUE, SOUTH, WEST, Glue, Supertile,
-                    TAS, TileSet, TileType)
+from .model import (DIRECTIONS, EAST, NORTH, NULL_GLUE, SOUTH, WEST, Glue,
+                    Supertile, TAS, TileSet, TileType)
 
 STRONG2 = "strong2"
 STRONG1 = "strong1"
@@ -90,9 +88,6 @@ class _Geometry:
 
     def lane_row(self, j):
         return self.h + 3 + 6 * j
-
-    def lane_col(self, j):
-        return self.h + 2 + 6 * j
 
 
 def _geometry(n_glues, tau, variant) -> _Geometry:
@@ -126,76 +121,61 @@ def _binding_glue(geo, facing, strength, q):
     return Glue(label, 1)
 
 
+# Per side: (swap, outer, flip, rows_flipped, facing).  Arms are built in
+# (along, across) coordinates, x and y swapped for north and south.  An
+# inner arm (west, south) reaches back into the gap below the body, an
+# outer one forward; flip is the peg sub-slot parity, rows_flipped lists
+# the far peg row first, and facing is where the strength cells bind.
+_ARMS = {
+    NORTH: (True, True, 0, False, EAST),
+    EAST: (False, True, 1, False, NORTH),
+    SOUTH: (True, False, 1, True, WEST),
+    WEST: (False, False, 0, False, SOUTH),
+}
+
+
+def _arm_frame(geo, side, j):
+    """(step, edge, near) for the side's arm on lane j.
+
+    near is the pad row holding the strength cells, step goes across from
+    it toward the backbone, and edge is the along coordinate at which the
+    backbone meets the body.
+    """
+    if _ARMS[side][1]:
+        return -1, geo.h + geo.k, geo.lane_row(j) - 1
+    return 1, geo.h - 1, geo.lane_row(j)
+
+
+def _xy(swap, along, across):
+    return (across, along) if swap else (along, across)
+
+
 def _arm_cells(geo, side, index, strength):
     """One arm's cells and binding faces, in the tile's block frame.
 
     The glue's index in the declared order sits row-major on the
     ell x ell grid: i = index // ell picks the pad slot, j the lane.
+    Cells come backbone, tag, pegs, strength cells: tiles are wired in
+    this order, so it fixes the universal tile list.
     """
+    swap, outer, flip, rows_flipped, facing = _ARMS[side]
     i, j = divmod(index, geo.ell)
-    xp = geo.pad_offset(i)
-    k, h = geo.k, geo.h
-    code = framed_code(geo.framed, index)
-    cells = []
-    binding = []
-    if side == WEST:
-        r = geo.lane_row(j)
-        for xi in range(xp, k):
-            cells.append((h - k + xi, r + 1))
-        cells.append((h - 2 - i, r + 2))
-        for b, v in enumerate(code):
-            base = h - k + xp + 4 * b + 2 * v
-            cells += [(base, r), (base + 1, r), (base, r - 1), (base + 1, r - 1)]
-        for q in range(geo.s_len):
-            x = h - k + xp + 4 * geo.framed + q
-            cells.append((x, r))
-            binding.append((x, r, SOUTH, q))
-    elif side == EAST:
-        r = geo.lane_row(j)
-        for xi in range(xp + geo.pad):
-            cells.append((h + k + xi, r - 2))
-        cells.append((h + k + 1 + i, r - 3))
-        for b, v in enumerate(code):
-            base = h + k + xp + 4 * b + 2 * (1 - v)
-            cells += [(base, r - 1), (base + 1, r - 1), (base, r), (base + 1, r)]
-        for q in range(geo.s_len):
-            x = h + k + xp + 4 * geo.framed + q
-            cells.append((x, r - 1))
-            binding.append((x, r - 1, NORTH, q))
-    elif side == NORTH:
-        c = geo.lane_col(j)
-        for eta in range(xp + geo.pad):
-            cells.append((c - 1, h + k + eta))
-        cells.append((c - 2, h + k + 1 + i))
-        for b, v in enumerate(code):
-            base = h + k + xp + 4 * b + 2 * v
-            cells += [(c, base), (c, base + 1), (c + 1, base), (c + 1, base + 1)]
-        for q in range(geo.s_len):
-            y = h + k + xp + 4 * geo.framed + q
-            cells.append((c, y))
-            binding.append((c, y, EAST, q))
-    else:
-        c = geo.lane_col(j)
-        for eta in range(xp, k):
-            cells.append((c + 2, h - k + eta))
-        cells.append((c + 3, h - 2 - i))
-        for b, v in enumerate(code):
-            base = h - k + xp + 4 * b + 2 * (1 - v)
-            cells += [(c, base), (c, base + 1), (c + 1, base), (c + 1, base + 1)]
-        for q in range(geo.s_len):
-            y = h - k + xp + 4 * geo.framed + q
-            cells.append((c + 1, y))
-            binding.append((c + 1, y, WEST, q))
+    step, edge, near = _arm_frame(geo, side, j)
+    start = (geo.h + geo.k if outer else geo.h - geo.k) + geo.pad_offset(i)
+    back = range(edge, start + geo.pad) if outer else range(start, edge + 1)
+    cells = [(a, near + step) for a in back]
+    cells.append((edge - step * (1 + i), near + 2 * step))
+    rows = (near - step, near) if rows_flipped else (near, near - step)
+    for a in tooth_offsets(start, framed_code(geo.framed, index), flip):
+        cells += [(x, row) for row in rows for x in (a, a + 1)]
     faces = {}
-    for (x, y, facing, q) in binding:
+    for q in range(geo.s_len):
+        a = start + 4 * geo.framed + q
+        cells.append((a, near))
         bg = _binding_glue(geo, facing, strength, q)
         if bg is not None:
-            faces[(x, y)] = [(facing, bg)]
-    return cells, faces
-
-
-def _sides(t):
-    return ((NORTH, t.north), (EAST, t.east), (SOUTH, t.south), (WEST, t.west))
+            faces[_xy(swap, a, near)] = [(facing, bg)]
+    return [_xy(swap, a, b) for a, b in cells], faces
 
 
 def _build_layout(t, tidx, geo, gidx) -> Piece:
@@ -205,7 +185,8 @@ def _build_layout(t, tidx, geo, gidx) -> Piece:
     for x in range(h, h + k):
         for y in range(h, h + k):
             occupied[(x, y)] = None
-    for side, g in _sides(t):
+    for side in DIRECTIONS:
+        g = t.glue(side)
         if g.strength <= 0:
             continue
         cells, arm_faces = _arm_cells(geo, side, gidx[g], g.strength)
@@ -228,7 +209,7 @@ class StrongMeta:
 
 def _signature(t):
     return tuple(g if g.strength > 0 else NULL_GLUE
-                 for _, g in _sides(t))
+                 for g in map(t.glue, DIRECTIONS))
 
 
 def _read_arm(block, meta, side, bases):
@@ -238,20 +219,12 @@ def _read_arm(block, meta, side, bases):
         raise CorruptMacrotile(
             f"{side}: {len(bases)} arm backbones meet the body")
     geo = meta.geo
-    h, k, ell = geo.h, geo.k, geo.ell
+    swap, ell = _ARMS[side][0], geo.ell
+    step, edge, near = _arm_frame(geo, side, 0)
     pos = bases[0]
-    if side == WEST:
-        j, rem = divmod(pos - h - 4, 6)
-        tags = [i for i in range(ell) if (h - 2 - i, pos + 1) in block]
-    elif side == EAST:
-        j, rem = divmod(pos - h - 1, 6)
-        tags = [i for i in range(ell) if (h + k + 1 + i, pos - 1) in block]
-    elif side == NORTH:
-        j, rem = divmod(pos - h - 1, 6)
-        tags = [i for i in range(ell) if (pos - 1, h + k + 1 + i) in block]
-    else:
-        j, rem = divmod(pos - h - 4, 6)
-        tags = [i for i in range(ell) if (pos + 1, h - 2 - i) in block]
+    j, rem = divmod(pos - step - near, 6)
+    tags = [i for i in range(ell)
+            if _xy(swap, edge - step * (1 + i), pos + step) in block]
     if rem or not 0 <= j < ell:
         raise CorruptMacrotile(
             f"{side}: backbone base at {pos} matches no lane")
@@ -325,11 +298,8 @@ def compile_strong(tas, variant=STRONG2) -> CompiledSimulator:
     inputs = []
     for st, count in tas.initial_state:
         union = {}
-        for (x, y), tid in st.cells.items():
-            lay = layouts[tid]
-            dx, dy = geo.m * x, geo.m * y
-            for (cx, cy), uid in lay.cells.items():
-                union[(cx + dx, cy + dy)] = uid
+        for (bx, by), tid in st.cells.items():
+            place_piece(union, layouts[tid].cells, geo.m, bx, by)
         inputs.append((Supertile(union), count))
     budget = max(len(lay.cells) for lay in layouts.values())
     return CompiledSimulator(variant, tas.tau, universal, inputs, geo.m,

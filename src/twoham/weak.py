@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .compiled import (CompiledSimulator, Piece, anchored_rep, framed_code,
-                       wire_tiles)
+                       place_piece, tooth_offsets, wire_tiles)
 from .errors import CorruptMacrotile
 from .model import (DIRECTIONS, EAST, INFINITE, NORTH, OFFSET, OPPOSITE,
                     SOUTH, WEST, Glue, Supertile, TileSet, interaction)
@@ -97,13 +97,6 @@ def scale_for(n_tiles, n_glues, tau, variant=WEAK1) -> int:
     return _geometry(n_tiles, n_glues, tau, variant).m
 
 
-def _tooth_positions(geo, code, complement):
-    for p, bit in enumerate(code):
-        base = geo.x_t + 4 * p + 2 * (bit ^ complement)
-        yield base
-        yield base + 1
-
-
 def _red_glues(geo, gi, strength):
     """Binding cells for one glue: (slot, glue) pairs plus a helper flag.
 
@@ -137,9 +130,9 @@ def _mega_layout(t, ti, geo) -> Piece:
         if t.glue(side).strength <= 0:
             continue
         put = _CELL[side]
-        for a in _tooth_positions(geo, code, 0):
-            x, y = put(geo, a, 0)
-            cells[(x, y)] = f"w{ti}.{x}.{y}"
+        for a in tooth_offsets(geo.x_t, code, 0):
+            for x, y in (put(geo, a, 0), put(geo, a + 1, 0)):
+                cells[(x, y)] = f"w{ti}.{x}.{y}"
         first = put(geo, geo.x_t + 2, 0)
         faces.setdefault(first, []).append(
             (side, Glue("gad" + side, geo.tau)))
@@ -162,8 +155,9 @@ def _gadget_layout(t, ti, side, gi, geo) -> Piece:
         cells[xy] = f"{pid}.{xy[0]}.{xy[1]}"
         return xy
 
-    for a in _tooth_positions(geo, framed_code(geo.nt, ti), 1):
-        add(a, 0)
+    for a in tooth_offsets(geo.x_t, framed_code(geo.nt, ti), 1):
+        for x in (a, a + 1):
+            add(x, 0)
     if side in COMPLETION_SIDES:
         spine_end = geo.x_s
     else:
@@ -171,9 +165,11 @@ def _gadget_layout(t, ti, side, gi, geo) -> Piece:
     for a in range(geo.x_t, spine_end):
         add(a, 1)
     gcode = framed_code(geo.ng, gi)
-    for a in _tooth_positions(geo, gcode, 0 if side in COMPLETION_SIDES else 1):
-        add(a, 2)
-        add(a, 3)
+    flip = 0 if side in COMPLETION_SIDES else 1
+    for a in tooth_offsets(geo.x_t, gcode, flip):
+        for x in (a, a + 1):
+            add(x, 2)
+            add(x, 3)
     attach = put(geo, geo.x_t + 2, 1)
     faces.setdefault(attach, []).append(
         (OPPOSITE[side], Glue("gad" + side, geo.tau)))
@@ -244,15 +240,10 @@ def _loaded_union(st, meta: WeakMeta, ts) -> Supertile:
     both sides; mismatched and exposed faces stay bare, so the union is
     exactly as stable as the original and nothing in it is blocked.
     """
-    geo = meta.geo
+    m = meta.geo.m
     union = {}
-
-    def place(cells, bx, by):
-        for (x, y), uid in cells.items():
-            union[(x + geo.m * bx, y + geo.m * by)] = uid
-
     for (bx, by), tid in st.cells.items():
-        place(meta.megas[tid].cells, bx, by)
+        place_piece(union, meta.megas[tid].cells, m, bx, by)
     for (bx, by), tid in st.cells.items():
         for side in COMPLETION_SIDES:
             dx, dy = OFFSET[side]
@@ -263,10 +254,10 @@ def _loaded_union(st, meta: WeakMeta, ts) -> Supertile:
             if interaction(g, ts.tile(other).glue(OPPOSITE[side])) <= 0:
                 continue
             gi = meta.glues.index(g)
-            place(meta.gadgets[(tid, side)].cells, bx, by)
-            place(meta.completions[(side, gi)].cells, bx, by)
-            place(meta.gadgets[(other, OPPOSITE[side])].cells,
-                  bx + dx, by + dy)
+            place_piece(union, meta.gadgets[(tid, side)].cells, m, bx, by)
+            place_piece(union, meta.completions[(side, gi)].cells, m, bx, by)
+            place_piece(union, meta.gadgets[(other, OPPOSITE[side])].cells,
+                        m, bx + dx, by + dy)
     return Supertile(union)
 
 

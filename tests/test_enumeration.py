@@ -91,6 +91,19 @@ def test_feasibility_cap():
         get_nth_tas(10 ** 500, 2)
 
 
+def test_deep_index_is_found_arithmetically():
+    # 10**11 strength vectors into the two-glue range at tau = 10**6, which
+    # a vector-by-vector walk would never reach.  The numeral is
+    # 10**11 + (1 + base) = 100000 * base + 900002 with base = tau + 1.
+    tau = 10 ** 6
+    first_two_glue = tau << 15
+    deep = get_nth_tas(first_two_glue + (10 ** 11 << 80) + 5, tau)
+    assert deep.num_glues == 2
+    assert deep.glue_strengths == (900002, 100000)
+    assert deep.subset_index == 5
+    assert len(deep.tile_set) == 2
+
+
 def test_zero_strength_digits_kept():
     # two-glue strength counter passes through values with a 0 digit
     deep = get_nth_tas((1 << 16) + (2 << 80), 2)

@@ -222,6 +222,47 @@ def test_corrupt_macrotile_reports():
         decode_supertile(Supertile(missing_tag), comp.rep)
 
 
+def test_seven_glues_use_every_lane_and_slot_on_every_side():
+    # ell = 3: glue index g sits on lane g % 3 and pad slot g // 3, so
+    # lane 2 and slot 2 are in use; tile t shows glues t .. t+3 (mod 7)
+    # on N, E, S, W, so every side carries every glue.
+    glues = [Glue(f"g{g}", 1 + g % 3) for g in range(7)]
+    ts = TileSet(tuple(TileType(f"T{t}", *(glues[(t + d) % 7]
+                                           for d in range(4)))
+                       for t in range(7)))
+    comp = compile_strong(TAS(ts, 3))
+    geo = comp.meta.geo
+    assert geo.ell == 3 and comp.meta.glues == tuple(glues)
+    for t in ts:
+        img = decode_supertile(macro(comp, t.id), comp.rep)
+        assert image_cells(img) == {(0, 0): t.id} and img.clean
+    # glue 4 is on lane 1, slot 1; base tags per the module docstring
+    h, k, r = geo.h, geo.k, geo.lane_row(1)
+    tag = {
+        "W": lambda i: (h - 2 - i, r + 2),
+        "E": lambda i: (h + k + 1 + i, r - 3),
+        "N": lambda i: (r - 3, h + k + 1 + i),
+        "S": lambda i: (r + 2, h - 2 - i),
+    }
+    checked = []
+    for t in ts:
+        for side, at in tag.items():
+            if t.glue(side) != glues[4]:
+                continue
+            checked.append(side)
+            cells = dict(comp.meta.layouts[t.id].cells)
+            uid = cells.pop(at(1))
+            past = dict(cells)
+            past[at(2)] = uid            # slot 2 on lane 1 is glue 7
+            with pytest.raises(CorruptMacrotile, match="past the glue count"):
+                decode_supertile(Supertile(past), comp.rep)
+            doubled = dict(cells)
+            doubled[at(1)] = doubled[at(0)] = uid
+            with pytest.raises(CorruptMacrotile, match="found 2"):
+                decode_supertile(Supertile(doubled), comp.rep)
+    assert sorted(checked) == sorted(tag)
+
+
 def test_partial_body_decodes_to_nothing():
     comp = compile_strong(two_tile())
     lay = comp.meta.layouts["A"]
