@@ -28,7 +28,7 @@ class ProducibleSet:
     """
 
     __slots__ = ("tas", "size_bound", "supertiles", "edges", "overflow",
-                 "steps", "complete", "_children", "_parents")
+                 "steps", "complete", "_children", "_parents", "_by_key")
 
     def __init__(self, tas, size_bound, supertiles, edges, overflow, steps, complete):
         self.tas = tas
@@ -40,6 +40,7 @@ class ProducibleSet:
         self.complete = complete
         self._children = None
         self._parents = None
+        self._by_key = None
 
     def __contains__(self, s):
         fp = s.fingerprint if isinstance(s, Supertile) else s
@@ -53,6 +54,15 @@ class ProducibleSet:
 
     def get(self, fingerprint):
         return self.supertiles[fingerprint]
+
+    def by_key(self):
+        """Members indexed by Supertile.key, for combine's members argument."""
+        if self._by_key is None:
+            by_key = {}
+            for s in self.supertiles.values():
+                by_key.setdefault(s.key, []).append(s)
+            self._by_key = by_key
+        return self._by_key
 
     def children_of(self, fingerprint):
         if self._children is None:
@@ -83,28 +93,35 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
     Pairing lemma: a pair in which no open face of one carries the same
     glue as an opposite open face of the other has no candidate offset
     (see combination_offsets), so it has no combination.  Processed
-    members are therefore indexed by exposed (direction, glue), and a step
-    combines its supertile only with itself and with the members exposing
-    a matching glue, in processing order.  Every member pair whose union
-    would exceed the bound still counts toward ``overflow``.
+    members are therefore indexed by exposed (direction, glue) and then by
+    size, and a step combines its supertile only with itself and with the
+    members that expose a matching glue and fit within the bound beside
+    it, in processing order.  Every member pair whose union would exceed
+    the bound still counts toward ``overflow``.
+
+    Members are also indexed by key and combine gets that index, so a
+    union that duplicates a member is recognized without building its
+    cells or its fingerprint.
     """
     if size_bound < 1:
         raise BoundTooSmall("size bound must be at least 1")
     rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
     ts, tau = tas.tile_set, tas.tau
     supers = {}
+    by_key = {}
     for st, _ in tas.initial_state:
         if st.size > size_bound:
             raise BoundTooSmall(
                 f"size bound {size_bound} below initial supertile of {st.size} tiles")
         supers[st.fingerprint] = st
+        by_key.setdefault(st.key, []).append(st)
     pending = sorted(supers)
     if rng is not None:
         rng.shuffle(pending)
     queue = deque(pending)
     done = []
     done_sizes = []
-    exposed = {}  # (direction, glue) -> positions in done
+    exposed = {}  # (direction, glue) -> size -> positions in done
     edges = set()
     overflow = 0
     steps = 0
@@ -119,8 +136,10 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
         keys = [(d, g) for d, by_glue in st.faces(ts).items() for g in by_glue]
         partners = set()
         for d, g in keys:
-            partners.update(exposed.get((OPPOSITE[d], g), ()))
-        others = [done[i] for i in sorted(partners) if supers[done[i]].size <= room]
+            for size, positions in exposed.get((OPPOSITE[d], g), {}).items():
+                if size <= room:
+                    partners.update(positions)
+        others = [done[i] for i in sorted(partners)]
         if st.size <= room:
             others.append(fp)
         else:
@@ -128,13 +147,15 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
         discovered = []
         for ofp in others:
             lo, hi = (fp, ofp) if fp <= ofp else (ofp, fp)
-            for child in combine(st, supers[ofp], ts, tau):
-                edges.add((lo, hi, child.fingerprint))
-                if child.fingerprint not in supers:
-                    supers[child.fingerprint] = child
-                    discovered.append(child.fingerprint)
+            for child in combine(st, supers[ofp], ts, tau, by_key):
+                cfp = child.fingerprint
+                edges.add((lo, hi, cfp))
+                if cfp not in supers:
+                    supers[cfp] = child
+                    by_key.setdefault(child.key, []).append(child)
+                    discovered.append(cfp)
         for key in keys:
-            exposed.setdefault(key, []).append(len(done))
+            exposed.setdefault(key, {}).setdefault(st.size, []).append(len(done))
         done.append(fp)
         insort(done_sizes, st.size)
         discovered.sort()

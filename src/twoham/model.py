@@ -11,13 +11,23 @@ other so that they touch without overlap and the union is stable.  For
 two stable supertiles that is the same as a seam of strength at least
 tau: a cut of the union either splits one of them, severing at least tau
 inside it, or is exactly the seam.
+
+A supertile is identified by a Karp-Rabin key over its normalized
+cells, H = sum of w(tile) * X**x * Y**y mod a prime.  The key is
+translation covariant, so a union's key follows from its parents' keys
+in constant time.  Equal keys only nominate an equal supertile: equality
+is always decided cell by cell.  A union builds its cell dict and its
+SHA-1 fingerprint only when first read, so a union that turns out to
+duplicate a known supertile costs neither.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from operator import attrgetter
 
 from . import mincut
 from .errors import EmptyAssembly, NegativeStrength, UnknownTileId
@@ -31,20 +41,34 @@ NULL_LABEL = ""
 INFINITE = math.inf
 
 
-@dataclass(frozen=True)
-class Glue:
-    """A side marking: label plus non-negative integer strength."""
+_GLUE_FIELDS = namedtuple("Glue", ("label", "strength"))
 
-    label: str
-    strength: int
 
-    def __post_init__(self):
-        if not isinstance(self.strength, int) or isinstance(self.strength, bool):
-            raise NegativeStrength(f"strength must be an integer, got {self.strength!r}")
-        if self.strength < 0:
-            raise NegativeStrength(f"strength {self.strength} < 0 on glue {self.label!r}")
-        if self.label == NULL_LABEL and self.strength != 0:
+class Glue(tuple):
+    """A side marking: label plus non-negative integer strength.
+
+    An immutable (label, strength) pair, so the hashing and equality of
+    the glue-keyed face and pairing indexes run as tuple code in C.
+    """
+
+    __slots__ = ()
+    label = _GLUE_FIELDS.label
+    strength = _GLUE_FIELDS.strength
+
+    def __new__(cls, label, strength):
+        if not isinstance(strength, int) or isinstance(strength, bool):
+            raise NegativeStrength(f"strength must be an integer, got {strength!r}")
+        if strength < 0:
+            raise NegativeStrength(f"strength {strength} < 0 on glue {label!r}")
+        if label == NULL_LABEL and strength != 0:
             raise ValueError("the null label is reserved for strength-0 sides")
+        return tuple.__new__(cls, (label, strength))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"Glue(label={self.label!r}, strength={self.strength!r})"
 
 
 NULL_GLUE = Glue(NULL_LABEL, 0)
@@ -124,78 +148,143 @@ def _cells_of(a) -> dict:
     return a
 
 
+# Karp-Rabin key basis.  The modulus is the Mersenne prime 2**61 - 1,
+# CPython's own hash modulus, so a key is its own hash.  The rows hold
+# X**i and Y**j mod the modulus and grow on demand.
+_KEY_MOD = (1 << 61) - 1
+_KEY_X = 0x2545F4914F6CDD1D % _KEY_MOD
+_KEY_Y = 0x1D8E4E27C47D124F % _KEY_MOD
+_XP = [1]
+_YP = [1]
+
+
+def _power_rows(width: int, height: int):
+    """The power rows, grown to at least width and height entries."""
+    while len(_XP) < width:
+        _XP.append(_XP[-1] * _KEY_X % _KEY_MOD)
+    while len(_YP) < height:
+        _YP.append(_YP[-1] * _KEY_Y % _KEY_MOD)
+    return _XP, _YP
+
+
+def _fingerprint(cells) -> str:
+    return hashlib.sha1(repr(sorted(cells.items())).encode()).hexdigest()
+
+
 class Supertile:
     """Canonical representative of a translation class of placements.
 
-    The placement is shifted so both coordinate minima are 0; equality and
-    hashing go through a content fingerprint of that shifted form.  Cells
-    must be treated as read-only.
+    The placement is shifted so both coordinate minima are 0.  ``key`` is
+    the Karp-Rabin key of that shifted form and is the hash; equality
+    compares cells exactly, so two supertiles whose keys collide stay
+    distinct.  ``fingerprint`` is the SHA-1 of the sorted cells.  A
+    union's ``cells`` and ``fingerprint`` are slots filled on first read,
+    after which every read is a plain slot read.  Cells must be treated
+    as read-only.
     """
 
-    __slots__ = ("cells", "size", "width", "height", "fingerprint",
+    __slots__ = ("cells", "fingerprint", "key", "size", "width", "height",
                  "_faces_ts", "_faces", "_cols", "_parents")
 
     def __init__(self, cells):
         cells = _cells_of(cells)
         if not cells:
             raise EmptyAssembly("a supertile needs at least one tile")
-        minx = min(x for x, _ in cells)
-        miny = min(y for _, y in cells)
+        xs = [x for x, _ in cells]
+        ys = [y for _, y in cells]
+        minx, miny = min(xs), min(ys)
         if minx or miny:
             cells = {(x - minx, y - miny): t for (x, y), t in cells.items()}
         else:
             cells = dict(cells)
         self.cells = cells
         self.size = len(cells)
-        self.width = 1 + max(x for x, _ in cells)
-        self.height = 1 + max(y for _, y in cells)
+        self.width = width = 1 + max(xs) - minx
+        self.height = height = 1 + max(ys) - miny
+        xp, yp = _power_rows(width, height)
+        key = 0
+        for (x, y), t in cells.items():
+            key += hash(t) * xp[x] * yp[y]
+        self.key = key % _KEY_MOD
+        self.fingerprint = _fingerprint(cells)
         self._seal(None, None)
 
     @classmethod
     def union(cls, a: Supertile, b: Supertile, offset, ts: TileSet):
         """The union of a and b with b translated by offset; no overlap.
 
-        Cells keep the order of Supertile(merged dict): a's, then b's.
-        The box comes from the parents, and faces(ts) is derived on first
-        use from the parents' faces, so a union that is dropped as a
-        duplicate never pays for them.  Deriving costs the parents' open
-        faces rather than every cell, which is what pays on the large
-        supertiles of a compiled simulator.
+        Only the box and the key are computed here, the key from the
+        parents' keys.  Cells, built on first read, keep the order of
+        Supertile(merged dict): a's, then b's.  faces(ts) is derived on
+        first use from the parents' faces, which costs their open faces
+        rather than every cell; that is what pays on the large supertiles
+        of a compiled simulator.
         """
         ox, oy = offset
         ax, ay = max(0, -ox), max(0, -oy)
         bx, by = ox + ax, oy + ay
-        if ax or ay:
-            cells = {(x + ax, y + ay): t for (x, y), t in a.cells.items()}
-        else:
-            cells = dict(a.cells)
-        for (x, y), t in b.cells.items():
-            cells[(x + bx, y + by)] = t
         st = cls.__new__(cls)
-        st.cells = cells
         st.size = a.size + b.size
-        st.width = max(a.width + ax, b.width + bx)
-        st.height = max(a.height + ay, b.height + by)
+        st.width = width = max(a.width + ax, b.width + bx)
+        st.height = height = max(a.height + ay, b.height + by)
+        xp, yp = _power_rows(width, height)
+        st.key = (a.key * xp[ax] * yp[ay] + b.key * xp[bx] * yp[by]) % _KEY_MOD
         st._seal(ts, ((a, ax, ay), (b, bx, by)))
         return st
 
     def _seal(self, faces_ts, parents):
-        enc = repr(sorted(self.cells.items())).encode()
-        self.fingerprint = hashlib.sha1(enc).hexdigest()
         self._faces_ts = faces_ts
         self._faces = None
         self._cols = None
         self._parents = parents
+
+    def __getattr__(self, name):
+        # only reached while the cells or fingerprint slot is still unset
+        if name == "cells":
+            (a, ax, ay), (b, bx, by) = self._parents
+            if ax or ay:
+                cells = {(x + ax, y + ay): t for (x, y), t in a.cells.items()}
+            else:
+                cells = dict(a.cells)
+            for (x, y), t in b.cells.items():
+                cells[(x + bx, y + by)] = t
+            self.cells = cells
+            return cells
+        if name == "fingerprint":
+            self.fingerprint = fp = _fingerprint(self.cells)
+            return fp
+        raise AttributeError(name)
+
+    def _union_equals(self, other: Supertile) -> bool:
+        """Whether this union, still holding its parents, has other's cells.
+
+        It reads its parents against other's cells instead of building its
+        own: with sizes equal, both parents inside other is the whole of it.
+        """
+        if self.key != other.key or self.size != other.size:
+            return False
+        cells = other.cells
+        for p, sx, sy in self._parents:
+            if sx or sy:
+                get = cells.get
+                for (x, y), t in p.cells.items():
+                    if get((x + sx, y + sy)) != t:
+                        return False
+            elif not p.cells.items() <= cells.items():
+                return False
+        return True
 
     @property
     def sort_key(self):
         return (self.size, self.fingerprint)
 
     def __eq__(self, other):
-        return isinstance(other, Supertile) and self.fingerprint == other.fingerprint
+        if not isinstance(other, Supertile):
+            return NotImplemented
+        return self is other or (self.key == other.key and self.cells == other.cells)
 
     def __hash__(self):
-        return int(self.fingerprint[:16], 16)
+        return self.key
 
     def __repr__(self):
         return f"<Supertile {self.size} tiles {self.fingerprint[:10]}>"
@@ -219,8 +308,8 @@ class Supertile:
                 self._faces = self._union_faces(ts)
                 self._parents = None
             return self._faces
-        self._parents = None
         cells = self.cells
+        self._parents = None
         faces = {d: {} for d in DIRECTIONS}
         for (x, y), tid in cells.items():
             t = ts.tile(tid)
@@ -296,21 +385,26 @@ def is_tau_stable(a, ts: TileSet, tau: int) -> bool:
 def interface_strength(a: Supertile, b: Supertile, ts: TileSet, offset) -> int:
     """Total interaction strength across the seam when b sits at offset.
 
-    Interactions need a positive glue on b's side, so the sum runs over
-    b's positive open faces only; that keeps the cost proportional to
-    the seam rather than to b's area.
+    b must not overlap a.  An interaction pairs an open face of b with an
+    open face of a carrying the same positive glue, so the sum runs over
+    b's positive open faces whose glue a shows on an opposite open face;
+    that keeps the cost proportional to the seam rather than to b's area.
     """
     ox, oy = offset
     acells = a.cells
+    afaces = a.faces(ts)
     total = 0
     for d, by_glue in b.faces(ts).items():
         dx, dy = OFFSET[d]
         opp = OPPOSITE[d]
+        facing = afaces[opp]
         for g, coords in by_glue.items():
+            if g not in facing:
+                continue
             for (bx, by) in coords:
                 atid = acells.get((bx + ox + dx, by + oy + dy))
-                if atid is not None:
-                    total += interaction(g, ts.tile(atid).glue(opp))
+                if atid is not None and ts.tile(atid).glue(opp) == g:
+                    total += g.strength
     return total
 
 
@@ -373,16 +467,34 @@ def combination_offsets(a: Supertile, b: Supertile, ts: TileSet, tau: int):
     return out
 
 
-def combine(a: Supertile, b: Supertile, ts: TileSet, tau: int) -> list:
+def combine(a: Supertile, b: Supertile, ts: TileSet, tau: int,
+            members=None) -> list:
     """The combination set of a and b: deduplicated, fingerprint-sorted.
 
     Both inputs must be tau-stable (see combination_offsets); every
-    producible supertile is.
+    producible supertile is.  members, if given, maps a key to the known
+    supertiles with that key, as explore and ProducibleSet.by_key() keep
+    it; it is only read.  A child equal to a known supertile comes back
+    as that object, found by key and confirmed cell by cell without
+    building the child's cells, so only a child new to members and to
+    this call builds its cells and computes its fingerprint.
     """
-    seen = {}
+    if members is None:
+        members = {}
+    found = {}  # key -> distinct children, known supertiles in their place
     for _, child in combination_offsets(a, b, ts, tau):
-        seen.setdefault(child.fingerprint, child)
-    return [seen[fp] for fp in sorted(seen)]
+        same = found.setdefault(child.key, [])
+        for s in same:
+            if child._union_equals(s):
+                break
+        else:
+            for m in members.get(child.key, ()):
+                if child._union_equals(m):
+                    child = m
+                    break
+            same.append(child)
+    return sorted((s for same in found.values() for s in same),
+                  key=attrgetter("fingerprint"))
 
 
 def _valid_count(c) -> bool:

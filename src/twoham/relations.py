@@ -324,7 +324,7 @@ def check_strongly_models(sim, target, rep, decoded=None):
 
     def product_images(x_fp, y_fp):
         got = set()
-        for prod in combine(sim.get(x_fp), sim.get(y_fp), ts, tau):
+        for prod in combine(sim.get(x_fp), sim.get(y_fp), ts, tau, sim.by_key()):
             if prod.fingerprint not in decode_memo:
                 try:
                     img = decode_supertile(prod, rep)

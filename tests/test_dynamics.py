@@ -1,12 +1,14 @@
+import hashlib
 import random
 
 import pytest
 
-from twoham import INFINITE, TAS, Glue, Supertile, TileSet, TileType, combine
+from twoham import INFINITE, TAS, Glue, Supertile, TileSet, TileType, combine, model
 from twoham.dynamics import ProducibleSet, StateMultiset, explore, is_terminal, single_step_reachable
 from twoham.errors import BoundTooSmall, NotProducible
 
-from oracles import canon, oracle_closure, oracle_explore, oracle_stable
+from oracles import canon, oracle_closure, oracle_combine, oracle_explore, oracle_stable
+from test_cli import square_tas
 from test_model import random_placement, random_tileset, tile
 
 
@@ -150,6 +152,100 @@ def test_indexed_explore_matches_all_pairs_loop():
     # every temperature must see systems that grow past their seeds
     assert min(grown.values()) >= 8, grown
     assert seen["clipped"] >= 40 and seen["overflow"] >= 12, seen
+
+
+@pytest.fixture
+def colliding_keys(monkeypatch):
+    """Keys mod 3 with both bases 1: a key is the tile multiset's hash sum
+    mod 3, so every rearrangement of the same tiles collides, and any two
+    supertiles collide one time in three."""
+    for name, value in (("_KEY_MOD", 3), ("_KEY_X", 1), ("_KEY_Y", 1),
+                        ("_XP", [1]), ("_YP", [1])):
+        monkeypatch.setattr(model, name, value)
+
+
+def test_colliding_keys_stay_distinct(colliding_keys):
+    """A and B bind both ways round, so AB and BA share a key and a box
+    and only the cells tell them apart."""
+    ts = TileSet([tile("A", e=("g", 1), w=("h", 1)),
+                  tile("B", e=("h", 1), w=("g", 1))])
+    a, b = Supertile({(0, 0): "A"}), Supertile({(0, 0): "B"})
+    ab = Supertile.union(a, b, (1, 0), ts)
+    ba = Supertile({(0, 0): "B", (1, 0): "A"})
+    assert ab.key == ba.key and hash(ab) == hash(ba)
+    assert ab != ba and ba != ab
+    assert len({ab, ba}) == 2
+    assert ab == Supertile({(7, 3): "A", (8, 3): "B"})
+    p = explore(TAS(ts, 1), 2)
+    pairs = [s for s in p.members() if s.size == 2]
+    assert sorted(canon(s.cells) for s in pairs) == sorted(
+        [canon(ab.cells), canon(ba.cells)])
+    assert pairs[0].key == pairs[1].key
+    assert p.by_key()[ab.key] == [s for s in p.supertiles.values() if s.key == ab.key]
+
+
+def test_colliding_keys_match_oracles(colliding_keys):
+    """With keys colliding constantly, combine still equals the offset
+    window oracle and explore the all-pairs worklist, tau 1 to 4."""
+    rng = random.Random(2718)
+    crowded = 0
+    for tau in (1, 2, 3, 4):
+        checked = 0
+        while checked < 60:
+            ts = random_tileset(rng, ntiles=3, max_strength=tau + 1)
+            pa = random_placement(rng, ts, rng.randint(1, 4))
+            pb = random_placement(rng, ts, rng.randint(1, 4))
+            if not oracle_stable(pa, ts, tau) or not oracle_stable(pb, ts, tau):
+                continue
+            got = combine(Supertile(pa), Supertile(pb), ts, tau)
+            assert {canon(s.cells) for s in got} == oracle_combine(pa, pb, ts, tau)
+            assert len(got) == len({canon(s.cells) for s in got})
+            checked += 1
+        grown = 0
+        for _ in range(200):
+            if grown >= 6:
+                break
+            tas = _random_system(rng, tau)
+            bound = rng.randint(3, 6)
+            p = explore(tas, bound)
+            if len(p) > 60:
+                continue  # keep the all-pairs loop affordable
+            supers, edges, overflow, steps, complete = oracle_explore(tas, bound)
+            assert ({fp: list(st.cells.items()) for fp, st in p.supertiles.items()}
+                    == {fp: list(st.cells.items()) for fp, st in supers.items()})
+            assert (p.edges, p.overflow, p.steps, p.complete) == (
+                edges, overflow, steps, complete), (tau, bound)
+            grown += len(p) > len(tas.initial_state)
+            crowded += len(p) > len(p.by_key())
+        assert grown >= 6, tau
+    # members really shared keys, so the exact check decided
+    assert crowded >= 10, crowded
+
+
+def test_sha1_once_per_new_member(monkeypatch):
+    """Exploring the uniquely glued 5x5 square at tau 2 and bound 8
+    builds more unions than it finds members, yet computes one SHA-1
+    per member it discovers: duplicates are never fingerprinted."""
+    tas = square_tas(5, 2)
+    sha1_calls, unions = [], []
+    sha1 = hashlib.sha1
+    union = Supertile.union.__func__
+
+    def counting_sha1(data):
+        sha1_calls.append(1)
+        return sha1(data)
+
+    def counting_union(cls, *args):
+        unions.append(1)
+        return union(cls, *args)
+
+    monkeypatch.setattr(hashlib, "sha1", counting_sha1)
+    monkeypatch.setattr(Supertile, "union", classmethod(counting_union))
+    p = explore(tas, 8)
+    discovered = len(p) - len(tas.initial_state)
+    assert len(p) == 631 and p.complete
+    assert len(sha1_calls) == discovered
+    assert len(unions) > len(p)
 
 
 def test_explore_confluent_under_shuffles():

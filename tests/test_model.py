@@ -1,3 +1,5 @@
+import copy
+import json
 import random
 
 import pytest
@@ -20,6 +22,8 @@ from twoham import (
     interface_strength,
     is_tau_stable,
 )
+from twoham.compiled import wire_tiles
+from twoham.serialize import parse_tas
 from oracles import canon, oracle_combine, oracle_stable
 
 
@@ -67,6 +71,45 @@ def test_glue_validation():
         Glue("a", -1)
     with pytest.raises(ValueError):
         Glue("", 1)
+
+
+def test_glue_contract():
+    """Glues are immutable values: equal and equally hashed wherever
+    they were built, validated on construction, and binding only to an
+    identical positive glue."""
+    doc = {"temperature": 2, "tiles": [
+        {"id": "A", "east": {"label": "p:0,0:h", "strength": 2}}]}
+    parsed = parse_tas(json.dumps(doc)).tile_set.tile("A").east
+    wired = wire_tiles({(0, 0): "u", (1, 0): "v"}, {}, "p", 2)[0].east
+    by_hand = Glue("p:0,0:h", 2)
+    assert parsed == wired == by_hand
+    assert hash(parsed) == hash(wired) == hash(by_hand)
+    assert {parsed: 1}[by_hand] == 1
+    assert (by_hand.label, by_hand.strength) == ("p:0,0:h", 2)
+    assert repr(by_hand) == "Glue(label='p:0,0:h', strength=2)"
+    assert copy.deepcopy(by_hand) == by_hand
+    for field in ("label", "strength"):
+        with pytest.raises(AttributeError):
+            setattr(by_hand, field, "x")
+    assert by_hand == Glue("p:0,0:h", 2)
+
+    with pytest.raises(NegativeStrength):
+        Glue("a", True)
+    with pytest.raises(NegativeStrength):
+        Glue("a", -1)
+    with pytest.raises(ValueError):
+        Glue("", 1)
+
+    # declaration order: tiles in order, sides N, E, S, W; positive only
+    ts = TileSet([tile("x", n=("a", 1), e=("b", 2), w=("a", 1)),
+                  tile("y", n=("c", 1), e=("b", 2), s=("a", 2), w=("d", 0))])
+    assert ts.glues == (Glue("a", 1), Glue("b", 2), Glue("c", 1), Glue("a", 2))
+
+    glues = [Glue("a", 1), Glue("a", 2), Glue("b", 1), Glue("a", 0), NULL_GLUE]
+    for g in glues:
+        for h in glues:
+            want = g.strength if g == h and g.strength > 0 else 0
+            assert interaction(g, h) == want, (g, h)
 
 
 def test_tileset_rejects_duplicate_ids():
@@ -264,8 +307,8 @@ def _merged(a, b, offset):
 
 def _same_supertile(got, want, ts):
     assert list(got.cells.items()) == list(want.cells.items())
-    assert (got.size, got.width, got.height, got.fingerprint) == (
-        want.size, want.width, want.height, want.fingerprint)
+    assert (got.size, got.width, got.height, got.key, got.fingerprint) == (
+        want.size, want.width, want.height, want.key, want.fingerprint)
     assert got.faces(ts) == want.faces(ts)
 
 
