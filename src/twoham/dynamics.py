@@ -28,7 +28,7 @@ class ProducibleSet:
     """
 
     __slots__ = ("tas", "size_bound", "supertiles", "edges", "overflow",
-                 "steps", "complete", "_children", "_parents", "_by_key")
+                 "steps", "complete", "_children", "_by_key")
 
     def __init__(self, tas, size_bound, supertiles, edges, overflow, steps, complete):
         self.tas = tas
@@ -39,7 +39,6 @@ class ProducibleSet:
         self.steps = steps
         self.complete = complete
         self._children = None
-        self._parents = None
         self._by_key = None
 
     def __contains__(self, s):
@@ -73,14 +72,6 @@ class ProducibleSet:
             self._children = by_parent
         return self._children.get(fingerprint, frozenset())
 
-    def parents_of(self, fingerprint):
-        if self._parents is None:
-            by_child = {}
-            for pa, pb, child in self.edges:
-                by_child.setdefault(child, set()).add((pa, pb))
-            self._parents = by_child
-        return self._parents.get(fingerprint, frozenset())
-
 
 def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
     """Close the initial state under pairwise combination, up to size_bound.
@@ -105,6 +96,8 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
     """
     if size_bound < 1:
         raise BoundTooSmall("size bound must be at least 1")
+    if step_bound is not None and step_bound < 0:
+        raise BoundTooSmall("step bound must be at least 0")
     rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
     ts, tau = tas.tile_set, tas.tau
     supers = {}
@@ -193,12 +186,7 @@ def single_step_reachable(a, b, p: ProducibleSet, reflexive=False) -> bool:
     for fp in (fpa, fpb):
         if fp not in p.supertiles:
             raise NotProducible(f"{fp[:10]} is not in the explored set")
-    if reflexive and fpa == fpb:
-        return True
-    for pa, pb in p.parents_of(fpb):
-        if fpa == pa or fpa == pb:
-            return True
-    return False
+    return (reflexive and fpa == fpb) or fpb in p.children_of(fpa)
 
 
 class StateMultiset:

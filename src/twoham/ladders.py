@@ -23,23 +23,6 @@ RIGHT = "RIGHT"
 ALIGNED_OFFSET = (3, 0)
 
 
-class LadderSystem:
-    """The eight ladder tile types at a given temperature."""
-
-    __slots__ = ("tau", "tile_set", "_tas")
-
-    def __init__(self, tau, tile_set):
-        self.tau = tau
-        self.tile_set = tile_set
-        self._tas = None
-
-    @property
-    def tas(self):
-        if self._tas is None:
-            self._tas = TAS(self.tile_set, self.tau)
-        return self._tas
-
-
 class HalfLadder:
     __slots__ = ("side", "height", "rung_positions", "supertile")
 
@@ -53,7 +36,7 @@ class HalfLadder:
         return f"<HalfLadder {self.side} h={self.height} rungs={self.rung_positions}>"
 
 
-def build_ladder_system(tau: int) -> LadderSystem:
+def build_ladder_system(tau: int) -> TAS:
     """Eight tile types; every glue has strength tau except the rung tip."""
     if tau < 2:
         raise ValueError("the ladder construction needs temperature at least 2")
@@ -72,7 +55,7 @@ def build_ladder_system(tau: int) -> LadderSystem:
         TileType("B1", east=g("sA"), west=g("sB")),
         TileType("B0", east=g("sB"), west=mid),
     ]
-    return LadderSystem(tau, TileSet(tiles))
+    return TAS(TileSet(tiles), tau)
 
 
 def _column_tile(side, row):
@@ -82,6 +65,8 @@ def _column_tile(side, row):
 
 
 def half_ladder_cells(side, height, rung_positions) -> dict:
+    """Cells in single-tile growth order: column bottom-up, then each rung
+    outward (witness_sequence replays this order)."""
     col_x = 0 if side == LEFT else 2
     cells = {(col_x, row): _column_tile(side, row) for row in range(2 * height - 1)}
     for p in rung_positions:
@@ -94,7 +79,7 @@ def half_ladder_cells(side, height, rung_positions) -> dict:
     return cells
 
 
-def make_half_ladder(sys: LadderSystem, side, height, rung_positions) -> HalfLadder:
+def make_half_ladder(sys: TAS, side, height, rung_positions) -> HalfLadder:
     rungs = tuple(sorted(set(rung_positions)))
     if len(rungs) != sys.tau:
         raise ValueError(f"a half-ladder carries exactly {sys.tau} rungs, got {rungs}")
@@ -104,7 +89,7 @@ def make_half_ladder(sys: LadderSystem, side, height, rung_positions) -> HalfLad
     return HalfLadder(side, height, rungs, st)
 
 
-def enumerate_half_ladders(sys: LadderSystem, height: int, side) -> list:
+def enumerate_half_ladders(sys: TAS, height: int, side) -> list:
     """All C(height, tau) half-ladders of one side, rung sets in lex order."""
     if height < sys.tau:
         raise HeightTooSmall(
@@ -121,30 +106,16 @@ def mirror(ladder: HalfLadder) -> HalfLadder:
     return HalfLadder(RIGHT, ladder.height, ladder.rung_positions, st)
 
 
-def witness_sequence(sys: LadderSystem, ladder: HalfLadder) -> list:
+def witness_sequence(sys: TAS, ladder: HalfLadder) -> list:
     """Single-tile growth order: column bottom-up, then each rung outward.
 
     Returns the list of successive supertiles; every consecutive pair
     differs by one tile whose attachment has strength tau, so replaying it
     through combine certifies producibility.
     """
-    order = []
-    col_x = 0 if ladder.side == LEFT else 2
-    for row in range(2 * ladder.height - 1):
-        order.append(((col_x, row), _column_tile(ladder.side, row)))
-    for p in ladder.rung_positions:
-        if ladder.side == LEFT:
-            order.append(((1, 2 * p), "A1"))
-            order.append(((2, 2 * p), "A0"))
-        else:
-            order.append(((1, 2 * p), "B1"))
-            order.append(((0, 2 * p), "B0"))
-    stages = []
-    cells = {}
-    for coord, tid in order:
-        cells[coord] = tid
-        stages.append(Supertile(cells))
-    return stages
+    cells = list(half_ladder_cells(ladder.side, ladder.height,
+                                   ladder.rung_positions).items())
+    return [Supertile(dict(cells[:k])) for k in range(1, len(cells) + 1)]
 
 
 def binding_strength_matrix(height: int, tau: int) -> list:

@@ -17,8 +17,9 @@ The four relations, in increasing strength of the dynamic requirement:
 * weakly models: every target step can be realized from every preimage
   of its input, possibly after extra simulator-only steps.
 * strongly models: every target combination is realizable from every
-  pair of preimages of its inputs, possibly after same-image steps on
-  each side, with a product decoding to the exact target result.
+  pair of preimages of its inputs, possibly after explored steps on
+  each side that end at the same images, with a product decoding to the
+  exact target result.
 
 The weakly-models clause is implemented in two variants selected by
 ``weak_def``: "standard" asks for an intermediate with the same image as
@@ -82,6 +83,14 @@ class Report:
         }
 
 
+def _decode(st, rep):
+    """(image, None), image None for junk, or (None, the AmbiguousAlignment)."""
+    try:
+        return decode_supertile(st, rep), None
+    except AmbiguousAlignment as exc:
+        return None, exc
+
+
 def decode_producibles(sim, rep):
     """Decode every explored simulator supertile once.
 
@@ -94,10 +103,8 @@ def decode_producibles(sim, rep):
     images = {}
     ambiguities = []
     for s in sim.members():
-        try:
-            images[s.fingerprint] = decode_supertile(s, rep)
-        except AmbiguousAlignment as exc:
-            images[s.fingerprint] = None
+        images[s.fingerprint], exc = _decode(s, rep)
+        if exc is not None:
             ambiguities.append({
                 "kind": "ambiguous-alignment",
                 "supertile": s.fingerprint,
@@ -106,30 +113,57 @@ def decode_producibles(sim, rep):
     return images, ambiguities
 
 
+class _ImageMap:
+    """The simulator's members seen through the representation.
+
+    ``decoded`` maps each member to its DecodedImage or None, ``image`` to
+    its image fingerprint or None (junk), and ``preimages`` maps each
+    image fingerprint to the sorted members that decode to it.
+    """
+
+    def __init__(self, sim, decoded):
+        self.sim = sim
+        self.decoded = decoded
+        self.image = {fp: img.supertile.fingerprint if img is not None else None
+                      for fp, img in decoded.items()}
+        self.preimages = {}
+        for fp in sorted(self.image):
+            if self.image[fp] is not None:
+                self.preimages.setdefault(self.image[fp], []).append(fp)
+        self._reach = {}
+
+    def reach(self, start, image):
+        """Sorted members with this image reachable from start by zero or
+        more explored steps."""
+        key = start, image
+        if key not in self._reach:
+            seen = {start}
+            queue = deque(seen)
+            while queue:
+                for child in self.sim.children_of(queue.popleft()):
+                    if child not in seen:
+                        seen.add(child)
+                        queue.append(child)
+            self._reach[key] = sorted(
+                fp for fp in seen if self.image.get(fp) == image)
+        return self._reach[key]
+
+
+def _open(relation, sim, rep, decoded):
+    """A Report headed by the ambiguous decodes, and the image map."""
+    images, ambiguities = decoded or decode_producibles(sim, rep)
+    return Report(relation, violations=list(ambiguities)), _ImageMap(sim, images)
+
+
 def _bound_notes(report, sim, target):
-    if not sim.complete:
-        report.notes.append("simulator exploration clipped by step bound")
-    if sim.overflow:
-        report.notes.append(
-            f"simulator exploration set aside {sim.overflow} pairs at "
-            f"size bound {sim.size_bound}")
-    if not target.complete:
-        report.notes.append("target exploration clipped by step bound")
-    if target.overflow:
-        report.notes.append(
-            f"target exploration set aside {target.overflow} pairs at "
-            f"size bound {target.size_bound}")
-
-
-def _image_index(images):
-    """image fingerprint -> sorted simulator fingerprints mapping to it."""
-    index = {}
-    for fp, img in images.items():
-        if img is not None:
-            index.setdefault(img.supertile.fingerprint, []).append(fp)
-    for fps in index.values():
-        fps.sort()
-    return index
+    for name, p in (("simulator", sim), ("target", target)):
+        if not p.complete:
+            report.notes.append(f"{name} exploration clipped by step bound")
+        if p.overflow:
+            report.notes.append(
+                f"{name} exploration set aside {p.overflow} pairs at "
+                f"size bound {p.size_bound}")
+    return report
 
 
 def _transitions(prod):
@@ -141,19 +175,6 @@ def _transitions(prod):
     return sorted(pairs)
 
 
-def _reachable(prod, start_fp):
-    """Fingerprints reachable from start by zero or more explored steps."""
-    seen = {start_fp}
-    queue = deque([start_fp])
-    while queue:
-        fp = queue.popleft()
-        for child in prod.children_of(fp):
-            if child not in seen:
-                seen.add(child)
-                queue.append(child)
-    return seen
-
-
 def check_equivalent_productions(sim, target, rep, decoded=None):
     """Images of simulator producibles == target producibles, plus junk rules.
 
@@ -162,12 +183,10 @@ def check_equivalent_productions(sim, target, rep, decoded=None):
     bound must be target-producible, larger ones are boundary skips.
     Every target producible must be hit by some image.
     """
-    report = Report("productions")
-    images, ambiguities = decoded or decode_producibles(sim, rep)
-    report.violations.extend(ambiguities)
+    report, imap = _open("productions", sim, rep, decoded)
     covered = set()
-    for fp in sorted(images):
-        img = images[fp]
+    for fp in sorted(imap.decoded):
+        img = imap.decoded[fp]
         report.checked += 1
         if img is None:
             if not fits_single_block(sim.get(fp), rep.m):
@@ -200,8 +219,7 @@ def check_equivalent_productions(sim, target, rep, decoded=None):
                 "kind": "missing-image",
                 "image": t.fingerprint,
             })
-    _bound_notes(report, sim, target)
-    return report
+    return _bound_notes(report, sim, target)
 
 
 def check_follows(sim, target, rep, decoded=None):
@@ -212,43 +230,36 @@ def check_follows(sim, target, rep, decoded=None):
     explored target edge.  Steps into or out of junk are skipped; steps
     whose images exceed the target bound are boundary skips.
     """
-    report = Report("follows")
-    images, ambiguities = decoded or decode_producibles(sim, rep)
-    report.violations.extend(ambiguities)
+    report, imap = _open("follows", sim, rep, decoded)
     for parent_fp, child_fp in _transitions(sim):
-        pimg = images.get(parent_fp)
-        cimg = images.get(child_fp)
+        pimg = imap.decoded.get(parent_fp)
+        cimg = imap.decoded.get(child_fp)
         if pimg is None or cimg is None:
             report.skipped += 1
             continue
-        a = pimg.supertile.fingerprint
-        b = cimg.supertile.fingerprint
         if (pimg.supertile.size > target.size_bound
                 or cimg.supertile.size > target.size_bound):
             report.boundary += 1
             continue
         report.checked += 1
+        a = pimg.supertile.fingerprint
+        b = cimg.supertile.fingerprint
         if a == b:
             continue
         if a not in target or b not in target:
-            report.violations.append({
-                "kind": "image-not-producible",
-                "parent": parent_fp,
-                "child": child_fp,
-                "parent_image": a,
-                "child_image": b,
-            })
+            kind = "image-not-producible"
+        elif not single_step_reachable(a, b, target):
+            kind = "unmatched-step"
+        else:
             continue
-        if not single_step_reachable(a, b, target):
-            report.violations.append({
-                "kind": "unmatched-step",
-                "parent": parent_fp,
-                "child": child_fp,
-                "parent_image": a,
-                "child_image": b,
-            })
-    _bound_notes(report, sim, target)
-    return report
+        report.violations.append({
+            "kind": kind,
+            "parent": parent_fp,
+            "child": child_fp,
+            "parent_image": a,
+            "child_image": b,
+        })
+    return _bound_notes(report, sim, target)
 
 
 def check_weakly_models(sim, target, rep, decoded=None, weak_def="standard"):
@@ -261,129 +272,90 @@ def check_weakly_models(sim, target, rep, decoded=None, weak_def="standard"):
     """
     if weak_def not in ("standard", "literal"):
         raise ValueError(f"unknown weak_def {weak_def!r}")
-    report = Report("weak")
-    images, ambiguities = decoded or decode_producibles(sim, rep)
-    report.violations.extend(ambiguities)
-    index = _image_index(images)
-
-    def image_of(fp):
-        img = images.get(fp)
-        return img.supertile.fingerprint if img is not None else None
-
-    child_images = {
-        fp: {image_of(c) for c in sim.children_of(fp)}
-        for fp in images
-    }
+    report, imap = _open("weak", sim, rep, decoded)
     for a, b in _transitions(target):
-        preimages = index.get(a, [])
+        preimages = imap.preimages.get(a, [])
         if not preimages:
             report.skipped += 1
             continue
+        waypoint = a if weak_def == "standard" else b
         for start in preimages:
             report.checked += 1
-            waypoint = a if weak_def == "standard" else b
-            ok = False
-            for node in _reachable(sim, start):
-                if image_of(node) != waypoint:
-                    continue
-                if b in child_images[node]:
-                    ok = True
-                    break
-            if not ok:
+            if not any(imap.image.get(c) == b
+                       for node in imap.reach(start, waypoint)
+                       for c in sim.children_of(node)):
                 report.violations.append({
                     "kind": "unrealizable-step",
                     "target_parent": a,
                     "target_child": b,
                     "preimage": start,
                 })
-    _bound_notes(report, sim, target)
-    return report
+    return _bound_notes(report, sim, target)
 
 
 def check_strongly_models(sim, target, rep, decoded=None):
     """Every target combination is realizable from every preimage pair.
 
     For target producibles a, b and each explored product c of theirs:
-    any simulator pair decoding to (a, b) must reach, by steps that
-    preserve their images, a pair whose direct combination contains a
-    supertile decoding to c.  Combinations of candidate pairs are
-    computed directly, so products beyond the simulator's exploration
-    bound still count.
+    any simulator pair decoding to (a, b) must reach a pair whose direct
+    combination contains a supertile decoding to c.  Each side may get
+    there along any explored path; only its endpoint must still decode
+    to a (resp. b).  Combinations of candidate pairs are computed
+    directly, so products beyond the simulator's exploration bound still
+    count.
     """
-    report = Report("strong")
-    images, ambiguities = decoded or decode_producibles(sim, rep)
-    report.violations.extend(ambiguities)
-    index = _image_index(images)
+    report, imap = _open("strong", sim, rep, decoded)
     by_pair = {}
     for pa, pb, child in target.edges:
         by_pair.setdefault((pa, pb), set()).add(child)
-
-    ts = sim.tas.tile_set
-    tau = sim.tas.tau
-    decode_memo = {}
+    product_image = {}
 
     def product_images(x_fp, y_fp):
         got = set()
-        for prod in combine(sim.get(x_fp), sim.get(y_fp), ts, tau, sim.by_key()):
-            if prod.fingerprint not in decode_memo:
-                try:
-                    img = decode_supertile(prod, rep)
-                except AmbiguousAlignment:
-                    img = None
-                decode_memo[prod.fingerprint] = (
+        for prod in combine(sim.get(x_fp), sim.get(y_fp), sim.tas.tile_set,
+                            sim.tas.tau, sim.by_key()):
+            if prod.fingerprint not in product_image:
+                img = _decode(prod, rep)[0]
+                product_image[prod.fingerprint] = (
                     img.supertile.fingerprint if img is not None else None)
-            got.add(decode_memo[prod.fingerprint])
-        got.discard(None)
+            got.add(product_image[prod.fingerprint])
         return got
 
-    reach_memo = {}
-
-    def same_image_reach(fp, image_fp):
-        if fp not in reach_memo:
-            reach_memo[fp] = sorted(
-                n for n in _reachable(sim, fp)
-                if images.get(n) is not None
-                and images[n].supertile.fingerprint == image_fp)
-        return reach_memo[fp]
+    def candidate_pairs(a_fp, b_fp, a, b):
+        # the start pair, then every other pair of same-image descendants
+        yield a_fp, b_fp
+        for x_fp in imap.reach(a_fp, a):
+            for y_fp in imap.reach(b_fp, b):
+                if (x_fp, y_fp) != (a_fp, b_fp):
+                    yield x_fp, y_fp
 
     for (a, b), children in sorted((k, sorted(v)) for k, v in by_pair.items()):
-        pre_a = index.get(a, [])
-        pre_b = index.get(b, [])
+        pre_a = imap.preimages.get(a, [])
+        pre_b = imap.preimages.get(b, [])
         if not pre_a or not pre_b:
             report.skipped += 1
             continue
         # each unordered preimage pair once, in the order product meets it
         seen = set()
-        start_pairs = []
-        for pair in product(pre_a, pre_b):
-            key = tuple(sorted(pair))
-            if key not in seen:
-                seen.add(key)
-                start_pairs.append(pair)
-        for a_fp, b_fp in start_pairs:
+        for a_fp, b_fp in product(pre_a, pre_b):
+            if (b_fp, a_fp) in seen:
+                continue
+            seen.add((a_fp, b_fp))
             report.checked += 1
-            achievable = product_images(a_fp, b_fp)
-            missing = [c for c in children if c not in achievable]
-            if missing:
-                for x_fp in same_image_reach(a_fp, a):
-                    for y_fp in same_image_reach(b_fp, b):
-                        if (x_fp, y_fp) == (a_fp, b_fp):
-                            continue
-                        achievable |= product_images(x_fp, y_fp)
-                        missing = [c for c in children if c not in achievable]
-                        if not missing:
-                            break
-                    if not missing:
-                        break
-            for c in missing:
-                report.violations.append({
-                    "kind": "unrealizable-combination",
-                    "target_parents": [a, b],
-                    "target_child": c,
-                    "preimages": [a_fp, b_fp],
-                })
-    _bound_notes(report, sim, target)
-    return report
+            achievable = set()
+            for x_fp, y_fp in candidate_pairs(a_fp, b_fp, a, b):
+                achievable |= product_images(x_fp, y_fp)
+                if achievable.issuperset(children):
+                    break
+            for c in children:
+                if c not in achievable:
+                    report.violations.append({
+                        "kind": "unrealizable-combination",
+                        "target_parents": [a, b],
+                        "target_child": c,
+                        "preimages": [a_fp, b_fp],
+                    })
+    return _bound_notes(report, sim, target)
 
 
 CHECKS = {

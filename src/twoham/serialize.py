@@ -71,8 +71,11 @@ def tas_document(tas: TAS) -> dict:
         "temperature": tas.tau,
         "tiles": [_tile_obj(t) for t in tas.tile_set],
     }
-    default = TAS(tas.tile_set, tas.tau)
-    if tas.supertile_counts() != default.supertile_counts():
+    # TAS has validated and merged the entries, so one singleton per tile,
+    # each of infinite count, is exactly the default state
+    if not (len(tas.initial_state) == len(tas.tile_set)
+            and all(st.size == 1 and count == INFINITE
+                    for st, count in tas.initial_state)):
         doc["initial_state"] = [_state_obj(st, count)
                                 for st, count in tas.initial_state]
     return doc

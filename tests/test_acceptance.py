@@ -392,8 +392,8 @@ def test_criterion_09_enumeration_oracle_and_round_trips():
 def test_criterion_10_under_temperature_probe():
     t0 = time.perf_counter()
     sys2 = build_ladder_system(2)
-    target = explore(sys2.tas, 4)
-    comp = compile_strong(sys2.tas, STRONG2)
+    target = explore(sys2, 4)
+    comp = compile_strong(sys2, STRONG2)
     bound = 2 * max(st.size for st, _ in comp.input_supertiles) + 1
     weakened = explore(comp.simulator_tas(tau=1), bound)
     report = check_follows(weakened, target, comp.rep)

@@ -179,8 +179,8 @@ def test_render_writes_svg(capsys, tmp_path):
 def test_render_rejects_ambiguous_prefix(capsys, tmp_path):
     sys_ = ladders.build_ladder_system(2)
     path = tmp_path / "ladder.json"
-    path.write_text(serialize_tas(sys_.tas))
-    firsts = [st.fingerprint[0] for st, _ in sys_.tas.initial_state]
+    path.write_text(serialize_tas(sys_))
+    firsts = [st.fingerprint[0] for st, _ in sys_.initial_state]
     shared = next(c for c in firsts if firsts.count(c) > 1)
     code, _, err = run(capsys, "render", "--tas", str(path),
                        "--supertile", shared, "--out", str(tmp_path / "x.svg"))
@@ -204,6 +204,21 @@ def test_usage_errors_are_machine_readable(capsys, tmp_path):
                        "--size-bound", "2")
     assert code == 2
     assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+
+
+def test_negative_step_bound_is_rejected(capsys, tmp_path):
+    tas = write_pair(tmp_path)
+    code, out, err = run(capsys, "simulate", "--tas", str(tas),
+                         "--size-bound", "2", "--step-bound", "-1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "BoundTooSmall"
+    assert "step bound" in error["message"]
+    code, out, _ = run(capsys, "simulate", "--tas", str(tas),
+                       "--size-bound", "2", "--step-bound", "0")
+    assert code == 0
+    assert out.startswith("producible supertiles: 2 within size bound 2")
 
 
 def test_compile_accepts_every_method(capsys, tmp_path):
@@ -268,3 +283,125 @@ def test_simulate_listings_are_frozen(capsys, tmp_path):
         assert code == 0 and err == "", name
         got[name] = hashlib.sha256(out.encode()).hexdigest()
     assert got == FROZEN_LISTINGS
+
+
+# SHA-256 of `twoham verify --size-bound 3` stdout, with its exit code:
+# pins every verdict line, count, note and violation record of the four
+# checks on the suite under each compiler
+FROZEN_VERIFY = {
+    "pair/strong2/claimed":
+        (0, "cf7ce44a857db35ffd1f6d581e101c29bce3b12f686876abc1f804052589f2fc"),
+    "pair/strong2/all":
+        (0, "cf7ce44a857db35ffd1f6d581e101c29bce3b12f686876abc1f804052589f2fc"),
+    "pair/strong2/all-literal":
+        (1, "be5a7f1371701f2187b5f82d3578bc987155d9a6c5fd6fdc992d6a73e8e984ce"),
+    "pair/strong1/claimed":
+        (0, "69efec84a4316ecd5996bc68eb0bf12692e4dd5e3be1bd9d06054cf29b95ec2e"),
+    "pair/strong1/all":
+        (0, "69efec84a4316ecd5996bc68eb0bf12692e4dd5e3be1bd9d06054cf29b95ec2e"),
+    "pair/strong1/all-literal":
+        (1, "4dd030a6271fd752eed0cdc093b465ece9e2d4a390830e351533070ec245e9e4"),
+    "pair/weak1/claimed":
+        (0, "34906d0f6d43b78d63ca352ec0cb72e18d2f51765b2b0bb090b78bef865b42a6"),
+    "pair/weak1/all":
+        (1, "ce52959dde7da318639e8a7f757f9ab0afc5c4af6197fc86d1dd70c61a69b243"),
+    "pair/weak1/all-literal":
+        (1, "a39f3dca6683265df0f5072f30cf2844aa8dee7a3f4d6cc07d4670e2e2117944"),
+    "pair/weak2/claimed":
+        (0, "19a03dbada4d6e1ca9617fde8a4304a8e094b39b705f60b3473ce9d9297ffa3d"),
+    "pair/weak2/all":
+        (1, "6a25ca4ffadd4e2255e5d36390b6c2fa1f230acaf0987bfb4269150f38b4880b"),
+    "pair/weak2/all-literal":
+        (1, "13e8815e32bfe37a95b81c6c10b58b24d24dcb8d1800bf369d45ecc4a4b49807"),
+    "pair/weak3/claimed":
+        (0, "02af4ac9fe51f3e2f4509af2c1258b67618f8fb725c6974f47f291c216e586ff"),
+    "pair/weak3/all":
+        (1, "c75500f61743ff0c3a670433701dc671647023f34a159d652258e4408433cb27"),
+    "pair/weak3/all-literal":
+        (1, "16c634d919dc8810eb6d14974e451520f40abccf6c3b27ef9ef6464f23252497"),
+    "mismatch-square/strong2/claimed":
+        (0, "e3f6d7fa341003040eaee0f4ed9079ce9d0edaf704f440e88070dd296503c5c8"),
+    "mismatch-square/strong2/all":
+        (0, "e3f6d7fa341003040eaee0f4ed9079ce9d0edaf704f440e88070dd296503c5c8"),
+    "mismatch-square/strong2/all-literal":
+        (1, "e7e6921ad110f02c5dec37e329ac84f762d77443b046efde8b8c6c4502fdcef8"),
+    "mismatch-square/strong1/claimed":
+        (0, "2236710e768b278e9a3eed001eb4b1f97004fab750ad399ccbd91bfe7458d388"),
+    "mismatch-square/strong1/all":
+        (0, "2236710e768b278e9a3eed001eb4b1f97004fab750ad399ccbd91bfe7458d388"),
+    "mismatch-square/strong1/all-literal":
+        (1, "2afcc7ef619d7cc50279449f558cffab5c8ff6bd8befb082d7ffb09c5f680c2d"),
+    "mismatch-square/weak1/claimed":
+        (0, "70d21e1c7639e903da8e4a9050e86c22cf9a128528a0478f151664d7146f0681"),
+    "mismatch-square/weak1/all":
+        (1, "f651e99fddf167c376cfba2c23457c0aaef06ce74f0dd4b9a3009113d3de4e3f"),
+    "mismatch-square/weak1/all-literal":
+        (1, "0083774e03eb489165be642fa2f88a4fadd5103abd49ed61d5bf9b75447ed499"),
+    "mismatch-square/weak2/claimed":
+        (0, "fb677307740155af39acedc624655c952b1fbef081ec33f1a3aa89f00918f2ad"),
+    "mismatch-square/weak2/all":
+        (1, "43ee47c4fdec43364a0b691e11c23e59cf1c210afb191232790fcf2df5ff4ccf"),
+    "mismatch-square/weak2/all-literal":
+        (1, "239e35c19c7057ce174abfa787ac5eb7014aa48deb7821f04111e64df252dd29"),
+    "mismatch-square/weak3/claimed":
+        (0, "1155afcadc93510762fd241cdee694c4cb080abdc756511fce294c5bd5cf66e3"),
+    "mismatch-square/weak3/all":
+        (1, "52703ae4af203fc833c0e985516206e0e4c8d2e50c61260517917bfcdec6ebda"),
+    "mismatch-square/weak3/all-literal":
+        (1, "3b4e6902675c517659695d1e314d8c57ce85c76948d61202c639880cd7cf586e"),
+    "seeded-chain/strong2/claimed":
+        (0, "e01bc7213274b334b737262a157b41799c634b3caeb59b63d1f2e973f209d5b5"),
+    "seeded-chain/strong2/all":
+        (0, "e01bc7213274b334b737262a157b41799c634b3caeb59b63d1f2e973f209d5b5"),
+    "seeded-chain/strong2/all-literal":
+        (1, "9678d9307de7df7a7d518e376a2399c157300e5a469ad0dce79d279fa7f60863"),
+    "seeded-chain/strong1/claimed":
+        (0, "b7dc064c313c723d77eabb40c41f73234779a5ed9f82c4cc09b9a2a38de13064"),
+    "seeded-chain/strong1/all":
+        (0, "b7dc064c313c723d77eabb40c41f73234779a5ed9f82c4cc09b9a2a38de13064"),
+    "seeded-chain/strong1/all-literal":
+        (1, "dd49663efc490d3e5c770118a5c0d3e7648e5b47f4c994896374a9b3fa732c1a"),
+    "seeded-chain/weak1/claimed":
+        (0, "56bfc709374551b5e311e05f7a1534c25fa7fed0245839537ca8e29c8bdb4e4b"),
+    "seeded-chain/weak1/all":
+        (1, "e74d63e4ec8d6087dc0516f42c7cf0bcc3a1451ae934398c51ae4927497398f8"),
+    "seeded-chain/weak1/all-literal":
+        (1, "81ae6769835148848fe823dfc7349223b87e72473841b2da560e28cfa03db61f"),
+    "seeded-chain/weak2/claimed":
+        (0, "892da33052998163d53f9e3656b54bd4943378a3a24bcdbba8a2ba150d0087b2"),
+    "seeded-chain/weak2/all":
+        (1, "00b18c1635626e062bb16cb997360ce6aa231a48fbf4427e45affc0e0b9c7f0b"),
+    "seeded-chain/weak2/all-literal":
+        (1, "3d385837675ab01e88faa7d41a88d4a981819dfa328253dd7948eb8453c7f03e"),
+    "seeded-chain/weak3/claimed":
+        (0, "25d70e59d666a134cc5d8364ee99eec7e8c27d1d4a02ad4f6f27581617d8828f"),
+    "seeded-chain/weak3/all":
+        (1, "095b3c7644252e7e3ae4ca2b3d328af2edfba4e1ba580357d7910560eb28e846"),
+    "seeded-chain/weak3/all-literal":
+        (1, "72148b251a85317e10fc832f2816e2332d8262ee8b7baf76835e97b68573880a"),
+}
+
+VERIFY_MODES = {
+    "claimed": [],
+    "all": ["--relation", "all"],
+    "all-literal": ["--relation", "all", "--weak-def", "literal"],
+}
+
+
+def test_verify_outputs_are_frozen(capsys, tmp_path):
+    got = {}
+    for name, tas in suite():
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_tas(tas))
+        for method in ("strong2", "strong1", "weak1", "weak2", "weak3"):
+            compiled = tmp_path / f"{name}.{method}.json"
+            assert run(capsys, "compile", "--tas", str(path), "--method",
+                       method, "--out", str(compiled))[0] == 0
+            for mode, argv in VERIFY_MODES.items():
+                code, out, err = run(capsys, "verify", "--tas", str(path),
+                                     "--compiled", str(compiled),
+                                     "--size-bound", "3", *argv)
+                assert err == "", (name, method, mode)
+                digest = hashlib.sha256(out.encode()).hexdigest()
+                got[f"{name}/{method}/{mode}"] = (code, digest)
+    assert got == FROZEN_VERIFY

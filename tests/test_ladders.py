@@ -161,7 +161,7 @@ def test_witness_sequences_replay():
 
 def test_ladders_appear_in_exploration():
     sys2 = build_ladder_system(2)
-    p = explore(sys2.tas, 7)  # 2h - 1 + 2 tau for h = 2
+    p = explore(sys2, 7)  # 2h - 1 + 2 tau for h = 2
     for side in (LEFT, RIGHT):
         for ladder in enumerate_half_ladders(sys2, 2, side):
             assert ladder.supertile in p
@@ -169,7 +169,7 @@ def test_ladders_appear_in_exploration():
 
 def test_exploration_matches_independent_closure():
     sys2 = build_ladder_system(2)
-    p = explore(sys2.tas, 7)
+    p = explore(sys2, 7)
     seeds = [{(0, 0): t.id} for t in sys2.tile_set]
     want = oracle_closure(seeds, sys2.tile_set, 2, 7)
     got = {canon(s.cells) for s in p.members()}

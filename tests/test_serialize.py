@@ -45,7 +45,7 @@ def test_minimal_document_is_byte_stable():
 
 
 def test_ladder_system_round_trips():
-    tas = ladders.build_ladder_system(2).tas
+    tas = ladders.build_ladder_system(2)
     text = serialize_tas(tas)
     back = parse_tas(text)
     assert back.tau == tas.tau
@@ -65,6 +65,34 @@ def test_explicit_state_round_trips_counts():
     back = parse_tas(serialize_tas(tas))
     assert back.supertile_counts() == tas.supertile_counts()
     assert serialize_tas(back) == serialize_tas(tas)
+
+
+def _pair_singles(a_count=INFINITE):
+    return [(Supertile({(0, 0): "a"}), a_count),
+            (Supertile({(0, 0): "b"}), INFINITE)]
+
+
+@pytest.mark.parametrize("state, printed", [
+    (None, False),
+    (_pair_singles(), False),
+    (_pair_singles()[1:], True),
+    (_pair_singles(a_count=4), True),
+    (_pair_singles() + [(Supertile({(0, 0): "a", (1, 0): "b"}), INFINITE)],
+     True),
+    (_pair_singles()[:1] + [(Supertile({(0, 0): "a", (1, 0): "b"}), INFINITE)],
+     True),
+], ids=["implicit-default", "explicit-default", "singleton-missing",
+        "finite-count", "extra-duple", "duple-for-singleton"])
+def test_initial_state_printed_only_when_not_default(state, printed):
+    ts = TileSet([
+        TileType("a", east=Glue("g", 2)),
+        TileType("b", west=Glue("g", 2)),
+    ])
+    tas = TAS(ts, 2, state)
+    doc = json.loads(serialize_tas(tas))
+    assert ("initial_state" in doc) == printed
+    assert parse_tas(serialize_tas(tas)).supertile_counts() \
+        == tas.supertile_counts()
 
 
 def test_placement_coordinates_are_normalized_on_parse():
