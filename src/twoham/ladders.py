@@ -106,7 +106,7 @@ def mirror(ladder: HalfLadder) -> HalfLadder:
     return HalfLadder(RIGHT, ladder.height, ladder.rung_positions, st)
 
 
-def witness_sequence(sys: TAS, ladder: HalfLadder) -> list:
+def witness_sequence(ladder: HalfLadder) -> list:
     """Single-tile growth order: column bottom-up, then each rung outward.
 
     Returns the list of successive supertiles; every consecutive pair

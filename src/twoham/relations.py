@@ -308,7 +308,9 @@ def check_strongly_models(sim, target, rep, decoded=None):
     by_pair = {}
     for pa, pb, child in target.edges:
         by_pair.setdefault((pa, pb), set()).add(child)
-    product_image = {}
+    # explored members already have their images in the map; only
+    # products beyond the exploration are decoded here
+    product_image = dict(imap.image)
 
     def product_images(x_fp, y_fp):
         got = set()

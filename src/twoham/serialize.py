@@ -4,11 +4,17 @@ Both document kinds serialize canonically: keys sorted, two-space
 indent, integers only, one trailing newline.  Serializing the same
 object twice yields identical bytes, so documents and reports diff
 cleanly.  Validation errors name the offending field by path.
+
+System documents go through json.dumps.  Compiled documents are
+written directly from the compiler output, because with an indent
+json.dumps runs its pure-Python encoder; tests/test_serialize.py pins
+that text to json.dumps of compiled_document byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _escape
 
 from .errors import DanglingTileId, EmptyAssembly, NegativeStrength, SchemaError
 from .model import INFINITE, TAS, Glue, Supertile, TileSet, TileType
@@ -194,8 +200,57 @@ def compiled_document(comp) -> dict:
     }
 
 
+def _array(items, pad) -> str:
+    """A JSON array whose items are rendered one indent level below pad."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+
+
 def serialize_compiled(comp) -> str:
-    return _dumps(compiled_document(comp))
+    """The text of compiled_document(comp), written without building it.
+
+    A compiled document runs to megabytes, and json.dumps with an indent
+    encodes it in pure Python, so the text is put together here from
+    fixed templates instead.  It is byte-identical to
+    _dumps(compiled_document(comp)): keys in sorted order, strings
+    escaped by the C function json.dumps itself uses.
+    """
+    glue_text = {}
+
+    def glue(g):
+        text = glue_text.get(g)
+        if text is None:
+            text = glue_text[g] = (
+                f'{{\n        "label": {_escape(g.label)},\n'
+                f'        "strength": {g.strength}\n      }}')
+        return text
+
+    tiles = [
+        f'    {{\n      "east": {glue(t.east)},\n'
+        f'      "id": {_escape(t.id)},\n'
+        f'      "north": {glue(t.north)},\n'
+        f'      "south": {glue(t.south)},\n'
+        f'      "west": {glue(t.west)}\n    }}'
+        for t in comp.universal_tiles]
+    states = []
+    for st, count in comp.input_supertiles:
+        cells = [f'        {{\n          "tile": {_escape(tid)},\n'
+                 f'          "x": {x},\n          "y": {y}\n        }}'
+                 for (x, y), tid in sorted(st.cells.items())]
+        count = '"inf"' if count == INFINITE else count
+        states.append(f'    {{\n      "count": {count},\n'
+                      f'      "placement": {_array(cells, "      ")}\n    }}')
+    anchors = [f'      [\n        {_escape(uid)},\n        {_escape(tid)}\n      ]'
+               for uid, tid in sorted(comp.anchors.items())]
+    return (f'{{\n  "decoder": {{\n    "anchors": {_array(anchors, "    ")},\n'
+            f'    "kind": "block-anchor"\n  }},\n'
+            f'  "format": "twoham-compiled",\n'
+            f'  "input_supertiles": {_array(states, "  ")},\n'
+            f'  "method": {_escape(comp.variant)},\n'
+            f'  "scale": {comp.m},\n'
+            f'  "temperature": {comp.tau},\n'
+            f'  "universal_tiles": {_array(tiles, "  ")}\n}}\n')
 
 
 def parse_compiled(text: str) -> dict:

@@ -152,7 +152,7 @@ def test_criterion_02_half_ladder_counts():
             for lad in lads:
                 if not is_tau_stable(lad.supertile.cells, sys_.tile_set, tau):
                     problems.append(f"unstable {lad!r}")
-                stages = witness_sequence(sys_, lad)
+                stages = witness_sequence(lad)
                 if stages[-1] != lad.supertile:
                     problems.append(f"witness end {lad!r}")
                 for prev, nxt in zip(stages, stages[1:]):

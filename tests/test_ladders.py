@@ -146,7 +146,7 @@ def test_witness_sequences_replay():
     sys2 = build_ladder_system(2)
     for side in (LEFT, RIGHT):
         ladder = make_half_ladder(sys2, side, 3, (0, 2))
-        stages = witness_sequence(sys2, ladder)
+        stages = witness_sequence(ladder)
         assert stages[0].size == 1
         assert stages[-1] == ladder.supertile
         for prev, nxt in zip(stages, stages[1:]):

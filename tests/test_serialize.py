@@ -6,6 +6,7 @@ import pytest
 from twoham import INFINITE, TAS, Glue, Supertile, TileSet, TileType
 from twoham import ladders, weak
 from twoham.cli import METHODS
+from twoham.compiled import CompiledSimulator
 from twoham.errors import DanglingTileId, NegativeStrength, SchemaError
 from twoham.serialize import (
     compiled_document,
@@ -17,6 +18,7 @@ from twoham.serialize import (
 from twoham.strong import rescale_temperature
 
 from test_acceptance import suite
+from test_cli import square_tas
 
 
 def one_tile_tas():
@@ -271,3 +273,59 @@ def test_compiled_documents_are_frozen():
                 doc = serialize_compiled(METHODS[method](tas))
                 got[name, tau, method] = hashlib.sha256(doc.encode()).hexdigest()
     assert got == FROZEN_COMPILED
+
+
+def canonical(comp):
+    return json.dumps(compiled_document(comp), sort_keys=True, indent=2) + "\n"
+
+
+def compilations():
+    """(name, tau, method, system): the suite under every method at
+    temperatures 2 and 4, and a uniquely glued square.  The 3 x 3 square's
+    strong documents run to 50 MB each, so the strong methods get 2 x 2."""
+    for tau in (2, 4):
+        for name, tas in suite():
+            if tau != tas.tau:
+                tas = rescale_temperature(tas, tau // tas.tau)
+            for method in METHODS:
+                yield name, tau, method, tas
+        for method in METHODS:
+            n = 2 if method.startswith("strong") else 3
+            yield f"square{n}", tau, method, square_tas(n, tau)
+
+
+COMPILATIONS = list(compilations())
+
+
+@pytest.mark.parametrize(
+    "tas, method", [(tas, method) for _, _, method, tas in COMPILATIONS],
+    ids=[f"{name}-t{tau}-{method}" for name, tau, method, _ in COMPILATIONS])
+def test_compiled_text_is_json_canonical_form(tas, method):
+    comp = METHODS[method](tas)
+    assert serialize_compiled(comp) == canonical(comp)
+
+
+ODD = 'q"b\\s\x01c\u00e9\u2603\U0001F600'
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_compiled_text_escapes_as_json_does(method):
+    tas = TAS(TileSet((
+        TileType("A" + ODD, east=Glue("g" + ODD, 2)),
+        TileType("B" + ODD, west=Glue("g" + ODD, 2)),
+    )), 2)
+    comp = METHODS[method](tas)
+    text = serialize_compiled(comp)
+    assert text == canonical(comp)
+    assert "\\u00e9\\u2603\\ud83d\\ude00" in text
+
+
+def test_empty_lists_render_as_json_does():
+    comp = weak.compile_weak(duple_tas(), weak.WEAK1)
+    empty = CompiledSimulator(comp.variant, comp.tau, [], (), comp.m, {},
+                              comp.rep, comp.meta, comp.claims, comp.budget)
+    text = serialize_compiled(empty)
+    assert text == canonical(empty)
+    assert '"anchors": []' in text
+    assert '"input_supertiles": []' in text
+    assert '"universal_tiles": []' in text
