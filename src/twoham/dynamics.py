@@ -24,13 +24,15 @@ class ProducibleSet:
     members whose union stayed within the bound.  ``overflow`` counts the
     member pairs that were set aside unevaluated because their union would
     have exceeded the bound, so callers can tell a true fixed point from a
-    clipped one.
+    clipped one.  ``index`` maps each member to itself, for combine's
+    members argument.
     """
 
     __slots__ = ("tas", "size_bound", "supertiles", "edges", "overflow",
-                 "steps", "complete", "_children", "_by_key")
+                 "steps", "complete", "index", "_children")
 
-    def __init__(self, tas, size_bound, supertiles, edges, overflow, steps, complete):
+    def __init__(self, tas, size_bound, supertiles, edges, overflow, steps,
+                 complete, index):
         self.tas = tas
         self.size_bound = size_bound
         self.supertiles = dict(supertiles)
@@ -38,8 +40,8 @@ class ProducibleSet:
         self.overflow = overflow
         self.steps = steps
         self.complete = complete
+        self.index = index
         self._children = None
-        self._by_key = None
 
     def __contains__(self, s):
         fp = s.fingerprint if isinstance(s, Supertile) else s
@@ -53,15 +55,6 @@ class ProducibleSet:
 
     def get(self, fingerprint):
         return self.supertiles[fingerprint]
-
-    def by_key(self):
-        """Members indexed by Supertile.key, for combine's members argument."""
-        if self._by_key is None:
-            by_key = {}
-            for s in self.supertiles.values():
-                by_key.setdefault(s.key, []).append(s)
-            self._by_key = by_key
-        return self._by_key
 
     def children_of(self, fingerprint):
         if self._children is None:
@@ -90,9 +83,10 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
     it, in processing order.  Every member pair whose union would exceed
     the bound still counts toward ``overflow``.
 
-    Members are also indexed by key and combine gets that index, so a
-    union that duplicates a member is recognized without building its
-    cells or its fingerprint.
+    Members are also kept in a dict mapping each to itself, which combine
+    gets as its members argument, so a union that duplicates a member is
+    found through Supertile equality without building its cells or its
+    fingerprint.
     """
     if size_bound < 1:
         raise BoundTooSmall("size bound must be at least 1")
@@ -101,13 +95,12 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
     rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
     ts, tau = tas.tile_set, tas.tau
     supers = {}
-    by_key = {}
+    index = {}
     for st, _ in tas.initial_state:
         if st.size > size_bound:
             raise BoundTooSmall(
                 f"size bound {size_bound} below initial supertile of {st.size} tiles")
-        supers[st.fingerprint] = st
-        by_key.setdefault(st.key, []).append(st)
+        supers[st.fingerprint] = index[st] = st
     pending = sorted(supers)
     if rng is not None:
         rng.shuffle(pending)
@@ -140,12 +133,11 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
         discovered = []
         for ofp in others:
             lo, hi = (fp, ofp) if fp <= ofp else (ofp, fp)
-            for child in combine(st, supers[ofp], ts, tau, by_key):
+            for child in combine(st, supers[ofp], ts, tau, index):
                 cfp = child.fingerprint
                 edges.add((lo, hi, cfp))
                 if cfp not in supers:
-                    supers[cfp] = child
-                    by_key.setdefault(child.key, []).append(child)
+                    supers[cfp] = index[child] = child
                     discovered.append(cfp)
         for key in keys:
             exposed.setdefault(key, {}).setdefault(st.size, []).append(len(done))
@@ -156,7 +148,7 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
             rng.shuffle(discovered)
         queue.extend(discovered)
     return ProducibleSet(tas, size_bound, supers, edges, overflow, steps,
-                         complete=not queue)
+                         complete=not queue, index=index)
 
 
 def is_terminal(s, p: ProducibleSet) -> bool:
@@ -175,18 +167,14 @@ def is_terminal(s, p: ProducibleSet) -> bool:
     return True
 
 
-def single_step_reachable(a, b, p: ProducibleSet, reflexive=False) -> bool:
-    """Whether one recorded combination turns a into b.
-
-    With reflexive=True this is the length-at-most-one relation, which
-    also accepts a == b.
-    """
+def single_step_reachable(a, b, p: ProducibleSet) -> bool:
+    """Whether one recorded combination turns a into b."""
     fpa = a.fingerprint if isinstance(a, Supertile) else a
     fpb = b.fingerprint if isinstance(b, Supertile) else b
     for fp in (fpa, fpb):
         if fp not in p.supertiles:
             raise NotProducible(f"{fp[:10]} is not in the explored set")
-    return (reflexive and fpa == fpb) or fpb in p.children_of(fpa)
+    return fpb in p.children_of(fpa)
 
 
 class StateMultiset:

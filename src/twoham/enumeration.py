@@ -19,6 +19,7 @@ from .model import DIRECTIONS, NULL_GLUE, OPPOSITE, Glue, TileSet, TileType, int
 
 _SUBSET_CAP = 1 << 16
 _MAX_GLUE_COUNT = 8
+_BIJECTION_CAP = 8
 
 
 class CanonicalTileSet:
@@ -131,7 +132,7 @@ def _bind(a: TileType, b: TileType, d) -> int:
     return interaction(a.glue(d), b.glue(OPPOSITE[d]))
 
 
-def functionally_equivalent(t1: TileSet, t2: TileSet, cap=8) -> bool:
+def functionally_equivalent(t1: TileSet, t2: TileSet) -> bool:
     """Whether some bijection of tile types preserves all binding strengths.
 
     Checks every ordered tile pair on every side; exact strengths must
@@ -143,8 +144,9 @@ def functionally_equivalent(t1: TileSet, t2: TileSet, cap=8) -> bool:
     if len(tiles1) != len(tiles2):
         return False
     n = len(tiles1)
-    if n > cap:
-        raise CapExceeded(f"bijection search over {n} tiles exceeds the cap of {cap}")
+    if n > _BIJECTION_CAP:
+        raise CapExceeded(f"bijection search over {n} tiles exceeds the cap "
+                          f"of {_BIJECTION_CAP}")
     if n == 0:
         return True
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import HeightTooSmall
-from .model import TAS, Glue, Supertile, TileSet, TileType, interface_strength
+from .model import TAS, Glue, Supertile, TileSet, TileType
 
 LEFT = "LEFT"
 RIGHT = "RIGHT"

@@ -16,9 +16,11 @@ A supertile is identified by a Karp-Rabin key over its normalized
 cells, H = sum of w(tile) * X**x * Y**y mod a prime.  The key is
 translation covariant, so a union's key follows from its parents' keys
 in constant time.  Equal keys only nominate an equal supertile: equality
-is always decided cell by cell.  A union builds its cell dict and its
-SHA-1 fingerprint only when first read, so a union that turns out to
-duplicate a known supertile costs neither.
+is always decided cell by cell, and a union still holding its parents
+is compared through them, so a dict keyed by supertiles finds a
+duplicate union without building its cells.  Every supertile builds
+its SHA-1 fingerprint on first read, and a union its cell dict too, so
+a union that turns out to duplicate a known supertile costs neither.
 """
 
 from __future__ import annotations
@@ -177,10 +179,9 @@ class Supertile:
     The placement is shifted so both coordinate minima are 0.  ``key`` is
     the Karp-Rabin key of that shifted form and is the hash; equality
     compares cells exactly, so two supertiles whose keys collide stay
-    distinct.  ``fingerprint`` is the SHA-1 of the sorted cells.  A
-    union's ``cells`` and ``fingerprint`` are slots filled on first read,
-    after which every read is a plain slot read.  Cells must be treated
-    as read-only.
+    distinct.  ``fingerprint`` is the SHA-1 of the sorted cells, and it
+    and a union's ``cells`` are slots filled on first read, after which
+    every read is a plain slot read.  Cells must be treated as read-only.
     """
 
     __slots__ = ("cells", "fingerprint", "key", "size", "width", "height",
@@ -206,7 +207,6 @@ class Supertile:
         for (x, y), t in cells.items():
             key += hash(t) * xp[x] * yp[y]
         self.key = key % _KEY_MOD
-        self.fingerprint = _fingerprint(cells)
         self._seal(None, None)
 
     @classmethod
@@ -255,14 +255,25 @@ class Supertile:
             return fp
         raise AttributeError(name)
 
-    def _union_equals(self, other: Supertile) -> bool:
-        """Whether this union, still holding its parents, has other's cells.
+    @property
+    def sort_key(self):
+        return (self.size, self.fingerprint)
 
-        It reads its parents against other's cells instead of building its
-        own: with sizes equal, both parents inside other is the whole of it.
-        """
+    def __eq__(self, other):
+        if not isinstance(other, Supertile):
+            return NotImplemented
+        if self is other:
+            return True
         if self.key != other.key or self.size != other.size:
             return False
+        # a union still holding its parents reads them against the other's
+        # cells instead of building its own: with sizes equal, both parents
+        # inside the other is the whole of it.  A dict lookup calls
+        # stored == probe, and the probe is the fresh union, so try other.
+        if other._parents is not None:
+            self, other = other, self
+        elif self._parents is None:
+            return self.cells == other.cells
         cells = other.cells
         for p, sx, sy in self._parents:
             if sx or sy:
@@ -273,15 +284,6 @@ class Supertile:
             elif not p.cells.items() <= cells.items():
                 return False
         return True
-
-    @property
-    def sort_key(self):
-        return (self.size, self.fingerprint)
-
-    def __eq__(self, other):
-        if not isinstance(other, Supertile):
-            return NotImplemented
-        return self is other or (self.key == other.key and self.cells == other.cells)
 
     def __hash__(self):
         return self.key
@@ -472,29 +474,15 @@ def combine(a: Supertile, b: Supertile, ts: TileSet, tau: int,
     """The combination set of a and b: deduplicated, fingerprint-sorted.
 
     Both inputs must be tau-stable (see combination_offsets); every
-    producible supertile is.  members, if given, maps a key to the known
-    supertiles with that key, as explore and ProducibleSet.by_key() keep
-    it; it is only read.  A child equal to a known supertile comes back
-    as that object, found by key and confirmed cell by cell without
-    building the child's cells, so only a child new to members and to
-    this call builds its cells and computes its fingerprint.
+    producible supertile is.  members, if given, maps each known
+    supertile to itself, as ProducibleSet.index does; it is only read.
+    A child equal to a member comes back as that member, found by the
+    dict lookup without building the child's cells, so only a child new
+    to members and to this call builds its cells and its fingerprint.
     """
-    if members is None:
-        members = {}
-    found = {}  # key -> distinct children, known supertiles in their place
-    for _, child in combination_offsets(a, b, ts, tau):
-        same = found.setdefault(child.key, [])
-        for s in same:
-            if child._union_equals(s):
-                break
-        else:
-            for m in members.get(child.key, ()):
-                if child._union_equals(m):
-                    child = m
-                    break
-            same.append(child)
-    return sorted((s for same in found.values() for s in same),
-                  key=attrgetter("fingerprint"))
+    known = {} if members is None else members
+    found = {known.get(c, c) for _, c in combination_offsets(a, b, ts, tau)}
+    return sorted(found, key=attrgetter("fingerprint"))
 
 
 def _valid_count(c) -> bool:
@@ -540,6 +528,3 @@ class TAS:
                 raise ValueError(
                     f"initial supertile {st.fingerprint[:10]} is not {tau}-stable")
         self.initial_state = tuple(state)
-
-    def supertile_counts(self) -> dict:
-        return {st.fingerprint: count for st, count in self.initial_state}

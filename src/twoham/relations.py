@@ -315,7 +315,7 @@ def check_strongly_models(sim, target, rep, decoded=None):
     def product_images(x_fp, y_fp):
         got = set()
         for prod in combine(sim.get(x_fp), sim.get(y_fp), sim.tas.tile_set,
-                            sim.tas.tau, sim.by_key()):
+                            sim.tas.tau, sim.index):
             if prod.fingerprint not in product_image:
                 img = _decode(prod, rep)[0]
                 product_image[prod.fingerprint] = (

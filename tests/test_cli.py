@@ -103,6 +103,11 @@ def test_verify_rejects_a_tampered_document(capsys, tmp_path):
     run(capsys, "compile", "--tas", str(tas), "--method", "weak1",
         "--out", str(compiled))
     doc = json.loads(compiled.read_text())
+    # verify compares JSON values, not bytes: a compact copy still passes
+    compiled.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--tas", str(tas),
+                       "--compiled", str(compiled), "--size-bound", "2")
+    assert code == 0 and "result: PASS" in out
     doc["scale"] += 1
     compiled.write_text(json.dumps(doc))
     code, _, err = run(capsys, "verify", "--tas", str(tas),

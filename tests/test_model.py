@@ -344,6 +344,70 @@ def test_union_matches_merged_dict():
     assert min(checked.values()) >= 30 and nested >= 200, (checked, nested)
 
 
+def _cells_unbuilt(st):
+    with pytest.raises(AttributeError):
+        Supertile.cells.__get__(st)
+    return True
+
+
+def _lookups_through_parents(u, s, colliding):
+    """u, a fresh union, against s, its Supertile(merged dict), both ways
+    round and through dict and set lookups, none of which may build u's
+    cells.  With colliding keys u is also held against a same-key
+    supertile that it is not."""
+    assert u == s and _cells_unbuilt(u)
+    assert s == u and _cells_unbuilt(u)
+    assert {s: s}.get(u) is s and _cells_unbuilt(u)
+    assert u in {s} and _cells_unbuilt(u)
+    if not colliding:
+        return
+    tiles = sorted(s.cells.values())
+    row = Supertile({(i, 0): t for i, t in enumerate(tiles)})
+    column = Supertile({(0, i): t for i, t in enumerate(tiles)})
+    other = column if row.cells == s.cells else row
+    assert other.key == u.key and other.size == u.size
+    assert u != other and _cells_unbuilt(u)
+    assert other != u and _cells_unbuilt(u)
+    assert {other: other}.get(u) is None and _cells_unbuilt(u)
+    assert u not in {other} and _cells_unbuilt(u)
+    assert {other: other, s: s}.get(u) is s and _cells_unbuilt(u)
+
+
+def _union_lookups(seed, colliding):
+    """Every child of random stable pairs, and every union of such a
+    child with its first parent, through _lookups_through_parents."""
+    rng = random.Random(seed)
+    checked = 0
+    for tau in (1, 2, 3, 4):
+        pairs = 0
+        while pairs < 400:
+            ts = random_tileset(rng, ntiles=3, max_strength=tau + 1)
+            pa = random_placement(rng, ts, rng.randint(1, 4))
+            pb = random_placement(rng, ts, rng.randint(1, 4))
+            if not oracle_stable(pa, ts, tau) or not oracle_stable(pb, ts, tau):
+                continue
+            pairs += 1
+            a, b = Supertile(pa), Supertile(pb)
+            for offset, child in combination_offsets(a, b, ts, tau):
+                merged = _merged(a, b, offset)
+                # before pairing the child, which builds its cells
+                _lookups_through_parents(child, merged, colliding)
+                checked += 1
+                for off2, grand in combination_offsets(child, a, ts, tau):
+                    _lookups_through_parents(grand, _merged(merged, a, off2),
+                                             colliding)
+                    checked += 1
+    return checked
+
+
+def test_union_equality_reads_parents():
+    assert _union_lookups(2024, colliding=False) >= 300
+
+
+def test_union_equality_reads_parents_under_colliding_keys(colliding_keys):
+    assert _union_lookups(2025, colliding=True) >= 300
+
+
 def test_combine_is_symmetric_and_sized():
     rng = random.Random(3551)
     for _ in range(25):
