@@ -203,15 +203,16 @@ def _cmd_rescale(args) -> int:
 def _find_supertile(tas: TAS, prefix: str):
     initial = [st for st, _ in tas.initial_state]
     hits = [st for st in initial if st.fingerprint.startswith(prefix)]
+    # explore refuses a bound below an initial supertile
+    bound = max([RENDER_BOUND] + [st.size for st in initial])
     if not hits:
-        prod = explore(tas, RENDER_BOUND)
-        hits = [st for st in prod.members()
+        hits = [st for st in explore(tas, bound).members()
                 if st.fingerprint.startswith(prefix)]
     unique = {st.fingerprint: st for st in hits}
     if not unique:
         raise NotProducible(
             f"no supertile with fingerprint prefix {prefix!r} in the initial "
-            f"state or within size bound {RENDER_BOUND}")
+            f"state or within size bound {bound}")
     if len(unique) > 1:
         raise ValueError(
             f"fingerprint prefix {prefix!r} is ambiguous "

@@ -50,14 +50,9 @@ class CompiledSimulator:
         self.claims = tuple(claims)
         self.budget = budget
 
-    def simulator_tas(self, tau=None) -> TAS:
-        """The compiled system as a runnable TAS.
-
-        tau overrides the simulator temperature, which exists so probes can
-        rerun a compilation under a deliberately wrong threshold.
-        """
-        return TAS(self.universal_tiles, self.tau if tau is None else tau,
-                   list(self.input_supertiles))
+    def simulator_tas(self) -> TAS:
+        """The compiled system as a runnable TAS."""
+        return TAS(self.universal_tiles, self.tau, list(self.input_supertiles))
 
     def __repr__(self):
         return (f"<CompiledSimulator {self.variant} m={self.m} "

@@ -144,12 +144,6 @@ class TileSet:
         return tile_id in self._by_id
 
 
-def _cells_of(a) -> dict:
-    if isinstance(a, Supertile):
-        return a.cells
-    return a
-
-
 # Karp-Rabin key basis.  The modulus is the Mersenne prime 2**61 - 1,
 # CPython's own hash modulus, so a key is its own hash.  The rows hold
 # X**i and Y**j mod the modulus and grow on demand.
@@ -187,8 +181,7 @@ class Supertile:
     __slots__ = ("cells", "fingerprint", "key", "size", "width", "height",
                  "_faces_ts", "_faces", "_cols", "_parents")
 
-    def __init__(self, cells):
-        cells = _cells_of(cells)
+    def __init__(self, cells: dict):
         if not cells:
             raise EmptyAssembly("a supertile needs at least one tile")
         xs = [x for x, _ in cells]
@@ -346,13 +339,12 @@ class Supertile:
         return faces
 
 
-def binding_graph(a, ts: TileSet) -> dict:
+def binding_graph(cells: dict, ts: TileSet) -> dict:
     """Weighted adjacency over occupied coordinates.
 
     An edge appears exactly where abutting glues interact; mismatched or
     zero-strength abutments yield no edge and never block anything.
     """
-    cells = _cells_of(a)
     adj = {v: {} for v in cells}
     for (x, y), tid in cells.items():
         t = ts.tile(tid)
@@ -371,12 +363,11 @@ def binding_graph(a, ts: TileSet) -> dict:
     return adj
 
 
-def is_tau_stable(a, ts: TileSet, tau: int) -> bool:
+def is_tau_stable(cells: dict, ts: TileSet, tau: int) -> bool:
     """Connected binding graph whose every cut weighs at least tau.
 
     Singletons are stable for every tau.
     """
-    cells = _cells_of(a)
     if not cells:
         raise EmptyAssembly("stability of an empty assembly is undefined")
     if len(cells) == 1:
@@ -524,7 +515,7 @@ class TAS:
         for st, _ in state:
             for tid in st.cells.values():
                 tile_set.tile(tid)
-            if not is_tau_stable(st, tile_set, tau):
+            if not is_tau_stable(st.cells, tile_set, tau):
                 raise ValueError(
                     f"initial supertile {st.fingerprint[:10]} is not {tau}-stable")
         self.initial_state = tuple(state)

@@ -26,6 +26,12 @@ The weakly-models clause is implemented in two variants selected by
 the step's input, "literal" asks for one with the image of the step's
 output.  The first is the default; the second is kept selectable
 because both readings are in circulation.
+
+All four read the simulator through one representation map, the
+ImageMap that decode_producibles returns: each member decoded once, the
+members behind each image, a memoized reach search, and a memo for the
+products strong builds beyond the exploration.  verify builds it once
+and passes it to every check as decoded.
 """
 
 from __future__ import annotations
@@ -83,54 +89,57 @@ class Report:
         }
 
 
-def _decode(st, rep):
-    """(image, None), image None for junk, or (None, the AmbiguousAlignment)."""
-    try:
-        return decode_supertile(st, rep), None
-    except AmbiguousAlignment as exc:
-        return None, exc
-
-
 def decode_producibles(sim, rep):
-    """Decode every explored simulator supertile once.
-
-    Returns (images, ambiguities): images maps each fingerprint to its
-    DecodedImage or None, and ambiguities lists one "ambiguous-alignment"
-    violation per supertile whose grid alignments disagree (it decodes to
-    None).  Checks take this pair as decoded and put the ambiguities at
-    the head of their violations.
-    """
-    images = {}
-    ambiguities = []
-    for s in sim.members():
-        images[s.fingerprint], exc = _decode(s, rep)
-        if exc is not None:
-            ambiguities.append({
-                "kind": "ambiguous-alignment",
-                "supertile": s.fingerprint,
-                "detail": str(exc),
-            })
-    return images, ambiguities
+    """Decode every explored simulator supertile once: the ImageMap that
+    all four checks take as decoded."""
+    return ImageMap(sim, rep)
 
 
-class _ImageMap:
+class ImageMap:
     """The simulator's members seen through the representation.
 
     ``decoded`` maps each member to its DecodedImage or None, ``image`` to
     its image fingerprint or None (junk), and ``preimages`` maps each
     image fingerprint to the sorted members that decode to it.
+    ``ambiguities`` lists one "ambiguous-alignment" violation per member
+    whose grid alignments disagree (it reads as junk); every check puts
+    them at the head of its violations.
     """
 
-    def __init__(self, sim, decoded):
+    def __init__(self, sim, rep):
         self.sim = sim
-        self.decoded = decoded
-        self.image = {fp: img.supertile.fingerprint if img is not None else None
-                      for fp, img in decoded.items()}
+        self.rep = rep
+        self.decoded = {}
+        self.image = {}
+        self.ambiguities = []
+        for s in sim.members():
+            self.image_of(s)
         self.preimages = {}
         for fp in sorted(self.image):
             if self.image[fp] is not None:
                 self.preimages.setdefault(self.image[fp], []).append(fp)
         self._reach = {}
+
+    def image_of(self, s):
+        """Image fingerprint of s, None for junk; each supertile is decoded
+        once.  A product beyond the exploration enters only ``image``, and
+        one that decodes two ways reads as junk without being recorded."""
+        fp = s.fingerprint
+        if fp not in self.image:
+            try:
+                img = decode_supertile(s, self.rep)
+            except AmbiguousAlignment as exc:
+                img = None
+                if fp in self.sim:
+                    self.ambiguities.append({
+                        "kind": "ambiguous-alignment",
+                        "supertile": fp,
+                        "detail": str(exc),
+                    })
+            if fp in self.sim:
+                self.decoded[fp] = img
+            self.image[fp] = img.supertile.fingerprint if img else None
+        return self.image[fp]
 
     def reach(self, start, image):
         """Sorted members with this image reachable from start by zero or
@@ -151,8 +160,8 @@ class _ImageMap:
 
 def _open(relation, sim, rep, decoded):
     """A Report headed by the ambiguous decodes, and the image map."""
-    images, ambiguities = decoded or decode_producibles(sim, rep)
-    return Report(relation, violations=list(ambiguities)), _ImageMap(sim, images)
+    imap = decoded if decoded is not None else decode_producibles(sim, rep)
+    return Report(relation, violations=list(imap.ambiguities)), imap
 
 
 def _bound_notes(report, sim, target):
@@ -308,20 +317,11 @@ def check_strongly_models(sim, target, rep, decoded=None):
     by_pair = {}
     for pa, pb, child in target.edges:
         by_pair.setdefault((pa, pb), set()).add(child)
-    # explored members already have their images in the map; only
-    # products beyond the exploration are decoded here
-    product_image = dict(imap.image)
 
     def product_images(x_fp, y_fp):
-        got = set()
-        for prod in combine(sim.get(x_fp), sim.get(y_fp), sim.tas.tile_set,
-                            sim.tas.tau, sim.index):
-            if prod.fingerprint not in product_image:
-                img = _decode(prod, rep)[0]
-                product_image[prod.fingerprint] = (
-                    img.supertile.fingerprint if img is not None else None)
-            got.add(product_image[prod.fingerprint])
-        return got
+        return {imap.image_of(prod)
+                for prod in combine(sim.get(x_fp), sim.get(y_fp),
+                                    sim.tas.tile_set, sim.tas.tau, sim.index)}
 
     def candidate_pairs(a_fp, b_fp, a, b):
         # the start pair, then every other pair of same-image descendants

@@ -32,24 +32,24 @@ MARGIN = 12
 TICK_HALF = 5
 
 
-def _tick_offsets(n: int, cell: int):
-    return [round(cell * (i + 1) / (n + 1)) for i in range(n)]
+def _tick_offsets(n: int):
+    return [round(CELL * (i + 1) / (n + 1)) for i in range(n)]
 
 
-def _edge(px: int, py: int, direction: str, cell: int):
+def _edge(px: int, py: int, direction: str):
     # Pixel segment of a cell's edge: start corner plus along-edge step.
     if direction == NORTH:
         return px, py, (1, 0)
     if direction == SOUTH:
-        return px, py + cell, (1, 0)
+        return px, py + CELL, (1, 0)
     if direction == EAST:
-        return px + cell, py, (0, 1)
+        return px + CELL, py, (0, 1)
     return px, py, (0, 1)
 
 
-def _ticks(out, px, py, direction, strength, cell):
-    x0, y0, (ax, ay) = _edge(px, py, direction, cell)
-    for off in _tick_offsets(strength, cell):
+def _ticks(out, px, py, direction, strength):
+    x0, y0, (ax, ay) = _edge(px, py, direction)
+    for off in _tick_offsets(strength):
         cx, cy = x0 + ax * off, y0 + ay * off
         # Ticks run perpendicular to the edge they cross.
         dx, dy = ay * TICK_HALF, ax * TICK_HALF
@@ -58,17 +58,15 @@ def _ticks(out, px, py, direction, strength, cell):
             f' x2="{cx + dx}" y2="{cy + dy}" stroke="#000" stroke-width="2"/>')
 
 
-def render_svg(s: Supertile, ts: TileSet, cell_size: int = CELL,
-               show_ids: bool = True) -> str:
-    cell = cell_size
+def render_svg(s: Supertile, ts: TileSet) -> str:
     cells = s.cells
     maxx = max(x for x, _ in cells)
     maxy = max(y for _, y in cells)
-    width = 2 * MARGIN + (maxx + 1) * cell
-    height = 2 * MARGIN + (maxy + 1) * cell
+    width = 2 * MARGIN + (maxx + 1) * CELL
+    height = 2 * MARGIN + (maxy + 1) * CELL
 
     def corner(x, y):
-        return MARGIN + x * cell, MARGIN + (maxy - y) * cell
+        return MARGIN + x * CELL, MARGIN + (maxy - y) * CELL
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}"'
@@ -78,14 +76,13 @@ def render_svg(s: Supertile, ts: TileSet, cell_size: int = CELL,
     for (x, y) in sorted(cells):
         px, py = corner(x, y)
         out.append(
-            f'  <rect class="cell" x="{px}" y="{py}" width="{cell}"'
-            f' height="{cell}" fill="#f4f4f4" stroke="#333"/>')
-        if show_ids:
-            out.append(
-                f'  <text x="{px + cell // 2}" y="{py + cell // 2}"'
-                f' text-anchor="middle" dominant-baseline="central"'
-                f' font-family="monospace" font-size="{cell // 3}">'
-                f'{escape(cells[(x, y)])}</text>')
+            f'  <rect class="cell" x="{px}" y="{py}" width="{CELL}"'
+            f' height="{CELL}" fill="#f4f4f4" stroke="#333"/>')
+        out.append(
+            f'  <text x="{px + CELL // 2}" y="{py + CELL // 2}"'
+            f' text-anchor="middle" dominant-baseline="central"'
+            f' font-family="monospace" font-size="{CELL // 3}">'
+            f'{escape(cells[(x, y)])}</text>')
     for (x, y) in sorted(cells):
         tile = ts.tile(cells[(x, y)])
         px, py = corner(x, y)
@@ -95,12 +92,12 @@ def render_svg(s: Supertile, ts: TileSet, cell_size: int = CELL,
             if neighbor is None:
                 g = tile.glue(d)
                 if g.strength > 0:
-                    _ticks(out, px, py, d, g.strength, cell)
+                    _ticks(out, px, py, d, g.strength)
             elif d in (NORTH, EAST):
                 # Interior edges are scanned from one side only so each
                 # bond draws exactly once.
                 n = interaction(tile.glue(d), ts.tile(neighbor).glue(OPPOSITE[d]))
                 if n > 0:
-                    _ticks(out, px, py, d, n, cell)
+                    _ticks(out, px, py, d, n)
     out.append("</svg>")
     return "\n".join(out) + "\n"

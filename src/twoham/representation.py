@@ -6,9 +6,10 @@ grids at every offset, or only at the offsets a registered hint function
 proposes (the compilers read blocks at anchor cells and propose exactly
 the offsets that put one on a body corner; see compiled.anchored_rep),
 and succeeds when exactly one grid alignment produces a non-empty
-image.  Distinct non-empty images at two alignments mean the
-supertile cannot be read at all, which is reported loudly rather than
-resolved by preference.
+image.  Each alignment is one pass over the cells: the blocks it yields
+give both the image and, through their keys, the fuzz rule.  Distinct
+non-empty images at two alignments mean the supertile cannot be read at
+all, which is reported loudly rather than resolved by preference.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "blocks_at",
     "decode_supertile",
     "fits_single_block",
-    "is_clean",
 ]
 
 
@@ -87,44 +87,27 @@ class DecodedImage:
     """One successful reading of a simulator supertile.
 
     image maps block coordinates to simulated tile ids and is non-empty;
-    supertile is its canonical translation class.  clean records the fuzz
-    rule: every non-empty source block sits on or orthogonally next to
-    the image domain, or the source occupies a single block.
+    supertile is its canonical translation class.  occupied holds the
+    keys of every non-empty block at this alignment, and clean records
+    the fuzz rule over them: each sits on or orthogonally next to the
+    image domain, or the source occupies a single block.
     """
 
-    __slots__ = ("source", "m", "offset", "image", "supertile", "clean")
+    __slots__ = ("offset", "image", "supertile", "clean")
 
-    def __init__(self, source, m, offset, image):
-        self.source = source
-        self.m = m
+    def __init__(self, offset, image, occupied):
         self.offset = offset
         self.image = image
         self.supertile = Supertile(image)
-        self.clean = is_clean(self)
+        self.clean = len(occupied) <= 1 or all(
+            (bx, by) in image or (bx + 1, by) in image
+            or (bx - 1, by) in image or (bx, by + 1) in image
+            or (bx, by - 1) in image
+            for bx, by in occupied)
 
     def __repr__(self):
         return (f"<DecodedImage {self.supertile.size} tiles at offset "
                 f"{self.offset} clean={self.clean}>")
-
-
-def is_clean(img: DecodedImage) -> bool:
-    """The fuzz rule at the image's alignment: orthogonal overhang only."""
-    ox, oy = img.offset
-    m = img.m
-    occupied = set()
-    for (x, y) in img.source.cells:
-        occupied.add(((x - ox) // m, (y - oy) // m))
-    if len(occupied) <= 1:
-        return True
-    for b in occupied:
-        if b in img.image:
-            continue
-        bx, by = b
-        if ((bx + 1, by) in img.image or (bx - 1, by) in img.image
-                or (bx, by + 1) in img.image or (bx, by - 1) in img.image):
-            continue
-        return False
-    return True
 
 
 def fits_single_block(s: Supertile, m: int) -> bool:
@@ -139,10 +122,9 @@ def decode_supertile(s: Supertile, rep: BlockRepresentation):
     alignments producing the same image are harmless (the lowest offset
     is reported); different images raise AmbiguousAlignment.
     """
-    m = rep.m
     found = None
     for ox, oy in sorted(rep.offsets_for(s)):
-        blocks = blocks_at(s, m, ox, oy)
+        blocks = blocks_at(s, rep.m, ox, oy)
         image = {}
         for key, block in blocks.items():
             tid = rep.decode_block(block)
@@ -150,11 +132,11 @@ def decode_supertile(s: Supertile, rep: BlockRepresentation):
                 image[key] = tid
         if not image:
             continue
-        img = DecodedImage(s, m, (ox, oy), image)
+        img = DecodedImage((ox, oy), image, blocks)
         if found is None:
-            found = (img.supertile.fingerprint, img)
-        elif found[0] != img.supertile.fingerprint:
+            found = img
+        elif found.supertile != img.supertile:
             raise AmbiguousAlignment(
                 f"supertile {s.fingerprint[:10]} decodes to distinct images "
-                f"at offsets {found[1].offset} and {(ox, oy)}")
-    return found[1] if found else None
+                f"at offsets {found.offset} and {(ox, oy)}")
+    return found

@@ -272,9 +272,9 @@ def test_criterion_06_clean_images_and_anchor_lattice():
     unclean = 0
     ambiguous = []
     for name, variant, comp, target, sim in strong_runs + weak_runs:
-        images, found = decode_producibles(sim, comp.rep)
-        ambiguous += found
-        for img in images.values():
+        imap = decode_producibles(sim, comp.rep)
+        ambiguous += imap.ambiguities
+        for img in imap.decoded.values():
             if img is not None:
                 decoded += 1
                 if not img.clean:
@@ -395,7 +395,8 @@ def test_criterion_10_under_temperature_probe():
     target = explore(sys2, 4)
     comp = compile_strong(sys2, STRONG2)
     bound = 2 * max(st.size for st, _ in comp.input_supertiles) + 1
-    weakened = explore(comp.simulator_tas(tau=1), bound)
+    weakened = explore(
+        TAS(comp.universal_tiles, 1, list(comp.input_supertiles)), bound)
     report = check_follows(weakened, target, comp.rep)
     kinds = sorted({v["kind"] for v in report.violations})
     elapsed = time.perf_counter() - t0

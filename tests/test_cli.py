@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from twoham import Glue, INFINITE, Supertile, TAS, TileSet, TileType
+from twoham import Glue, INFINITE, NULL_GLUE, Supertile, TAS, TileSet, TileType
 from twoham import ladders
 from twoham.cli import main
 from twoham.serialize import parse_tas, serialize_tas
@@ -199,6 +199,35 @@ def test_unknown_supertile_is_not_producible(capsys, tmp_path):
                        "--supertile", "ffff", "--out", str(tmp_path / "x.svg"))
     assert code == 2
     assert json.loads(err)["error"]["type"] == "NotProducible"
+
+
+def test_render_searches_past_a_large_seed(capsys, tmp_path):
+    # a 10-tile seed is larger than the render search's size bound of 8;
+    # the search must widen to it instead of refusing to explore
+    line = [TileType(f"l{i}", west=Glue(f"l{i - 1}", 2) if i else NULL_GLUE,
+                     east=Glue(f"l{i}", 2) if i < 9 else NULL_GLUE)
+            for i in range(10)]
+    ts = TileSet(line + [TileType("t0", east=Glue("g", 2)),
+                         TileType("t1", west=Glue("g", 2))])
+    seed = Supertile({(i, 0): f"l{i}" for i in range(10)})
+    path = tmp_path / "seeded.json"
+    path.write_text(serialize_tas(TAS(ts, 2, [
+        (seed, INFINITE),
+        (Supertile({(0, 0): "t0"}), INFINITE),
+        (Supertile({(0, 0): "t1"}), INFINITE)])))
+    out_path = tmp_path / "x.svg"
+    code, _, err = run(capsys, "render", "--tas", str(path),
+                       "--supertile", "ffff", "--out", str(out_path))
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "NotProducible"
+    assert "size bound 10" in error["message"]
+    duple = Supertile({(0, 0): "t0", (1, 0): "t1"})
+    code, out, _ = run(capsys, "render", "--tas", str(path),
+                       "--supertile", duple.fingerprint[:10],
+                       "--out", str(out_path))
+    assert code == 0 and duple.fingerprint in out
+    assert out_path.read_text().count('class="cell"') == 2
 
 
 def test_usage_errors_are_machine_readable(capsys, tmp_path):

@@ -13,6 +13,8 @@ from twoham import (
     fits_single_block,
 )
 
+from oracles import oracle_decode
+
 A_CELLS = {(0, 0): "a0", (1, 0): "a1", (0, 1): "a2", (1, 1): "a3"}
 B_CELLS = {(0, 0): "b0", (1, 0): "b1", (0, 1): "b2", (1, 1): "b3"}
 
@@ -166,3 +168,68 @@ def test_restricting_hook_skips_useless_offsets():
     img = decode_supertile(Supertile(A_CELLS), narrow)
     assert img.supertile.cells == {(0, 0): "A"}
     assert len(probed) == 1
+
+
+def random_decodes(seed, m, count):
+    """Random from_table reps at scale m, each read on supertiles made of
+    its own blocks on a small grid plus fuzz cells; yields (s, rep)."""
+    rng = random.Random(seed)
+    spots = [(i, j) for i in range(m) for j in range(m)]
+    for _ in range(count):
+        table = {}
+        while len(table) < 4:
+            block = rng.sample(spots, rng.randint(1, m * m))
+            table[tuple(sorted((i, j, rng.choice("pqr")) for i, j in block))] = (
+                rng.choice("AB"))
+        entries = list(table)
+        ox, oy = rng.randrange(m), rng.randrange(m)
+        cells = {}
+        for bx, by in rng.sample([(x, y) for x in range(3) for y in range(3)],
+                                 rng.randint(1, 3)):
+            for i, j, t in rng.choice(entries):
+                cells[(ox + m * bx + i, oy + m * by + j)] = t
+        for _ in range(rng.randint(0, 3)):
+            x, y = rng.choice(sorted(cells))
+            dx, dy = rng.choice([(0, 1), (0, -1), (1, 0), (-1, 0)])
+            cells.setdefault((x + dx, y + dy), rng.choice("pqr"))
+        yield Supertile(cells), BlockRepresentation.from_table(m, table)
+
+
+def decodes_match_oracle(seed):
+    """decode_supertile against oracle_decode; returns how many readings
+    were ambiguous, clean with fuzz beside the image, and unclean."""
+    seen = {"ambiguous": 0, "fuzzy": 0, "unclean": 0}
+    for m in (2, 3):
+        for s, rep in random_decodes(seed + m, m, 300):
+            try:
+                expect = oracle_decode(s.cells, m, rep.decode_block)
+            except AmbiguousAlignment:
+                with pytest.raises(AmbiguousAlignment):
+                    decode_supertile(s, rep)
+                seen["ambiguous"] += 1
+                continue
+            got = decode_supertile(s, rep)
+            if expect is None:
+                assert got is None
+                continue
+            offset, image, clean = expect
+            assert (got.offset, got.image, got.clean) == (offset, image, clean)
+            assert got.supertile == Supertile(image)
+            if not clean:
+                seen["unclean"] += 1
+            elif len(blocks_at(s, m, *offset)) > len(image):
+                seen["fuzzy"] += 1
+    return seen
+
+
+def test_one_pass_decode_matches_the_oracle():
+    seen = decodes_match_oracle(7103)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_one_pass_decode_matches_the_oracle_under_colliding_keys(
+        colliding_keys):
+    # every image with the same tiles now has the same key, so two
+    # alignments must be told apart by their cells
+    seen = decodes_match_oracle(7103)
+    assert min(seen.values()) >= 20, seen

@@ -328,7 +328,8 @@ def test_lowering_the_simulator_temperature_breaks_follows():
     assert len(target.supertiles) == 2
     comp = compile_strong(tas)
     bound = sum(st.size for st, _ in comp.input_supertiles)
-    weakened = explore(comp.simulator_tas(tau=1), bound)
+    weakened = explore(
+        TAS(comp.universal_tiles, 1, list(comp.input_supertiles)), bound)
     assert len(weakened.supertiles) == 3
     report = check_follows(weakened, target, comp.rep)
     assert not report.passed
