@@ -318,11 +318,6 @@ def check_strongly_models(sim, target, rep, decoded=None):
     for pa, pb, child in target.edges:
         by_pair.setdefault((pa, pb), set()).add(child)
 
-    def product_images(x_fp, y_fp):
-        return {imap.image_of(prod)
-                for prod in combine(sim.get(x_fp), sim.get(y_fp),
-                                    sim.tas.tile_set, sim.tas.tau, sim.index)}
-
     def candidate_pairs(a_fp, b_fp, a, b):
         # the start pair, then every other pair of same-image descendants
         yield a_fp, b_fp
@@ -346,7 +341,9 @@ def check_strongly_models(sim, target, rep, decoded=None):
             report.checked += 1
             achievable = set()
             for x_fp, y_fp in candidate_pairs(a_fp, b_fp, a, b):
-                achievable |= product_images(x_fp, y_fp)
+                achievable.update(map(imap.image_of, combine(
+                    sim.get(x_fp), sim.get(y_fp), sim.tas.tile_set,
+                    sim.tas.tau, sim.index)))
                 if achievable.issuperset(children):
                     break
             for c in children:
