@@ -13,7 +13,7 @@ from bisect import bisect_right, insort
 from collections import deque
 
 from .errors import BoundTooSmall, NotProducible
-from .model import INFINITE, OPPOSITE, Supertile, combine
+from .model import INFINITE, SeamIndex, Supertile, combine
 
 
 class ProducibleSet:
@@ -25,7 +25,9 @@ class ProducibleSet:
     member pairs that were set aside unevaluated because their union would
     have exceeded the bound, so callers can tell a true fixed point from a
     clipped one.  ``index`` maps each member to itself, for combine's
-    members argument.
+    members argument; explore keeps it and its remaining user is the
+    strong check, whose combine calls get back explored products as the
+    members themselves.
     """
 
     __slots__ = ("tas", "size_bound", "supertiles", "edges", "overflow",
@@ -74,26 +76,27 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
     One step is the full pairing of one supertile against everything
     processed before it (and itself).
 
-    Pairing lemma: a pair in which no open face of one carries the same
-    glue as an opposite open face of the other has no candidate offset
-    (see combination_offsets), so it has no combination.  Processed
-    members are therefore indexed by exposed (direction, glue) and then by
-    size, and a step combines its supertile only with itself and with the
-    members that expose a matching glue and fit within the bound beside
-    it, in processing order.  Every member pair whose union would exceed
-    the bound still counts toward ``overflow``.
+    Processed members sit in a SeamIndex, keyed by exposed (direction,
+    glue) and then by size, with the step's supertile added last so that
+    the self pair comes after every other.  By the seam lemma (see
+    combination_offsets) the seam of a placement is the sum of the glue
+    pairs that abut there, so one pass of the step's open faces over the
+    index sums the seam of every placement against every member that fits
+    within the bound, and only a placement whose seam reaches tau is
+    tested for overlap and built.  A member sharing no glue with the step
+    is never touched.  Every member pair whose union would exceed the
+    bound still counts toward ``overflow``.
 
-    Members are also kept in a dict mapping each to itself, which combine
-    gets as its members argument, so a union that duplicates a member is
-    found through Supertile equality without building its cells or its
-    fingerprint.
+    Members are also kept in a dict mapping each to itself, so a union
+    that duplicates a member is found through Supertile equality without
+    building its cells or its fingerprint.
     """
     if size_bound < 1:
         raise BoundTooSmall("size bound must be at least 1")
     if step_bound is not None and step_bound < 0:
         raise BoundTooSmall("step bound must be at least 0")
     rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
-    ts, tau = tas.tile_set, tas.tau
+    tau = tas.tau
     supers = {}
     index = {}
     for st, _ in tas.initial_state:
@@ -105,9 +108,8 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
     if rng is not None:
         rng.shuffle(pending)
     queue = deque(pending)
-    done = []
-    done_sizes = []
-    exposed = {}  # (direction, glue) -> size -> positions in done
+    seams = SeamIndex(tas.tile_set)
+    sizes = []
     edges = set()
     overflow = 0
     steps = 0
@@ -118,31 +120,18 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
         fp = queue.popleft()
         st = supers[fp]
         room = size_bound - st.size
-        overflow += len(done_sizes) - bisect_right(done_sizes, room)
-        keys = [(d, g) for d, by_glue in st.faces(ts).items() for g in by_glue]
-        partners = set()
-        for d, g in keys:
-            for size, positions in exposed.get((OPPOSITE[d], g), {}).items():
-                if size <= room:
-                    partners.update(positions)
-        others = [done[i] for i in sorted(partners)]
-        if st.size <= room:
-            others.append(fp)
-        else:
-            overflow += 1
+        seams.add(st)
+        insort(sizes, st.size)
+        overflow += len(sizes) - bisect_right(sizes, room)
         discovered = []
-        for ofp in others:
+        for other, _, child in seams.unions(st, room, tau):
+            ofp = other.fingerprint
             lo, hi = (fp, ofp) if fp <= ofp else (ofp, fp)
-            for child in combine(st, supers[ofp], ts, tau, index):
-                cfp = child.fingerprint
-                edges.add((lo, hi, cfp))
-                if cfp not in supers:
-                    supers[cfp] = index[child] = child
-                    discovered.append(cfp)
-        for key in keys:
-            exposed.setdefault(key, {}).setdefault(st.size, []).append(len(done))
-        done.append(fp)
-        insort(done_sizes, st.size)
+            member = index.setdefault(child, child)
+            if member is child:
+                supers[child.fingerprint] = child
+                discovered.append(child.fingerprint)
+            edges.add((lo, hi, member.fingerprint))
         discovered.sort()
         if rng is not None:
             rng.shuffle(discovered)

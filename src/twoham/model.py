@@ -378,10 +378,12 @@ def is_tau_stable(cells: dict, ts: TileSet, tau: int) -> bool:
 def interface_strength(a: Supertile, b: Supertile, ts: TileSet, offset) -> int:
     """Total interaction strength across the seam when b sits at offset.
 
-    b must not overlap a.  An interaction pairs an open face of b with an
-    open face of a carrying the same positive glue, so the sum runs over
-    b's positive open faces whose glue a shows on an opposite open face;
-    that keeps the cost proportional to the seam rather than to b's area.
+    b must not overlap a.  This is the model's definition of the seam,
+    kept as the oracle for the pass in SeamIndex.seams; the library
+    itself never calls it.  An interaction pairs an open face of b with
+    an open face of a carrying the same positive glue, so the sum runs
+    over b's positive open faces whose glue a shows on an opposite open
+    face.
     """
     ox, oy = offset
     acells = a.cells
@@ -426,38 +428,97 @@ def _disjoint_at(a: Supertile, b: Supertile, ox: int, oy: int) -> bool:
     return True
 
 
+class SeamIndex:
+    """Supertiles in insertion order, their open faces indexed by
+    (direction, glue) and then by size for the seam pass of seams().
+    """
+
+    __slots__ = ("ts", "members", "_faces")
+
+    def __init__(self, ts: TileSet):
+        self.ts = ts
+        self.members = []
+        self._faces = {}  # (direction, glue) -> size -> [(position, coords)]
+
+    def add(self, st: Supertile):
+        position = len(self.members)
+        self.members.append(st)
+        for d, by_glue in st.faces(self.ts).items():
+            for g, coords in by_glue.items():
+                self._faces.setdefault((d, g), {}).setdefault(
+                    st.size, []).append((position, coords))
+
+    def seams(self, a: Supertile, room: int) -> dict:
+        """Seam strength keyed by (position, ox, oy) of a against every
+        member of at most room tiles placed at (ox, oy), summed in one
+        pass over a's open faces against the index (see
+        combination_offsets).  A placement no glue pair reaches is absent
+        and has seam 0; an overlapping placement may appear and means
+        nothing.
+        """
+        seam = {}
+        get = seam.get
+        index = self._faces
+        for d, by_glue in a.faces(self.ts).items():
+            dx, dy = OFFSET[d]
+            opp = OPPOSITE[d]
+            for g, coords in by_glue.items():
+                by_size = index.get((opp, g))
+                if by_size is None:
+                    continue
+                s = g.strength
+                facing = [(x + dx, y + dy) for x, y in coords]
+                for size, entries in by_size.items():
+                    if size > room:
+                        continue
+                    for p, bcoords in entries:
+                        for ax, ay in facing:
+                            for bx, by in bcoords:
+                                k = (p, ax - bx, ay - by)
+                                seam[k] = get(k, 0) + s
+        return seam
+
+    def unions(self, a: Supertile, room: int, tau: int) -> list:
+        """(member, offset, union) for every stable union of a with a
+        member of at most room tiles placed at offset.
+
+        Members come in insertion order and each member's offsets in
+        sorted order.  Only a seam of at least tau gets the overlap test
+        and a union.
+        """
+        out = []
+        members = self.members
+        seam = self.seams(a, room)
+        for p, ox, oy in sorted(k for k, w in seam.items() if w >= tau):
+            b = members[p]
+            if _disjoint_at(a, b, ox, oy):
+                out.append((b, (ox, oy), Supertile.union(a, b, (ox, oy), self.ts)))
+        return out
+
+
 def combination_offsets(a: Supertile, b: Supertile, ts: TileSet, tau: int):
     """Every placement of b against a that yields a stable union.
 
     Precondition: a and b are both tau-stable.  Returns (offset, child)
-    pairs in deterministic offset order.  Candidate offsets are exactly
-    those aligning a positive glue of a with a matching open face of b;
-    any other offset leaves the union disconnected.  Under the
-    precondition the union is stable iff the seam weighs at least tau: a
-    cut either splits a or b, severing at least tau inside it, or is
-    exactly the seam.  So no cut check runs on the union.
+    pairs in sorted offset order.  Under the precondition the union is
+    stable iff the seam weighs at least tau: a cut either splits a or b,
+    severing at least tau inside it, or is exactly the seam.  So no cut
+    check runs on the union.
+
+    Seam lemma: with b at offset o and no overlap, the seam strength is
+    the sum of g.strength over every pair (open face of a in direction d
+    carrying g, open face of b in direction opp(d) carrying g) that abuts
+    at o.  A cell of a facing a cell of b is open in a, because b is
+    there and a is not, and likewise for b; and abutting glues interact
+    only when they are equal.  So the seam at every offset can be summed
+    from the face pairs alone, an offset that no pair reaches has seam 0,
+    and filtering on seam >= tau before testing for overlap keeps the
+    same placements as the reverse order.  This is SeamIndex.unions with
+    the single member b, the kernel explore runs against all its members.
     """
-    afaces = a.faces(ts)
-    bfaces = b.faces(ts)
-    offsets = set()
-    for d in DIRECTIONS:
-        dx, dy = OFFSET[d]
-        opp = OPPOSITE[d]
-        for g, acoords in afaces[d].items():
-            bcoords = bfaces[opp].get(g)
-            if not bcoords:
-                continue
-            for ax, ay in acoords:
-                for bx, by in bcoords:
-                    offsets.add((ax + dx - bx, ay + dy - by))
-    out = []
-    for ox, oy in sorted(offsets):
-        if not _disjoint_at(a, b, ox, oy):
-            continue
-        if interface_strength(a, b, ts, (ox, oy)) < tau:
-            continue
-        out.append(((ox, oy), Supertile.union(a, b, (ox, oy), ts)))
-    return out
+    seams = SeamIndex(ts)
+    seams.add(b)
+    return [(offset, child) for _, offset, child in seams.unions(a, b.size, tau)]
 
 
 def combine(a: Supertile, b: Supertile, ts: TileSet, tau: int,

@@ -237,6 +237,37 @@ def test_sha1_once_per_new_member(monkeypatch):
     assert len(unions) > len(p)
 
 
+def test_no_union_below_the_seam_threshold(monkeypatch):
+    """At tau 2 a partner whose only matching glue weighs 1, and one
+    whose glue shares a label but not a strength, get no union built,
+    while two columns meeting on two glues of strength 1 still combine:
+    every union built is a new member."""
+    ts = TileSet([tile("a1", n=("v", 2), e=("c", 1)),
+                  tile("a2", s=("v", 2), e=("c", 1)),
+                  tile("b1", n=("w", 2), w=("c", 1)),
+                  tile("b2", s=("w", 2), w=("c", 1)),
+                  tile("d", w=("c", 2))])
+    tas = TAS(ts, 2)
+    unions = []
+    union = Supertile.union.__func__
+
+    def counting_union(cls, *args):
+        unions.append(1)
+        return union(cls, *args)
+
+    monkeypatch.setattr(Supertile, "union", classmethod(counting_union))
+    p = explore(tas, 4)
+    square = Supertile({(0, 0): "a1", (0, 1): "a2", (1, 0): "b1", (1, 1): "b2"})
+    assert square in p.index and p.complete
+    # a1 and a2, b1 and b2, then the two columns: nothing else binds
+    assert len(p) - len(tas.initial_state) == len(unions) == 3
+    supers, edges, overflow, steps, complete = oracle_explore(tas, 4)
+    assert ({fp: list(st.cells.items()) for fp, st in p.supertiles.items()}
+            == {fp: list(st.cells.items()) for fp, st in supers.items()})
+    assert (p.edges, p.overflow, p.steps, p.complete) == (
+        edges, overflow, steps, complete)
+
+
 def test_explore_confluent_under_shuffles():
     rng = random.Random(515)
     for _ in range(5):

@@ -23,6 +23,8 @@ from twoham import (
     is_tau_stable,
 )
 from twoham.compiled import wire_tiles
+from twoham.dynamics import explore
+from twoham.model import DIRECTIONS, OFFSET, OPPOSITE, SeamIndex
 from twoham.serialize import parse_tas
 from oracles import canon, oracle_combine, oracle_stable
 
@@ -296,6 +298,98 @@ def test_combine_matches_offset_window_oracle():
                 nonempty[tau] += 1
     # the loop must exercise real combinations at every temperature
     assert min(nonempty.values()) >= 4, nonempty
+
+
+def _seam_tileset(rng, tau):
+    """Four tiles whose vertical sides often carry a glue of strength
+    tau, so that stable columns form, and whose horizontal sides often
+    carry a glue "a" of strength ceil(tau / 2), so that columns meet on
+    seams of several weak glues; the other sides draw "a" or "b" at
+    strengths 1 to tau + 1, so equal labels meet at unequal strengths."""
+    def side(vertical):
+        r = rng.random()
+        if r < 0.25:
+            return NULL_GLUE
+        if r < 0.6:
+            return Glue("v", tau) if vertical else Glue("a", (tau + 1) // 2)
+        return Glue(rng.choice("ab"), rng.randint(1, tau + 1))
+
+    return TileSet([TileType(f"t{i}", side(True), side(False), side(True),
+                             side(False)) for i in range(4)])
+
+
+def _abutting(a, b, ts, ox, oy):
+    """(glue of b, facing glue of a) for every cell of b at (ox, oy)
+    that abuts a cell of a."""
+    for (x, y), tid in b.cells.items():
+        for d in DIRECTIONS:
+            dx, dy = OFFSET[d]
+            atid = a.cells.get((x + ox + dx, y + oy + dy))
+            if atid is not None:
+                yield ts.tile(tid).glue(d), ts.tile(atid).glue(OPPOSITE[d])
+
+
+def _seam_pass_against_oracles(seed):
+    """For random pairs of producible supertiles, tau 1 to 4: the seam
+    summed by SeamIndex.seams equals interface_strength at every
+    disjoint offset of the full window, SeamIndex.unions keeps exactly
+    the disjoint offsets whose seam reaches tau, in order, and on pairs
+    of at most 6 tiles together its unions are the offset window
+    oracle's."""
+    rng = random.Random(seed)
+    seen = {"kept": 0, "mixed": 0, "oracle": 0}
+    cooperative = {}
+    for tau in (1, 2, 3, 4):
+        cooperative[tau] = 0
+        for _ in range(60):
+            ts = _seam_tileset(rng, tau)
+            pool = explore(TAS(ts, tau), 4).members()
+            for _ in range(5):
+                a, b = rng.choice(pool), rng.choice(pool)
+                assert oracle_stable(a.cells, ts, tau)
+                assert oracle_stable(b.cells, ts, tau)
+                seams = SeamIndex(ts)
+                seams.add(b)
+                summed = seams.seams(a, b.size)
+                window = [(ox, oy) for ox in range(-b.width, a.width + 1)
+                          for oy in range(-b.height, a.height + 1)]
+                assert {(ox, oy) for _, ox, oy in summed} <= set(window)
+                want = []
+                for ox, oy in window:
+                    if any((x + ox, y + oy) in a.cells for x, y in b.cells):
+                        continue
+                    strength = interface_strength(a, b, ts, (ox, oy))
+                    assert summed.get((0, ox, oy), 0) == strength
+                    glues = list(_abutting(a, b, ts, ox, oy))
+                    seen["mixed"] += any(
+                        gb.label == ga.label and gb.strength != ga.strength
+                        and gb.strength and ga.strength for gb, ga in glues)
+                    if strength >= tau:
+                        want.append((ox, oy))
+                        cooperative[tau] += max(
+                            interaction(gb, ga) for gb, ga in glues) < tau
+                kept = seams.unions(a, b.size, tau)
+                assert [offset for _, offset, _ in kept] == want
+                assert all(member is b for member, _, _ in kept)
+                if a.size + b.size <= 6:  # keep the exhaustive cuts affordable
+                    assert {canon(c.cells) for _, _, c in kept} == oracle_combine(
+                        a.cells, b.cells, ts, tau)
+                    seen["oracle"] += 1
+                seen["kept"] += len(kept)
+    return seen, cooperative
+
+
+def test_seam_pass_matches_interface_strength():
+    seen, cooperative = _seam_pass_against_oracles(4711)
+    assert seen["kept"] >= 600 and min(seen.values()) >= 400, seen
+    # seams of several weak glues at every temperature that has them
+    assert min(cooperative[tau] for tau in (2, 3, 4)) >= 8, cooperative
+
+
+def test_seam_pass_matches_interface_strength_under_colliding_keys(colliding_keys):
+    seen, cooperative = _seam_pass_against_oracles(4712)
+    assert seen["kept"] >= 600 and min(seen.values()) >= 400, seen
+    assert min(cooperative[tau] for tau in (2, 3, 4)) >= 8, cooperative
 
 
 def _merged(a, b, offset):
