@@ -13,59 +13,58 @@ from bisect import bisect_right, insort
 from collections import deque
 
 from .errors import BoundTooSmall, NotProducible
-from .model import INFINITE, SeamIndex, Supertile, combine
+from .model import INFINITE, SeamIndex, Supertile, by_fingerprint, combine
 
 
 class ProducibleSet:
     """Supertiles producible within a size bound, plus the step relation.
 
-    ``edges`` holds (parentA, parentB, child) fingerprint triples with the
-    parents in sorted order; it records every combination discovered among
-    members whose union stayed within the bound.  ``overflow`` counts the
-    member pairs that were set aside unevaluated because their union would
-    have exceeded the bound, so callers can tell a true fixed point from a
-    clipped one.  ``index`` maps each member to itself, for combine's
-    members argument; explore keeps it and its remaining user is the
-    strong check, whose combine calls get back explored products as the
-    members themselves.
+    ``supertiles`` maps each member to itself in discovery order; it is
+    the one member map, looked up by Supertile equality, and what
+    combine's members argument takes.  ``edges`` holds (parentA, parentB,
+    child) member triples with the parents in fingerprint order; it
+    records every combination discovered among members whose union
+    stayed within the bound.  ``overflow`` counts the member pairs that
+    were set aside unevaluated because their union would have exceeded
+    the bound, so callers can tell a true fixed point from a clipped one.
     """
 
     __slots__ = ("tas", "size_bound", "supertiles", "edges", "overflow",
-                 "steps", "complete", "index", "_children")
+                 "steps", "complete", "_children")
 
     def __init__(self, tas, size_bound, supertiles, edges, overflow, steps,
-                 complete, index):
+                 complete):
         self.tas = tas
         self.size_bound = size_bound
-        self.supertiles = dict(supertiles)
-        self.edges = frozenset(edges)
+        self.supertiles = supertiles
+        self.edges = edges
         self.overflow = overflow
         self.steps = steps
         self.complete = complete
-        self.index = index
         self._children = None
 
     def __contains__(self, s):
-        fp = s.fingerprint if isinstance(s, Supertile) else s
-        return fp in self.supertiles
+        return s in self.supertiles
 
     def __len__(self):
         return len(self.supertiles)
 
     def members(self):
-        return sorted(self.supertiles.values(), key=lambda s: s.sort_key)
+        return sorted(self.supertiles, key=lambda s: s.sort_key)
 
-    def get(self, fingerprint):
-        return self.supertiles[fingerprint]
-
-    def children_of(self, fingerprint):
+    def children_of(self, s):
         if self._children is None:
             by_parent = {}
             for pa, pb, child in self.edges:
                 by_parent.setdefault(pa, set()).add(child)
                 by_parent.setdefault(pb, set()).add(child)
             self._children = by_parent
-        return self._children.get(fingerprint, frozenset())
+        return self._children.get(s, frozenset())
+
+
+def _require_member(s, p: ProducibleSet):
+    if s not in p.supertiles:
+        raise NotProducible(f"{s.fingerprint[:10]} is not in the explored set")
 
 
 def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
@@ -87,8 +86,8 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
     is never touched.  Every member pair whose union would exceed the
     bound still counts toward ``overflow``.
 
-    Members are also kept in a dict mapping each to itself, so a union
-    that duplicates a member is found through Supertile equality without
+    Members are kept in a dict mapping each to itself, so a union that
+    duplicates a member is found through Supertile equality without
     building its cells or its fingerprint.
     """
     if size_bound < 1:
@@ -97,14 +96,13 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
         raise BoundTooSmall("step bound must be at least 0")
     rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
     tau = tas.tau
-    supers = {}
-    index = {}
+    members = {}
     for st, _ in tas.initial_state:
         if st.size > size_bound:
             raise BoundTooSmall(
                 f"size bound {size_bound} below initial supertile of {st.size} tiles")
-        supers[st.fingerprint] = index[st] = st
-    pending = sorted(supers)
+        members[st] = st
+    pending = sorted(members, key=by_fingerprint)
     if rng is not None:
         rng.shuffle(pending)
     queue = deque(pending)
@@ -117,53 +115,47 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
         if step_bound is not None and steps >= step_bound:
             break
         steps += 1
-        fp = queue.popleft()
-        st = supers[fp]
+        st = queue.popleft()
+        fp = st.fingerprint
         room = size_bound - st.size
         seams.add(st)
         insort(sizes, st.size)
         overflow += len(sizes) - bisect_right(sizes, room)
         discovered = []
         for other, _, child in seams.unions(st, room, tau):
-            ofp = other.fingerprint
-            lo, hi = (fp, ofp) if fp <= ofp else (ofp, fp)
-            member = index.setdefault(child, child)
+            lo, hi = (st, other) if fp <= other.fingerprint else (other, st)
+            member = members.setdefault(child, child)
             if member is child:
-                supers[child.fingerprint] = child
-                discovered.append(child.fingerprint)
-            edges.add((lo, hi, member.fingerprint))
-        discovered.sort()
+                discovered.append(child)
+            edges.add((lo, hi, member))
+        discovered.sort(key=by_fingerprint)
         if rng is not None:
             rng.shuffle(discovered)
         queue.extend(discovered)
-    return ProducibleSet(tas, size_bound, supers, edges, overflow, steps,
-                         complete=not queue, index=index)
+    return ProducibleSet(tas, size_bound, members, edges, overflow, steps,
+                         complete=not queue)
 
 
 def is_terminal(s, p: ProducibleSet) -> bool:
     """Bounded terminality: s combines with no explored member.
 
-    The verdict is only as strong as the explored set; a supertile can be
-    terminal here yet combine with something beyond the bound.
+    One SeamIndex over the members and one seam pass of s against it, as
+    in explore.  The verdict is only as strong as the explored set; a
+    supertile can be terminal here yet combine with something beyond the
+    bound.
     """
-    fp = s.fingerprint if isinstance(s, Supertile) else s
-    if fp not in p.supertiles:
-        raise NotProducible(f"{fp[:10]} is not in the explored set")
-    st = p.supertiles[fp]
-    for other in p.members():
-        if combine(st, other, p.tas.tile_set, p.tas.tau):
-            return False
-    return True
+    _require_member(s, p)
+    seams = SeamIndex(p.tas.tile_set)
+    for other in p.supertiles:
+        seams.add(other)
+    return not seams.unions(s, INFINITE, p.tas.tau)
 
 
 def single_step_reachable(a, b, p: ProducibleSet) -> bool:
     """Whether one recorded combination turns a into b."""
-    fpa = a.fingerprint if isinstance(a, Supertile) else a
-    fpb = b.fingerprint if isinstance(b, Supertile) else b
-    for fp in (fpa, fpb):
-        if fp not in p.supertiles:
-            raise NotProducible(f"{fp[:10]} is not in the explored set")
-    return fpb in p.children_of(fpa)
+    _require_member(a, p)
+    _require_member(b, p)
+    return b in p.children_of(a)
 
 
 class StateMultiset:

@@ -36,6 +36,14 @@ class HalfLadder:
         return f"<HalfLadder {self.side} h={self.height} rungs={self.rung_positions}>"
 
 
+def _rung_sets(height: int, tau: int) -> list:
+    """All C(height, tau) rung position sets, in lex order."""
+    if height < tau:
+        raise HeightTooSmall(
+            f"height {height} cannot carry {tau} rungs on distinct column tiles")
+    return list(itertools.combinations(range(height), tau))
+
+
 def build_ladder_system(tau: int) -> TAS:
     """Eight tile types; every glue has strength tau except the rung tip."""
     if tau < 2:
@@ -91,11 +99,8 @@ def make_half_ladder(sys: TAS, side, height, rung_positions) -> HalfLadder:
 
 def enumerate_half_ladders(sys: TAS, height: int, side) -> list:
     """All C(height, tau) half-ladders of one side, rung sets in lex order."""
-    if height < sys.tau:
-        raise HeightTooSmall(
-            f"height {height} cannot carry {sys.tau} rungs on distinct column tiles")
     return [make_half_ladder(sys, side, height, rungs)
-            for rungs in itertools.combinations(range(height), sys.tau)]
+            for rungs in _rung_sets(height, sys.tau)]
 
 
 def mirror(ladder: HalfLadder) -> HalfLadder:
@@ -123,16 +128,10 @@ def binding_strength_matrix(height: int, tau: int) -> list:
 
     Entry [i][j] counts the shared rung positions of the i-th left and
     j-th right half-ladder, which equals the glue strength across the
-    seam when their columns are row-aligned.
+    seam when their columns are row-aligned.  Both sides enumerate the
+    same rung sets, so the matrix is read off those alone.
     """
-    sys = build_ladder_system(tau)
-    lefts = enumerate_half_ladders(sys, height, LEFT)
-    rights = enumerate_half_ladders(sys, height, RIGHT)
-    matrix = []
-    for l in lefts:
-        row = []
-        for r in rights:
-            shared = len(set(l.rung_positions) & set(r.rung_positions))
-            row.append(shared)
-        matrix.append(row)
-    return matrix
+    if tau < 2:
+        raise ValueError("the ladder construction needs temperature at least 2")
+    rungs = [set(r) for r in _rung_sets(height, tau)]
+    return [[len(left & right) for right in rungs] for left in rungs]

@@ -167,6 +167,9 @@ def _fingerprint(cells) -> str:
     return hashlib.sha1(repr(sorted(cells.items())).encode()).hexdigest()
 
 
+by_fingerprint = attrgetter("fingerprint")
+
+
 class Supertile:
     """Canonical representative of a translation class of placements.
 
@@ -527,14 +530,15 @@ def combine(a: Supertile, b: Supertile, ts: TileSet, tau: int,
 
     Both inputs must be tau-stable (see combination_offsets); every
     producible supertile is.  members, if given, maps each known
-    supertile to itself, as ProducibleSet.index does; it is only read.
+    supertile to itself, as ProducibleSet.supertiles does; it is only
+    read.
     A child equal to a member comes back as that member, found by the
     dict lookup without building the child's cells, so only a child new
     to members and to this call builds its cells and its fingerprint.
     """
     known = {} if members is None else members
     found = {known.get(c, c) for _, c in combination_offsets(a, b, ts, tau)}
-    return sorted(found, key=attrgetter("fingerprint"))
+    return sorted(found, key=by_fingerprint)
 
 
 def _valid_count(c) -> bool:

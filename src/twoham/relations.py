@@ -28,10 +28,10 @@ output.  The first is the default; the second is kept selectable
 because both readings are in circulation.
 
 All four read the simulator through one representation map, the
-ImageMap that decode_producibles returns: each member decoded once, the
-members behind each image, a memoized reach search, and a memo for the
-products strong builds beyond the exploration.  verify builds it once
-and passes it to every check as decoded.
+ImageMap that decode_producibles returns: each member, and each product
+strong builds beyond the exploration, decoded once, the members behind
+each image, and a memoized reach search.  verify builds it once and
+passes it to every check as decoded.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from itertools import product
 
 from .dynamics import single_step_reachable
 from .errors import AmbiguousAlignment
-from .model import combine
+from .model import by_fingerprint, combine
 from .representation import decode_supertile, fits_single_block
 
 __all__ = [
@@ -98,9 +98,10 @@ def decode_producibles(sim, rep):
 class ImageMap:
     """The simulator's members seen through the representation.
 
-    ``decoded`` maps each member to its DecodedImage or None, ``image`` to
-    its image fingerprint or None (junk), and ``preimages`` maps each
-    image fingerprint to the sorted members that decode to it.
+    ``decoded`` maps each supertile read so far, the members and the
+    products strong builds beyond the exploration alike, to its
+    DecodedImage or None (junk), and ``preimages`` maps each image
+    supertile to the members that decode to it, in fingerprint order.
     ``ambiguities`` lists one "ambiguous-alignment" violation per member
     whose grid alignments disagree (it reads as junk); every check puts
     them at the head of its violations.
@@ -110,40 +111,37 @@ class ImageMap:
         self.sim = sim
         self.rep = rep
         self.decoded = {}
-        self.image = {}
         self.ambiguities = []
         for s in sim.members():
             self.image_of(s)
         self.preimages = {}
-        for fp in sorted(self.image):
-            if self.image[fp] is not None:
-                self.preimages.setdefault(self.image[fp], []).append(fp)
+        for s in sorted(sim.supertiles, key=by_fingerprint):
+            img = self.decoded[s]
+            if img is not None:
+                self.preimages.setdefault(img.supertile, []).append(s)
         self._reach = {}
 
     def image_of(self, s):
-        """Image fingerprint of s, None for junk; each supertile is decoded
-        once.  A product beyond the exploration enters only ``image``, and
-        one that decodes two ways reads as junk without being recorded."""
-        fp = s.fingerprint
-        if fp not in self.image:
+        """Image supertile of s, None for junk; each supertile is decoded
+        once.  A product beyond the exploration that decodes two ways
+        reads as junk without being recorded as an ambiguity."""
+        if s not in self.decoded:
             try:
-                img = decode_supertile(s, self.rep)
+                self.decoded[s] = decode_supertile(s, self.rep)
             except AmbiguousAlignment as exc:
-                img = None
-                if fp in self.sim:
+                self.decoded[s] = None
+                if s in self.sim:
                     self.ambiguities.append({
                         "kind": "ambiguous-alignment",
-                        "supertile": fp,
+                        "supertile": s.fingerprint,
                         "detail": str(exc),
                     })
-            if fp in self.sim:
-                self.decoded[fp] = img
-            self.image[fp] = img.supertile.fingerprint if img else None
-        return self.image[fp]
+        img = self.decoded[s]
+        return img.supertile if img else None
 
     def reach(self, start, image):
-        """Sorted members with this image reachable from start by zero or
-        more explored steps."""
+        """Members with this image reachable from start by zero or more
+        explored steps, in fingerprint order."""
         key = start, image
         if key not in self._reach:
             seen = {start}
@@ -154,7 +152,8 @@ class ImageMap:
                         seen.add(child)
                         queue.append(child)
             self._reach[key] = sorted(
-                fp for fp in seen if self.image.get(fp) == image)
+                (s for s in seen if self.image_of(s) == image),
+                key=by_fingerprint)
         return self._reach[key]
 
 
@@ -175,13 +174,18 @@ def _bound_notes(report, sim, target):
     return report
 
 
+def _by_fingerprints(pair):
+    return pair[0].fingerprint, pair[1].fingerprint
+
+
 def _transitions(prod):
-    """Distinct (parent, child) fingerprint pairs of one-step growth."""
+    """Distinct (parent, child) member pairs of one-step growth, in
+    fingerprint order."""
     pairs = set()
     for pa, pb, child in prod.edges:
         pairs.add((pa, child))
         pairs.add((pb, child))
-    return sorted(pairs)
+    return sorted(pairs, key=_by_fingerprints)
 
 
 def check_equivalent_productions(sim, target, rep, decoded=None):
@@ -194,14 +198,14 @@ def check_equivalent_productions(sim, target, rep, decoded=None):
     """
     report, imap = _open("productions", sim, rep, decoded)
     covered = set()
-    for fp in sorted(imap.decoded):
-        img = imap.decoded[fp]
+    for s in sorted(sim.supertiles, key=by_fingerprint):
+        img = imap.decoded[s]
         report.checked += 1
         if img is None:
-            if not fits_single_block(sim.get(fp), rep.m):
+            if not fits_single_block(s, rep.m):
                 report.violations.append({
                     "kind": "oversized-junk",
-                    "supertile": fp,
+                    "supertile": s.fingerprint,
                 })
             continue
         if img.supertile.size > target.size_bound:
@@ -210,20 +214,20 @@ def check_equivalent_productions(sim, target, rep, decoded=None):
         if not img.clean:
             report.violations.append({
                 "kind": "unclean-image",
-                "supertile": fp,
+                "supertile": s.fingerprint,
                 "image": img.supertile.fingerprint,
             })
-        if img.supertile.fingerprint in target:
-            covered.add(img.supertile.fingerprint)
+        if img.supertile in target:
+            covered.add(img.supertile)
         else:
             report.violations.append({
                 "kind": "extra-image",
-                "supertile": fp,
+                "supertile": s.fingerprint,
                 "image": img.supertile.fingerprint,
             })
     for t in target.members():
         report.checked += 1
-        if t.fingerprint not in covered:
+        if t not in covered:
             report.violations.append({
                 "kind": "missing-image",
                 "image": t.fingerprint,
@@ -240,19 +244,16 @@ def check_follows(sim, target, rep, decoded=None):
     whose images exceed the target bound are boundary skips.
     """
     report, imap = _open("follows", sim, rep, decoded)
-    for parent_fp, child_fp in _transitions(sim):
-        pimg = imap.decoded.get(parent_fp)
-        cimg = imap.decoded.get(child_fp)
-        if pimg is None or cimg is None:
+    for parent, child in _transitions(sim):
+        a = imap.image_of(parent)
+        b = imap.image_of(child)
+        if a is None or b is None:
             report.skipped += 1
             continue
-        if (pimg.supertile.size > target.size_bound
-                or cimg.supertile.size > target.size_bound):
+        if a.size > target.size_bound or b.size > target.size_bound:
             report.boundary += 1
             continue
         report.checked += 1
-        a = pimg.supertile.fingerprint
-        b = cimg.supertile.fingerprint
         if a == b:
             continue
         if a not in target or b not in target:
@@ -263,10 +264,10 @@ def check_follows(sim, target, rep, decoded=None):
             continue
         report.violations.append({
             "kind": kind,
-            "parent": parent_fp,
-            "child": child_fp,
-            "parent_image": a,
-            "child_image": b,
+            "parent": parent.fingerprint,
+            "child": child.fingerprint,
+            "parent_image": a.fingerprint,
+            "child_image": b.fingerprint,
         })
     return _bound_notes(report, sim, target)
 
@@ -290,14 +291,14 @@ def check_weakly_models(sim, target, rep, decoded=None, weak_def="standard"):
         waypoint = a if weak_def == "standard" else b
         for start in preimages:
             report.checked += 1
-            if not any(imap.image.get(c) == b
+            if not any(imap.image_of(c) == b
                        for node in imap.reach(start, waypoint)
                        for c in sim.children_of(node)):
                 report.violations.append({
                     "kind": "unrealizable-step",
-                    "target_parent": a,
-                    "target_child": b,
-                    "preimage": start,
+                    "target_parent": a.fingerprint,
+                    "target_child": b.fingerprint,
+                    "preimage": start.fingerprint,
                 })
     return _bound_notes(report, sim, target)
 
@@ -318,15 +319,16 @@ def check_strongly_models(sim, target, rep, decoded=None):
     for pa, pb, child in target.edges:
         by_pair.setdefault((pa, pb), set()).add(child)
 
-    def candidate_pairs(a_fp, b_fp, a, b):
+    def candidate_pairs(x0, y0, a, b):
         # the start pair, then every other pair of same-image descendants
-        yield a_fp, b_fp
-        for x_fp in imap.reach(a_fp, a):
-            for y_fp in imap.reach(b_fp, b):
-                if (x_fp, y_fp) != (a_fp, b_fp):
-                    yield x_fp, y_fp
+        yield x0, y0
+        for x in imap.reach(x0, a):
+            for y in imap.reach(y0, b):
+                if (x, y) != (x0, y0):
+                    yield x, y
 
-    for (a, b), children in sorted((k, sorted(v)) for k, v in by_pair.items()):
+    for a, b in sorted(by_pair, key=_by_fingerprints):
+        children = sorted(by_pair[a, b], key=by_fingerprint)
         pre_a = imap.preimages.get(a, [])
         pre_b = imap.preimages.get(b, [])
         if not pre_a or not pre_b:
@@ -334,25 +336,24 @@ def check_strongly_models(sim, target, rep, decoded=None):
             continue
         # each unordered preimage pair once, in the order product meets it
         seen = set()
-        for a_fp, b_fp in product(pre_a, pre_b):
-            if (b_fp, a_fp) in seen:
+        for x0, y0 in product(pre_a, pre_b):
+            if (y0, x0) in seen:
                 continue
-            seen.add((a_fp, b_fp))
+            seen.add((x0, y0))
             report.checked += 1
             achievable = set()
-            for x_fp, y_fp in candidate_pairs(a_fp, b_fp, a, b):
+            for x, y in candidate_pairs(x0, y0, a, b):
                 achievable.update(map(imap.image_of, combine(
-                    sim.get(x_fp), sim.get(y_fp), sim.tas.tile_set,
-                    sim.tas.tau, sim.index)))
+                    x, y, sim.tas.tile_set, sim.tas.tau, sim.supertiles)))
                 if achievable.issuperset(children):
                     break
             for c in children:
                 if c not in achievable:
                     report.violations.append({
                         "kind": "unrealizable-combination",
-                        "target_parents": [a, b],
-                        "target_child": c,
-                        "preimages": [a_fp, b_fp],
+                        "target_parents": [a.fingerprint, b.fingerprint],
+                        "target_child": c.fingerprint,
+                        "preimages": [x0.fingerprint, y0.fingerprint],
                     })
     return _bound_notes(report, sim, target)
 

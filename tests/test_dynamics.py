@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,12 @@ from twoham.errors import BoundTooSmall, NotProducible
 from oracles import canon, oracle_closure, oracle_combine, oracle_explore, oracle_stable
 from test_cli import square_tas
 from test_model import random_placement, random_tileset, tile
+
+
+def named_edges(p):
+    """p's edges as fingerprint triples, the way oracle_explore names them."""
+    return {(pa.fingerprint, pb.fingerprint, child.fingerprint)
+            for pa, pb, child in p.edges}
 
 
 def two_tile_system():
@@ -34,7 +41,7 @@ def test_explore_two_tile_system():
     # the one discovered step is recorded with sorted parents
     assert len(p.edges) == 1
     pa, pb, child = next(iter(p.edges))
-    assert pa <= pb and child == ab.fingerprint
+    assert pa.fingerprint <= pb.fingerprint and child == ab
 
 
 def test_explore_rejects_too_small_bound():
@@ -61,6 +68,56 @@ def test_terminality():
     assert is_terminal(ab, p)
     with pytest.raises(NotProducible):
         is_terminal(Supertile({(0, 0): "B", (1, 0): "A"}), p)
+
+
+def columns_system():
+    """Two columns, a1 over a2 and b1 over b2, that meet on two glues of
+    strength 1 at tau 2, and a tile d whose glue shares their label but
+    not their strength."""
+    ts = TileSet([tile("a1", n=("v", 2), e=("c", 1)),
+                  tile("a2", s=("v", 2), e=("c", 1)),
+                  tile("b1", n=("w", 2), w=("c", 1)),
+                  tile("b2", s=("w", 2), w=("c", 1)),
+                  tile("d", w=("c", 2))])
+    return TAS(ts, 2)
+
+
+def _terminality_matches_oracle(seed):
+    """is_terminal, given a fresh copy of each member, against
+    oracle_combine over every member pair: on the two columns, which bind
+    only each other, and on random explorations at tau 1 to 4.  Counts
+    the members that bind nothing, bind some singleton, and bind only
+    larger members."""
+    rng = random.Random(seed)
+    explored = [explore(columns_system(), 4)]
+    for tau in (1, 2, 3, 4):
+        while len(explored) < 1 + 8 * tau:
+            p = explore(_random_system(rng, tau), rng.randint(3, 5))
+            if len(p) <= 30 and len(p) > len(p.tas.initial_state):
+                explored.append(p)  # affordable for the oracle, and growing
+    verdicts = Counter()
+    for p in explored:
+        ts, tau = p.tas.tile_set, p.tas.tau
+        members = p.members()
+        for s in members:
+            partners = [o.size for o in members
+                        if oracle_combine(s.cells, o.cells, ts, tau)]
+            assert is_terminal(Supertile(s.cells), p) == (not partners), tau
+            verdicts["terminal" if not partners else
+                     "singleton" if min(partners) == 1 else "larger"] += 1
+    return verdicts
+
+
+def test_terminality_matches_oracle():
+    verdicts = _terminality_matches_oracle(4141)
+    assert min(verdicts["terminal"], verdicts["singleton"]) >= 40, verdicts
+    assert verdicts["larger"] >= 2, verdicts
+
+
+def test_terminality_matches_oracle_under_colliding_keys(colliding_keys):
+    verdicts = _terminality_matches_oracle(4242)
+    assert min(verdicts["terminal"], verdicts["singleton"]) >= 40, verdicts
+    assert verdicts["larger"] >= 2, verdicts
 
 
 def test_single_step_relation():
@@ -135,9 +192,9 @@ def test_indexed_explore_matches_all_pairs_loop():
                 p = explore(tas, bound, **kwargs)
                 supers, edges, overflow, steps, complete = oracle_explore(
                     tas, bound, **kwargs)
-                assert ({fp: list(st.cells.items()) for fp, st in p.supertiles.items()}
+                assert ({st.fingerprint: list(st.cells.items()) for st in p.supertiles}
                         == {fp: list(st.cells.items()) for fp, st in supers.items()})
-                assert (p.edges, p.overflow, p.steps, p.complete) == (
+                assert (named_edges(p), p.overflow, p.steps, p.complete) == (
                     edges, overflow, steps, complete), (tau, bound, kwargs)
                 seen["clipped"] += not p.complete
             # a complete run sets aside every unordered pair over the bound
@@ -170,7 +227,8 @@ def test_colliding_keys_stay_distinct(colliding_keys):
     assert sorted(canon(s.cells) for s in pairs) == sorted(
         [canon(ab.cells), canon(ba.cells)])
     assert pairs[0].key == pairs[1].key
-    assert len(p.index) == len(p) and all(p.index[s] is s for s in p.members())
+    assert len({canon(s.cells) for s in p.members()}) == len(p)
+    assert all(p.supertiles[s] is s for s in p.members())
 
 
 def test_colliding_keys_match_oracles(colliding_keys):
@@ -200,9 +258,9 @@ def test_colliding_keys_match_oracles(colliding_keys):
             if len(p) > 60:
                 continue  # keep the all-pairs loop affordable
             supers, edges, overflow, steps, complete = oracle_explore(tas, bound)
-            assert ({fp: list(st.cells.items()) for fp, st in p.supertiles.items()}
+            assert ({st.fingerprint: list(st.cells.items()) for st in p.supertiles}
                     == {fp: list(st.cells.items()) for fp, st in supers.items()})
-            assert (p.edges, p.overflow, p.steps, p.complete) == (
+            assert (named_edges(p), p.overflow, p.steps, p.complete) == (
                 edges, overflow, steps, complete), (tau, bound)
             grown += len(p) > len(tas.initial_state)
             crowded += len(p) > len({s.key for s in p.members()})
@@ -242,12 +300,7 @@ def test_no_union_below_the_seam_threshold(monkeypatch):
     whose glue shares a label but not a strength, get no union built,
     while two columns meeting on two glues of strength 1 still combine:
     every union built is a new member."""
-    ts = TileSet([tile("a1", n=("v", 2), e=("c", 1)),
-                  tile("a2", s=("v", 2), e=("c", 1)),
-                  tile("b1", n=("w", 2), w=("c", 1)),
-                  tile("b2", s=("w", 2), w=("c", 1)),
-                  tile("d", w=("c", 2))])
-    tas = TAS(ts, 2)
+    tas = columns_system()
     unions = []
     union = Supertile.union.__func__
 
@@ -258,13 +311,13 @@ def test_no_union_below_the_seam_threshold(monkeypatch):
     monkeypatch.setattr(Supertile, "union", classmethod(counting_union))
     p = explore(tas, 4)
     square = Supertile({(0, 0): "a1", (0, 1): "a2", (1, 0): "b1", (1, 1): "b2"})
-    assert square in p.index and p.complete
+    assert square in p and p.complete
     # a1 and a2, b1 and b2, then the two columns: nothing else binds
     assert len(p) - len(tas.initial_state) == len(unions) == 3
     supers, edges, overflow, steps, complete = oracle_explore(tas, 4)
-    assert ({fp: list(st.cells.items()) for fp, st in p.supertiles.items()}
+    assert ({st.fingerprint: list(st.cells.items()) for st in p.supertiles}
             == {fp: list(st.cells.items()) for fp, st in supers.items()})
-    assert (p.edges, p.overflow, p.steps, p.complete) == (
+    assert (named_edges(p), p.overflow, p.steps, p.complete) == (
         edges, overflow, steps, complete)
 
 
@@ -297,8 +350,8 @@ def test_edges_are_real_combinations():
     tas = TAS(ts, 2)
     p = explore(tas, 4)
     for pa, pb, child in p.edges:
-        products = combine(p.get(pa), p.get(pb), ts, 2)
-        assert p.get(child) in products
+        products = combine(pa, pb, ts, 2)
+        assert child in products
 
 
 def test_state_multiset_replay():

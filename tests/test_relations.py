@@ -11,6 +11,7 @@ check except the strong one.
 import pytest
 
 from twoham import (
+    CHECKS,
     INFINITE,
     TAS,
     BlockRepresentation,
@@ -25,6 +26,8 @@ from twoham import (
     decode_producibles,
     explore,
 )
+from twoham.strong import STRONG2, compile_strong
+from twoham.weak import WEAK1, compile_weak
 
 BLOCK = {(0, 0), (1, 0), (0, 1), (1, 1)}
 
@@ -339,3 +342,43 @@ def test_unclean_image_is_a_violation():
     report = check_equivalent_productions(sim, target, rep)
     assert not report.passed
     assert [v["kind"] for v in report.violations] == ["unclean-image"]
+
+
+def pair_reports():
+    """Every check's Report.to_dict() on the two-tile pair compiled with
+    weak1 and with strong2, and how many simulator members share a key
+    with another."""
+    tas = TAS(TileSet((
+        TileType("a", east=Glue("g", 2)),
+        TileType("b", west=Glue("g", 2)),
+    )), 2)
+    target = explore(tas, 2)
+    reports, shared = {}, 0
+    for variant, comp in ((WEAK1, compile_weak(tas, WEAK1)),
+                          (STRONG2, compile_strong(tas, STRONG2))):
+        sim = explore(comp.simulator_tas(), 2 * comp.budget)
+        decoded = decode_producibles(sim, comp.rep)
+        reports[variant] = {
+            name: check(sim, target, comp.rep, decoded=decoded).to_dict()
+            for name, check in CHECKS.items()}
+        shared += len(sim) - len({s.key for s in sim.members()})
+    return reports, shared
+
+
+@pytest.fixture(scope="module")
+def real_key_reports():
+    # module scope: built before the colliding_keys fixture patches keys
+    return pair_reports()
+
+
+def test_reports_hold_under_colliding_keys(real_key_reports,
+                                           colliding_keys):
+    """Members, images and strong's products are keyed by supertile;
+    with keys colliding one time in three, no two of them merge, so
+    every report, violations included, comes out as with real keys."""
+    want, unshared = real_key_reports
+    got, shared = pair_reports()
+    assert unshared == 0 and shared > 0
+    assert not want[WEAK1]["strong"]["passed"]
+    assert want[WEAK1]["strong"]["violations"]
+    assert got == want

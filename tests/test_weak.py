@@ -200,7 +200,7 @@ def test_equal_strength_glues_keep_their_lanes_apart(variant):
         assert report.passed, (check.__name__, report.violations)
     if variant != WEAK1:
         parked = only(combine(right, gadget(comp, "M", WEST), uts, 2))
-        assert parked.fingerprint in sim.supertiles
+        assert parked in sim.supertiles
 
 
 def test_decoding_ignores_gadgets_and_flags_corruption():
