@@ -78,8 +78,8 @@ def _producible_listing(prod) -> str:
 
 def _edge_listing(prod) -> str:
     lines = [f"combination edges: {len(prod.edges)}"]
-    for pa, pb, child in sorted((pa.fingerprint, pb.fingerprint, c.fingerprint)
-                                for pa, pb, c in prod.edges):
+    for pa, pb, child in sorted((*sorted((pa.fingerprint, pb.fingerprint)),
+                                 c.fingerprint) for pa, pb, c in prod.edges):
         lines.append(f"{pa} + {pb} -> {child}")
     return "\n".join(lines) + "\n"
 

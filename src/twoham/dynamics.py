@@ -21,12 +21,14 @@ class ProducibleSet:
 
     ``supertiles`` maps each member to itself in discovery order; it is
     the one member map, looked up by Supertile equality, and what
-    combine's members argument takes.  ``edges`` holds (parentA, parentB,
-    child) member triples with the parents in fingerprint order; it
-    records every combination discovered among members whose union
-    stayed within the bound.  ``overflow`` counts the member pairs that
-    were set aside unevaluated because their union would have exceeded
-    the bound, so callers can tell a true fixed point from a clipped one.
+    combine's members argument takes.  ``edges`` holds each (parentA,
+    parentB, child) member triple once, as a dict to None in the order
+    explore found them, with the parents in the order explore processed
+    them; it records every combination discovered among members whose
+    union stayed within the bound.  ``overflow`` counts the member pairs
+    that were set aside unevaluated because their union would have
+    exceeded the bound, so callers can tell a true fixed point from a
+    clipped one.  Only members() and a printed listing read fingerprints.
     """
 
     __slots__ = ("tas", "size_bound", "supertiles", "edges", "overflow",
@@ -53,13 +55,14 @@ class ProducibleSet:
         return sorted(self.supertiles, key=lambda s: s.sort_key)
 
     def children_of(self, s):
+        """The children of s, as a dict to None in edge order."""
         if self._children is None:
             by_parent = {}
             for pa, pb, child in self.edges:
-                by_parent.setdefault(pa, set()).add(child)
-                by_parent.setdefault(pb, set()).add(child)
+                by_parent.setdefault(pa, {})[child] = None
+                by_parent.setdefault(pb, {})[child] = None
             self._children = by_parent
-        return self._children.get(s, frozenset())
+        return self._children.get(s, {})
 
 
 def _require_member(s, p: ProducibleSet):
@@ -70,10 +73,21 @@ def _require_member(s, p: ProducibleSet):
 def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
     """Close the initial state under pairwise combination, up to size_bound.
 
-    Deterministic worklist in fingerprint order; shuffle_seed reorders the
-    worklist to exercise confluence, without changing the resulting set.
+    The worklist starts with the initial supertiles in fingerprint order.
     One step is the full pairing of one supertile against everything
-    processed before it (and itself).
+    processed before it (and itself), and the step's new members join the
+    worklist in the order the seam pass finds them: by the processed
+    member's position, then by offset.  Without a step bound that is the
+    whole order.  Under a step bound the clipped set depends on the order,
+    so each step's discoveries are sorted by fingerprint first, which
+    keeps clipped listings stable.  shuffle_seed shuffles the initial
+    worklist and each step's discoveries to exercise confluence.
+
+    Order lemma: without a step bound the worklist runs until it is
+    empty, and every pair of members is tried once, so the members, the
+    edges (up to the order of each pair's parents) and the overflow count
+    are the same in every order.  So a run without a step bound computes
+    no fingerprint beyond those of the initial supertiles.
 
     Processed members sit in a SeamIndex, keyed by exposed (direction,
     glue) and then by size, with the step's supertile added last so that
@@ -88,7 +102,7 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
 
     Members are kept in a dict mapping each to itself, so a union that
     duplicates a member is found through Supertile equality without
-    building its cells or its fingerprint.
+    building its cells.
     """
     if size_bound < 1:
         raise BoundTooSmall("size bound must be at least 1")
@@ -108,7 +122,7 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
     queue = deque(pending)
     seams = SeamIndex(tas.tile_set)
     sizes = []
-    edges = set()
+    edges = {}
     overflow = 0
     steps = 0
     while queue:
@@ -116,19 +130,18 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
             break
         steps += 1
         st = queue.popleft()
-        fp = st.fingerprint
         room = size_bound - st.size
         seams.add(st)
         insort(sizes, st.size)
         overflow += len(sizes) - bisect_right(sizes, room)
         discovered = []
         for other, _, child in seams.unions(st, room, tau):
-            lo, hi = (st, other) if fp <= other.fingerprint else (other, st)
             member = members.setdefault(child, child)
             if member is child:
                 discovered.append(child)
-            edges.add((lo, hi, member))
-        discovered.sort(key=by_fingerprint)
+            edges[other, st, member] = None
+        if step_bound is not None:
+            discovered.sort(key=by_fingerprint)
         if rng is not None:
             rng.shuffle(discovered)
         queue.extend(discovered)

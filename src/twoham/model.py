@@ -369,11 +369,32 @@ def binding_graph(cells: dict, ts: TileSet) -> dict:
 def is_tau_stable(cells: dict, ts: TileSet, tau: int) -> bool:
     """Connected binding graph whose every cut weighs at least tau.
 
-    Singletons are stable for every tau.
+    Singletons are stable for every tau.  An edge of weight >= tau never
+    crosses a cut lighter than tau, so when the heavy edges, read straight
+    off the cells, already join every cell, every cut weighs at least
+    tau; only otherwise is the binding graph built for the cut check.
     """
     if not cells:
         raise EmptyAssembly("stability of an empty assembly is undefined")
     if len(cells) == 1:
+        return True
+    tile = ts.tile
+    start = next(iter(cells))
+    seen = {start}
+    stack = [start]
+    while stack:
+        x, y = v = stack.pop()
+        t = tile(cells[v])
+        for u, g, facing in (((x + 1, y), t.east, "west"),
+                             ((x - 1, y), t.west, "east"),
+                             ((x, y + 1), t.north, "south"),
+                             ((x, y - 1), t.south, "north")):
+            # equal glues of strength >= tau >= 1 interact at full strength
+            if (g.strength >= tau and u not in seen and u in cells
+                    and getattr(tile(cells[u]), facing) == g):
+                seen.add(u)
+                stack.append(u)
+    if len(seen) == len(cells):
         return True
     return mincut.stability_cut_ok(binding_graph(cells, ts), tau)
 
@@ -526,19 +547,20 @@ def combination_offsets(a: Supertile, b: Supertile, ts: TileSet, tau: int):
 
 def combine(a: Supertile, b: Supertile, ts: TileSet, tau: int,
             members=None) -> list:
-    """The combination set of a and b: deduplicated, fingerprint-sorted.
+    """The combination set of a and b: deduplicated, in the sorted order
+    of the first offset that yields each child.
 
     Both inputs must be tau-stable (see combination_offsets); every
     producible supertile is.  members, if given, maps each known
     supertile to itself, as ProducibleSet.supertiles does; it is only
     read.
     A child equal to a member comes back as that member, found by the
-    dict lookup without building the child's cells, so only a child new
-    to members and to this call builds its cells and its fingerprint.
+    dict lookup without building the child's cells.  No fingerprint is
+    computed.
     """
     known = {} if members is None else members
-    found = {known.get(c, c) for _, c in combination_offsets(a, b, ts, tau)}
-    return sorted(found, key=by_fingerprint)
+    return list(dict.fromkeys(
+        known.get(c, c) for _, c in combination_offsets(a, b, ts, tau)))
 
 
 def _valid_count(c) -> bool:

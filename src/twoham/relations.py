@@ -42,7 +42,7 @@ from itertools import product
 
 from .dynamics import single_step_reachable
 from .errors import AmbiguousAlignment
-from .model import by_fingerprint, combine
+from .model import combine
 from .representation import decode_supertile, fits_single_block
 
 __all__ = [
@@ -101,24 +101,30 @@ class ImageMap:
     ``decoded`` maps each supertile read so far, the members and the
     products strong builds beyond the exploration alike, to its
     DecodedImage or None (junk), and ``preimages`` maps each image
-    supertile to the members that decode to it, in fingerprint order.
+    supertile to the members that decode to it, in discovery order.
     ``ambiguities`` lists one "ambiguous-alignment" violation per member
-    whose grid alignments disagree (it reads as junk); every check puts
-    them at the head of its violations.
+    whose grid alignments disagree (it reads as junk), in member listing
+    order; every check puts them at the head of its violations.  Nothing
+    here reads a fingerprint except those records.
     """
 
     def __init__(self, sim, rep):
         self.sim = sim
         self.rep = rep
         self.decoded = {}
-        self.ambiguities = []
-        for s in sim.members():
-            self.image_of(s)
         self.preimages = {}
-        for s in sorted(sim.supertiles, key=by_fingerprint):
-            img = self.decoded[s]
+        self._position = {}
+        self._ambiguous = []
+        for i, s in enumerate(sim.supertiles):
+            self._position[s] = i
+            img = self.image_of(s)
             if img is not None:
-                self.preimages.setdefault(img.supertile, []).append(s)
+                self.preimages.setdefault(img, []).append(s)
+        self._ambiguous.sort(key=lambda found: found[0].sort_key)
+        self.ambiguities = [
+            {"kind": "ambiguous-alignment", "supertile": s.fingerprint,
+             "detail": detail}
+            for s, detail in self._ambiguous]
         self._reach = {}
 
     def image_of(self, s):
@@ -131,17 +137,14 @@ class ImageMap:
             except AmbiguousAlignment as exc:
                 self.decoded[s] = None
                 if s in self.sim:
-                    self.ambiguities.append({
-                        "kind": "ambiguous-alignment",
-                        "supertile": s.fingerprint,
-                        "detail": str(exc),
-                    })
+                    self._ambiguous.append((s, str(exc)))
         img = self.decoded[s]
         return img.supertile if img else None
 
     def reach(self, start, image):
         """Members with this image reachable from start by zero or more
-        explored steps, in fingerprint order."""
+        explored steps, in discovery order: the order steers only how
+        soon strong's search for a pair stops."""
         key = start, image
         if key not in self._reach:
             seen = {start}
@@ -153,7 +156,7 @@ class ImageMap:
                         queue.append(child)
             self._reach[key] = sorted(
                 (s for s in seen if self.image_of(s) == image),
-                key=by_fingerprint)
+                key=self._position.__getitem__)
         return self._reach[key]
 
 
@@ -174,18 +177,17 @@ def _bound_notes(report, sim, target):
     return report
 
 
-def _by_fingerprints(pair):
-    return pair[0].fingerprint, pair[1].fingerprint
+def _by_fields(found, *fields):
+    """Violation records sorted on the fingerprints they print, so that
+    their order never depends on the order the check walked in."""
+    return sorted(found, key=lambda v: [v[f] for f in fields])
 
 
 def _transitions(prod):
-    """Distinct (parent, child) member pairs of one-step growth, in
-    fingerprint order."""
-    pairs = set()
-    for pa, pb, child in prod.edges:
-        pairs.add((pa, child))
-        pairs.add((pb, child))
-    return sorted(pairs, key=_by_fingerprints)
+    """Distinct (parent, child) member pairs of one-step growth, in edge
+    order."""
+    return list(dict.fromkeys(
+        (parent, child) for pa, pb, child in prod.edges for parent in (pa, pb)))
 
 
 def check_equivalent_productions(sim, target, rep, decoded=None):
@@ -198,12 +200,13 @@ def check_equivalent_productions(sim, target, rep, decoded=None):
     """
     report, imap = _open("productions", sim, rep, decoded)
     covered = set()
-    for s in sorted(sim.supertiles, key=by_fingerprint):
+    found = []
+    for s in sim.supertiles:
         img = imap.decoded[s]
         report.checked += 1
         if img is None:
             if not fits_single_block(s, rep.m):
-                report.violations.append({
+                found.append({
                     "kind": "oversized-junk",
                     "supertile": s.fingerprint,
                 })
@@ -212,7 +215,7 @@ def check_equivalent_productions(sim, target, rep, decoded=None):
             report.boundary += 1
             continue
         if not img.clean:
-            report.violations.append({
+            found.append({
                 "kind": "unclean-image",
                 "supertile": s.fingerprint,
                 "image": img.supertile.fingerprint,
@@ -220,11 +223,13 @@ def check_equivalent_productions(sim, target, rep, decoded=None):
         if img.supertile in target:
             covered.add(img.supertile)
         else:
-            report.violations.append({
+            found.append({
                 "kind": "extra-image",
                 "supertile": s.fingerprint,
                 "image": img.supertile.fingerprint,
             })
+    # a stable sort keeps a member's unclean-image ahead of its extra-image
+    report.violations += _by_fields(found, "supertile")
     for t in target.members():
         report.checked += 1
         if t not in covered:
@@ -244,6 +249,7 @@ def check_follows(sim, target, rep, decoded=None):
     whose images exceed the target bound are boundary skips.
     """
     report, imap = _open("follows", sim, rep, decoded)
+    found = []
     for parent, child in _transitions(sim):
         a = imap.image_of(parent)
         b = imap.image_of(child)
@@ -262,13 +268,14 @@ def check_follows(sim, target, rep, decoded=None):
             kind = "unmatched-step"
         else:
             continue
-        report.violations.append({
+        found.append({
             "kind": kind,
             "parent": parent.fingerprint,
             "child": child.fingerprint,
             "parent_image": a.fingerprint,
             "child_image": b.fingerprint,
         })
+    report.violations += _by_fields(found, "parent", "child")
     return _bound_notes(report, sim, target)
 
 
@@ -283,6 +290,7 @@ def check_weakly_models(sim, target, rep, decoded=None, weak_def="standard"):
     if weak_def not in ("standard", "literal"):
         raise ValueError(f"unknown weak_def {weak_def!r}")
     report, imap = _open("weak", sim, rep, decoded)
+    found = []
     for a, b in _transitions(target):
         preimages = imap.preimages.get(a, [])
         if not preimages:
@@ -294,12 +302,14 @@ def check_weakly_models(sim, target, rep, decoded=None, weak_def="standard"):
             if not any(imap.image_of(c) == b
                        for node in imap.reach(start, waypoint)
                        for c in sim.children_of(node)):
-                report.violations.append({
+                found.append({
                     "kind": "unrealizable-step",
                     "target_parent": a.fingerprint,
                     "target_child": b.fingerprint,
                     "preimage": start.fingerprint,
                 })
+    report.violations += _by_fields(
+        found, "target_parent", "target_child", "preimage")
     return _bound_notes(report, sim, target)
 
 
@@ -317,7 +327,7 @@ def check_strongly_models(sim, target, rep, decoded=None):
     report, imap = _open("strong", sim, rep, decoded)
     by_pair = {}
     for pa, pb, child in target.edges:
-        by_pair.setdefault((pa, pb), set()).add(child)
+        by_pair.setdefault((pa, pb), {})[child] = None
 
     def candidate_pairs(x0, y0, a, b):
         # the start pair, then every other pair of same-image descendants
@@ -327,8 +337,8 @@ def check_strongly_models(sim, target, rep, decoded=None):
                 if (x, y) != (x0, y0):
                     yield x, y
 
-    for a, b in sorted(by_pair, key=_by_fingerprints):
-        children = sorted(by_pair[a, b], key=by_fingerprint)
+    found = []
+    for (a, b), children in by_pair.items():
         pre_a = imap.preimages.get(a, [])
         pre_b = imap.preimages.get(b, [])
         if not pre_a or not pre_b:
@@ -349,13 +359,25 @@ def check_strongly_models(sim, target, rep, decoded=None):
                     break
             for c in children:
                 if c not in achievable:
-                    report.violations.append({
-                        "kind": "unrealizable-combination",
-                        "target_parents": [a.fingerprint, b.fingerprint],
-                        "target_child": c.fingerprint,
-                        "preimages": [x0.fingerprint, y0.fingerprint],
-                    })
+                    found.append(_unrealizable(a, x0, b, y0, c))
+    report.violations += _by_fields(
+        found, "target_parents", "preimages", "target_child")
     return _bound_notes(report, sim, target)
+
+
+def _unrealizable(a, x0, b, y0, c):
+    """Strong's violation record.  The verdict is symmetric in the two
+    sides, so each side (target parent, its preimage) is put in
+    fingerprint order: the target parents first, then, for a parent
+    paired with itself, the preimages."""
+    (a, x0), (b, y0) = sorted(
+        ((a.fingerprint, x0.fingerprint), (b.fingerprint, y0.fingerprint)))
+    return {
+        "kind": "unrealizable-combination",
+        "target_parents": [a, b],
+        "target_child": c.fingerprint,
+        "preimages": [x0, y0],
+    }
 
 
 CHECKS = {

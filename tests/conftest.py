@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from twoham import model
@@ -11,3 +13,18 @@ def colliding_keys(monkeypatch):
     for name, value in (("_KEY_MOD", 3), ("_KEY_X", 1), ("_KEY_Y", 1),
                         ("_XP", [1]), ("_YP", [1])):
         monkeypatch.setattr(model, name, value)
+
+
+@pytest.fixture
+def sha1_calls(monkeypatch):
+    """The hex digest of every hashlib.sha1 computed, in call order."""
+    digests = []
+    sha1 = hashlib.sha1
+
+    def counting_sha1(data):
+        h = sha1(data)
+        digests.append(h.hexdigest())
+        return h
+
+    monkeypatch.setattr(hashlib, "sha1", counting_sha1)
+    return digests

@@ -182,8 +182,11 @@ def oracle_closure(seed_cells, ts, tau, size_bound):
 def oracle_explore(tas, size_bound, step_bound=None, shuffle_seed=None):
     """The all-pairs worklist: each step pairs its supertile with every
     processed member and with itself, counting every pair whose union
-    would exceed the bound.  Returns (supertiles, edges, overflow, steps,
-    complete) with supertiles keyed by fingerprint."""
+    would exceed the bound.  New supertiles join the worklist in the
+    order combine finds them, sorted by fingerprint only under a step
+    bound.  Returns (supertiles, edges, overflow, steps, complete) with
+    supertiles keyed by fingerprint and edges as fingerprint triples
+    with the parents sorted."""
     # imported here so that loading the module needs no twoham on the path
     from twoham.model import combine
 
@@ -213,7 +216,8 @@ def oracle_explore(tas, size_bound, step_bound=None, shuffle_seed=None):
                     supers[child.fingerprint] = child
                     discovered.append(child.fingerprint)
         done.append(fp)
-        discovered.sort()
+        if step_bound is not None:
+            discovered.sort()
         if rng is not None:
             rng.shuffle(discovered)
         queue.extend(discovered)

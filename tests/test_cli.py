@@ -6,6 +6,8 @@ import pytest
 from twoham import Glue, INFINITE, NULL_GLUE, Supertile, TAS, TileSet, TileType
 from twoham import ladders
 from twoham.cli import main
+from twoham.dynamics import explore
+from twoham.weak import WEAK1, compile_weak
 from twoham.serialize import parse_tas, serialize_tas
 
 from test_acceptance import TARGET_BOUND, suite
@@ -414,6 +416,32 @@ FROZEN_VERIFY = {
     "seeded-chain/weak3/all-literal":
         (1, "72148b251a85317e10fc832f2816e2332d8262ee8b7baf76835e97b68573880a"),
 }
+
+def test_passing_verify_sha1s_only_initial_supertiles_and_target_members(
+        capsys, tmp_path, sha1_calls):
+    """A verify that passes prints no simulator fingerprint, so it
+    computes none: SHA-1 runs only for the initial supertiles of the
+    source and the simulator, and for the target members the checks
+    list."""
+    tas = dict(suite())["seeded-chain"]
+    comp = compile_weak(tas, WEAK1)
+    sim = explore(comp.simulator_tas(), 3 * comp.budget)
+    allowed = {st.fingerprint for st, _ in tas.initial_state}
+    allowed |= {st.fingerprint for st, _ in comp.simulator_tas().initial_state}
+    allowed |= {s.fingerprint for s in explore(tas, 3).members()}
+    path = tmp_path / "chain.json"
+    path.write_text(serialize_tas(tas))
+    compiled = tmp_path / "chain.weak1.json"
+    assert run(capsys, "compile", "--tas", str(path), "--method", "weak1",
+               "--out", str(compiled))[0] == 0
+    del sha1_calls[:]
+    code, out, err = run(capsys, "verify", "--tas", str(path), "--compiled",
+                         str(compiled), "--size-bound", "3")
+    assert code == 0 and out.endswith("result: PASS\n") and err == ""
+    assert sha1_calls and set(sha1_calls) <= allowed
+    # the simulator grew past its seeds, and none of its growth was hashed
+    assert len(sim) > len(sim.tas.initial_state)
+
 
 VERIFY_MODES = {
     "claimed": [],

@@ -1,12 +1,13 @@
-import hashlib
 import random
 from collections import Counter
 
 import pytest
 
 from twoham import INFINITE, TAS, Glue, Supertile, TileSet, TileType, combine
+from twoham.cli import main
 from twoham.dynamics import ProducibleSet, StateMultiset, explore, is_terminal, single_step_reachable
 from twoham.errors import BoundTooSmall, NotProducible
+from twoham.serialize import serialize_tas
 
 from oracles import canon, oracle_closure, oracle_combine, oracle_explore, oracle_stable
 from test_cli import square_tas
@@ -14,8 +15,9 @@ from test_model import random_placement, random_tileset, tile
 
 
 def named_edges(p):
-    """p's edges as fingerprint triples, the way oracle_explore names them."""
-    return {(pa.fingerprint, pb.fingerprint, child.fingerprint)
+    """p's edges as fingerprint triples with the parents sorted, the way
+    oracle_explore names them."""
+    return {(*sorted((pa.fingerprint, pb.fingerprint)), child.fingerprint)
             for pa, pb, child in p.edges}
 
 
@@ -38,10 +40,10 @@ def test_explore_two_tile_system():
     assert sizes == [1, 1, 2]
     ab = next(s for s in p.members() if s.size == 2)
     assert ab.cells == {(0, 0): "A", (1, 0): "B"}
-    # the one discovered step is recorded with sorted parents
+    # the one discovered step is recorded once, with both parents
     assert len(p.edges) == 1
     pa, pb, child = next(iter(p.edges))
-    assert pa.fingerprint <= pb.fingerprint and child == ab
+    assert {pa.size, pb.size} == {1} and pa != pb and child == ab
 
 
 def test_explore_rejects_too_small_bound():
@@ -269,30 +271,113 @@ def test_colliding_keys_match_oracles(colliding_keys):
     assert crowded >= 10, crowded
 
 
-def test_sha1_once_per_new_member(monkeypatch):
-    """Exploring the uniquely glued 5x5 square at tau 2 and bound 8
-    builds more unions than it finds members, yet computes one SHA-1
-    per member it discovers: duplicates are never fingerprinted."""
-    tas = square_tas(5, 2)
-    sha1_calls, unions = [], []
-    sha1 = hashlib.sha1
+def _count_unions(monkeypatch):
+    unions = []
     union = Supertile.union.__func__
-
-    def counting_sha1(data):
-        sha1_calls.append(1)
-        return sha1(data)
 
     def counting_union(cls, *args):
         unions.append(1)
         return union(cls, *args)
 
-    monkeypatch.setattr(hashlib, "sha1", counting_sha1)
     monkeypatch.setattr(Supertile, "union", classmethod(counting_union))
+    return unions
+
+
+def test_explore_without_a_step_bound_computes_no_sha1(monkeypatch, sha1_calls):
+    """Exploring the uniquely glued 5x5 square at tau 2 and bound 8
+    builds more unions than it finds members, and computes no SHA-1:
+    the worklist runs in discovery order."""
+    tas = square_tas(5, 2)
+    del sha1_calls[:]
+    unions = _count_unions(monkeypatch)
     p = explore(tas, 8)
-    discovered = len(p) - len(tas.initial_state)
     assert len(p) == 631 and p.complete
-    assert len(sha1_calls) == discovered
+    assert sha1_calls == []
     assert len(unions) > len(p)
+
+
+def test_explore_under_a_step_bound_sha1s_each_new_member_once(
+        monkeypatch, sha1_calls):
+    """Under a step bound each step's discoveries are sorted by
+    fingerprint, which costs one SHA-1 per new member and none for a
+    duplicate union."""
+    tas = square_tas(5, 2)
+    del sha1_calls[:]
+    unions = _count_unions(monkeypatch)
+    p = explore(tas, 8, step_bound=10**9)
+    assert len(p) == 631 and p.complete
+    assert len(sha1_calls) == len(p) - len(tas.initial_state)
+    assert len(unions) > len(p)
+
+
+def test_simulate_listing_sha1s_each_member_once(capsys, tmp_path, sha1_calls):
+    """The simulate listing prints every member's fingerprint, and
+    computes each once: the initial ones when the system is read, the
+    rest when the listing is written."""
+    path = tmp_path / "square.json"
+    path.write_text(serialize_tas(square_tas(5, 2)))
+    del sha1_calls[:]
+    assert main(["simulate", "--tas", str(path), "--size-bound", "8"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if " size=" in line]
+    assert len(listed) == 631
+    assert sorted(sha1_calls) == sorted(listed)
+
+
+def _seeded_system(rng, tau):
+    """Three random tiles, the first two also sharing a glue of strength
+    tau on east and west; the seed holds that stable pair and, half the
+    time, the singletons too."""
+    ts = random_tileset(rng, ntiles=3, max_strength=tau + 1)
+    strong = Glue("z", tau)
+    a, b, c = ts.tiles
+    ts = TileSet([TileType(a.id, a.north, strong, a.south, a.west),
+                  TileType(b.id, b.north, b.east, b.south, strong), c])
+    state = [(Supertile({(0, 0): a.id, (1, 0): b.id}), INFINITE)]
+    if rng.random() < 0.5:
+        state += [(Supertile({(0, 0): t.id}), INFINITE) for t in ts]
+    return TAS(ts, tau, state)
+
+
+def _order_lemma_holds(seed):
+    """Without a step bound, explore's order changes nothing it returns:
+    plain, under a step bound that never bites, and under five shuffles,
+    the members, the edges (parents unordered), the overflow count and
+    completeness agree, tau 1 to 4.  Counts the systems that grew from a
+    seed holding a non-singleton."""
+    rng = random.Random(seed)
+    grown = Counter()
+    for tau in (1, 2, 3, 4):
+        for _ in range(1000):
+            if grown[tau] >= 6:
+                break
+            tas = (_seeded_system if rng.random() < 0.5 else _random_system)(
+                rng, tau)
+            bound = rng.randint(3, 5)
+            base = explore(tas, bound)
+            if len(base) > 40:
+                continue  # seven explorations each; keep them cheap
+            runs = [explore(tas, bound, step_bound=10**9)]
+            runs += [explore(tas, bound, shuffle_seed=k) for k in range(1, 6)]
+            for p in runs:
+                assert ({s.fingerprint for s in p.supertiles}
+                        == {s.fingerprint for s in base.supertiles}), tau
+                assert named_edges(p) == named_edges(base), tau
+                assert len(p.edges) == len(base.edges), tau
+                assert (p.overflow, p.complete) == (base.overflow, True), tau
+            seeded = any(st.size > 1 for st, _ in tas.initial_state)
+            grown[tau] += seeded and len(base) > len(tas.initial_state)
+    return grown
+
+
+def test_explore_order_lemma():
+    grown = _order_lemma_holds(1414)
+    assert min(grown[tau] for tau in (1, 2, 3, 4)) >= 6, grown
+
+
+def test_explore_order_lemma_under_colliding_keys(colliding_keys):
+    grown = _order_lemma_holds(1515)
+    assert min(grown[tau] for tau in (1, 2, 3, 4)) >= 6, grown
 
 
 def test_no_union_below_the_seam_threshold(monkeypatch):
@@ -331,7 +416,8 @@ def test_explore_confluent_under_shuffles():
         for seed in (1, 2, 3):
             assert set(explore(tas, 4, shuffle_seed=seed).supertiles) == fps
         if base.complete:
-            assert set(explore(tas, 4, shuffle_seed=9).edges) == set(base.edges)
+            assert (named_edges(explore(tas, 4, shuffle_seed=9))
+                    == named_edges(base))
 
 
 def test_explore_monotone_in_bound():

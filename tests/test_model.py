@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,6 +23,7 @@ from twoham import (
     interface_strength,
     is_tau_stable,
 )
+from twoham import mincut
 from twoham.compiled import wire_tiles
 from twoham.dynamics import explore
 from twoham.model import DIRECTIONS, OFFSET, OPPOSITE, SeamIndex
@@ -201,6 +203,67 @@ def test_stability_matches_exhaustive_oracle():
                 if is_tau_stable(cells, ts, tau) != oracle_stable(cells, ts, tau):
                     disagreements += 1
     assert disagreements == 0
+
+
+def glued_shape(rng, tau):
+    """A 2x2 to 4x3 rectangle less up to two cells, one tile type per
+    cell.  Each abutment gets one label and a glue pair that is absent,
+    light (equal strengths below tau), heavy (equal, tau or tau + 1) or
+    mismatched (unequal strengths, one of them at least tau)."""
+    shape = [(x, y) for x in range(rng.randint(2, 4))
+             for y in range(rng.randint(2, 3))]
+    rng.shuffle(shape)
+    shape = sorted(shape[rng.randint(0, 2):])
+    sides = {xy: {} for xy in shape}
+    for k, (x, y) in enumerate(shape):
+        for (dx, dy), (mine, theirs) in (((1, 0), ("east", "west")),
+                                         ((0, 1), ("north", "south"))):
+            nb = (x + dx, y + dy)
+            kind = rng.choice(("none", "mismatch") + ("light",) * 3
+                              + ("heavy",) * 4)
+            if nb not in sides or kind == "none" or (kind == "light" and tau == 1):
+                continue
+            if kind == "light":  # mostly tau/2 and up, so light cuts can hold
+                ws = [rng.choice(range(1, tau) if rng.random() < 0.3
+                                 else range(tau // 2 or 1, tau))] * 2
+            elif kind == "heavy":
+                ws = [rng.choice((tau, tau + 1))] * 2
+            else:
+                w = rng.choice((tau, tau + 1))
+                ws = [w, rng.choice([v for v in range(1, tau + 3) if v != w])]
+                rng.shuffle(ws)
+            sides[(x, y)][mine] = Glue(f"e{k}{mine}", ws[0])
+            sides[nb][theirs] = Glue(f"e{k}{mine}", ws[1])
+    tiles = [TileType(f"c{i}", **sides[xy]) for i, xy in enumerate(shape)]
+    return {xy: f"c{i}" for i, xy in enumerate(shape)}, TileSet(tiles)
+
+
+def test_heavy_edge_stability_matches_the_cut_check(monkeypatch):
+    """is_tau_stable follows the edges of weight >= tau off the cells and
+    runs the cut check only when they leave several components; against
+    the cut check over the full binding graph, tau 1 to 4, with glues
+    that share a label but not a strength."""
+    cuts = []
+    cut_ok = mincut.stability_cut_ok
+    monkeypatch.setattr(mincut, "stability_cut_ok",
+                        lambda adj, tau: cuts.append(1) or cut_ok(adj, tau))
+    rng = random.Random(3131)
+    verdicts = Counter()
+    for i in range(1600):
+        tau = 1 + i % 4
+        cells, ts = glued_shape(rng, tau)
+        want = cut_ok(binding_graph(cells, ts), tau)
+        del cuts[:]
+        assert is_tau_stable(cells, ts, tau) == want, (tau, cells)
+        verdicts[("cut" if cuts else "heavy", want)] += 1
+    # the shortcut, and the cut check on both verdicts
+    assert verdicts[("heavy", False)] == 0
+    assert min(verdicts[("heavy", True)], verdicts[("cut", True)],
+               verdicts[("cut", False)]) >= 50, verdicts
+    ts = TileSet([tile("a", e=("g", 2))])
+    for cells in ({(0, 0): "a", (1, 0): "zzz"}, {(0, 0): "zzz", (1, 0): "a"}):
+        with pytest.raises(UnknownTileId):
+            is_tau_stable(cells, ts, 2)
 
 
 def test_canonicalize_translation_invariance():

@@ -27,7 +27,9 @@ from twoham import (
     explore,
 )
 from twoham.strong import STRONG2, compile_strong
-from twoham.weak import WEAK1, compile_weak
+from twoham.weak import WEAK1, WEAK2, WEAK3, compile_weak
+
+from test_acceptance import suite
 
 BLOCK = {(0, 0), (1, 0), (0, 1), (1, 1)}
 
@@ -160,32 +162,37 @@ def test_production_violation_kinds():
     assert missing == {fp({(0, 0): "B"}), fp({(0, 0): "A", (1, 0): "B"})}
 
 
-def three_tile_target():
-    ts = TileSet((
+def three_tile_tas():
+    return TAS(TileSet((
         TileType("A", east=Glue("g", 2)),
         TileType("B", west=Glue("g", 2), east=Glue("h", 2)),
         TileType("C", west=Glue("h", 2)),
-    ))
-    return explore(TAS(ts, 2), 3)
+    )), 2)
 
 
-def test_follows_flags_steps_the_target_cannot_mirror():
-    # partner = A and C blocks joined by an undecodable bridge below the
-    # B slot; one macroblock of B drops into the slot.  The simulator's
-    # step B -> ABC exists, the target's does not.
+def follows_rig():
+    """Partner = A and C blocks joined by an undecodable bridge below the
+    B slot; one macroblock of B drops into the slot.  The simulator's
+    step B -> ABC exists, the target's does not: the simulator system,
+    explored at bound 16, and its representation."""
     pr_tiles, pr = rigid("pr", (BLOCK | {(x + 4, y) for x, y in BLOCK}
                                 | {(1, -1), (2, -1), (3, -1), (4, -1)}),
                          extra={(2, -1): {"north": Glue("k", 2)}})
     sb_tiles, sb = rigid("sb", BLOCK, extra={(0, 0): {"south": Glue("k", 2)}})
     ts = TileSet(tuple(pr_tiles + sb_tiles))
-    sim = explore(TAS(ts, 2, [(pr, INFINITE), (sb, INFINITE)]), 16)
+    return TAS(ts, 2, [(pr, INFINITE), (sb, INFINITE)]), (
+        BlockRepresentation.from_table(2, {
+            block_entry(pr, 0, 0): "A",
+            entry(sb): "B",
+            block_entry(pr, 4, 0): "C",
+        }))
+
+
+def test_follows_flags_steps_the_target_cannot_mirror():
+    tas, rep = follows_rig()
+    sim = explore(tas, 16)
     assert len(sim) == 3 and len(sim.edges) == 1
-    rep = BlockRepresentation.from_table(2, {
-        block_entry(pr, 0, 0): "A",
-        entry(sb): "B",
-        block_entry(pr, 4, 0): "C",
-    })
-    report = check_follows(sim, three_tile_target(), rep)
+    report = check_follows(sim, explore(three_tile_tas(), 3), rep)
     assert not report.passed
     kinds = sorted(v["kind"] for v in report.violations)
     assert kinds == ["image-not-producible", "unmatched-step"]
@@ -382,3 +389,62 @@ def test_reports_hold_under_colliding_keys(real_key_reports,
     assert not want[WEAK1]["strong"]["passed"]
     assert want[WEAK1]["strong"]["violations"]
     assert got == want
+
+
+def every_report(sim, target, rep):
+    """Report.to_dict() of all four checks, weak under both readings."""
+    decoded = decode_producibles(sim, rep)
+    reports = {name: check(sim, target, rep, decoded=decoded).to_dict()
+               for name, check in CHECKS.items() if name != "weak"}
+    for weak_def in ("standard", "literal"):
+        reports[f"weak[{weak_def}]"] = check_weakly_models(
+            sim, target, rep, decoded=decoded, weak_def=weak_def).to_dict()
+    return reports
+
+
+def compiled_case(name, variant):
+    tas = dict(suite())[name]
+    comp = compile_weak(tas, variant)
+    return comp.simulator_tas(), 3 * comp.budget, tas, 3, comp.rep
+
+
+def null_decoder_case():
+    """seeded-chain weak1 read through a decoder that reads nothing, so
+    that every member wider than a block is oversized junk."""
+    sim_tas, sim_bound, tas, bound, rep = compiled_case("seeded-chain", WEAK1)
+    return (sim_tas, sim_bound, tas, bound,
+            BlockRepresentation(rep.m, lambda block: None,
+                                rep.candidate_offsets))
+
+
+def follows_case():
+    sim_tas, rep = follows_rig()
+    return sim_tas, 16, three_tile_tas(), 3, rep
+
+
+ORDER_CASES = {
+    "pair-weak1": lambda: compiled_case("pair", WEAK1),
+    "seeded-chain-weak1": lambda: compiled_case("seeded-chain", WEAK1),
+    "seeded-chain-weak2": lambda: compiled_case("seeded-chain", WEAK2),
+    "seeded-chain-weak3": lambda: compiled_case("seeded-chain", WEAK3),
+    # the compilations break no productions or follows clause; these two do
+    "null-decoder": null_decoder_case,
+    "follows-rig": follows_case,
+}
+
+
+@pytest.mark.parametrize("case", ORDER_CASES)
+def test_report_order_comes_from_sorting(case):
+    """The checks walk members, edges and preimages in discovery order,
+    and sort violation records on the fingerprints they print.  So on
+    failing compilations and rigs every report, violation order and
+    strong's preimage orientation included, is the same whether both
+    systems were explored plainly or under five different shuffles."""
+    sim_tas, sim_bound, tas, bound, rep = ORDER_CASES[case]()
+    want = every_report(explore(sim_tas, sim_bound), explore(tas, bound), rep)
+    # several records in a failing report, so their order is at stake
+    assert max(len(r["violations"]) for r in want.values()) >= 2
+    for k in range(1, 6):
+        sim = explore(sim_tas, sim_bound, shuffle_seed=k)
+        target = explore(tas, bound, shuffle_seed=k)
+        assert every_report(sim, target, rep) == want, k
