@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CorruptMacrotile
-from .model import EAST, NORTH, NULL_GLUE, SOUTH, TAS, WEST, Glue, TileType
+from .model import DIRECTIONS, NULL_GLUE, TAS, Glue, TileType
 from .representation import BlockRepresentation
 
 
@@ -82,11 +82,11 @@ def anchored_rep(m, k, corner, anchors, check) -> BlockRepresentation:
     alignments that put an anchor cell on the body corner can decode,
     so those, and no others, are the candidate offsets.
     """
-    body = [(x, y) for x in range(corner, corner + k)
-            for y in range(corner, corner + k)]
+    body = {(x, y) for x in range(corner, corner + k)
+            for y in range(corner, corner + k)}
 
     def decode(block):
-        if len(block) < k * k or any(xy not in block for xy in body):
+        if not block.keys() >= body:
             return None
         tid = anchors.get(block[(corner, corner)])
         if tid is None:
@@ -127,24 +127,21 @@ def place_piece(union, cells, m, bx, by):
 def wire_tiles(cells, faces, prefix, strength):
     """Tile types for one rigid piece, in the iteration order of cells.
 
-    Interior adjacencies get coordinate-keyed glues of the given strength;
-    faces maps a cell to the (direction, Glue) pairs it shows outward.
+    Interior adjacencies get coordinate-keyed glues of the given strength,
+    one Glue object per adjacency, shared by the two tiles it joins;
+    faces maps a cell to the (direction, Glue) pairs it shows outward,
+    which override.
     """
-    tiles = []
-    for (x, y), uid in cells.items():
-        sides = {}
+    north, east, south, west = sides = {}, {}, {}, {}
+    for x, y in cells:
         if (x, y + 1) in cells:
-            sides[NORTH] = Glue(f"{prefix}:{x},{y}:v", strength)
-        if (x, y - 1) in cells:
-            sides[SOUTH] = Glue(f"{prefix}:{x},{y - 1}:v", strength)
+            north[(x, y)] = south[(x, y + 1)] = Glue(f"{prefix}:{x},{y}:v", strength)
         if (x + 1, y) in cells:
-            sides[EAST] = Glue(f"{prefix}:{x},{y}:h", strength)
-        if (x - 1, y) in cells:
-            sides[WEST] = Glue(f"{prefix}:{x - 1},{y}:h", strength)
-        for d, g in faces.get((x, y), ()):
-            sides[d] = g
-        tiles.append(TileType(uid, north=sides.get(NORTH, NULL_GLUE),
-                              east=sides.get(EAST, NULL_GLUE),
-                              south=sides.get(SOUTH, NULL_GLUE),
-                              west=sides.get(WEST, NULL_GLUE)))
-    return tiles
+            east[(x, y)] = west[(x + 1, y)] = Glue(f"{prefix}:{x},{y}:h", strength)
+    by_direction = dict(zip(DIRECTIONS, sides))
+    for xy, shown in faces.items():
+        for d, g in shown:
+            by_direction[d][xy] = g
+    return [TileType(uid, north.get(xy, NULL_GLUE), east.get(xy, NULL_GLUE),
+                     south.get(xy, NULL_GLUE), west.get(xy, NULL_GLUE))
+            for xy, uid in cells.items()]

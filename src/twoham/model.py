@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 
 from . import mincut
@@ -83,24 +83,47 @@ def interaction(a: Glue, b: Glue) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class TileType:
-    id: str
-    north: Glue = NULL_GLUE
-    east: Glue = NULL_GLUE
-    south: Glue = NULL_GLUE
-    west: Glue = NULL_GLUE
+_TILE_FIELDS = namedtuple("TileType", ("id", "north", "east", "south", "west"))
+_SIDE = {NORTH: 1, EAST: 2, SOUTH: 3, WEST: 4}
+
+
+class TileType(tuple):
+    """A unit square: an id and one glue per side.
+
+    An immutable (id, north, east, south, west) tuple, built the way Glue
+    is, so its fields are C getters and the per-cell readers unpack it.
+    """
+
+    __slots__ = ()
+    id = _TILE_FIELDS.id
+    north = _TILE_FIELDS.north
+    east = _TILE_FIELDS.east
+    south = _TILE_FIELDS.south
+    west = _TILE_FIELDS.west
+
+    def __new__(cls, id, north=NULL_GLUE, east=NULL_GLUE, south=NULL_GLUE,
+                west=NULL_GLUE):
+        return tuple.__new__(cls, (id, north, east, south, west))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return (f"TileType(id={self.id!r}, north={self.north!r}, "
+                f"east={self.east!r}, south={self.south!r}, west={self.west!r})")
 
     def glue(self, direction: str) -> Glue:
-        if direction == NORTH:
-            return self.north
-        if direction == EAST:
-            return self.east
-        if direction == SOUTH:
-            return self.south
-        if direction == WEST:
-            return self.west
-        raise KeyError(direction)
+        return self[_SIDE[direction]]
+
+
+class _TileTable(dict):
+    """Tile id -> tile type; a lookup of an unknown id raises UnknownTileId,
+    so readers subscript it cell by cell with no check of their own."""
+
+    __slots__ = ()
+
+    def __missing__(self, tile_id):
+        raise UnknownTileId(f"no tile type with id {tile_id!r}")
 
 
 class TileSet:
@@ -114,25 +137,17 @@ class TileSet:
     __slots__ = ("tiles", "_by_id", "glues")
 
     def __init__(self, tiles):
-        self.tiles = tuple(tiles)
-        self._by_id = {}
-        for t in self.tiles:
-            if t.id in self._by_id:
+        self.tiles = tiles = tuple(tiles)
+        self._by_id = by_id = _TileTable()
+        for t in tiles:
+            if t.id in by_id:
                 raise ValueError(f"duplicate tile id {t.id!r}")
-            self._by_id[t.id] = t
-        seen = {}
-        for t in self.tiles:
-            for d in DIRECTIONS:
-                g = t.glue(d)
-                if g.strength > 0 and g not in seen:
-                    seen[g] = None
-        self.glues = tuple(seen)
+            by_id[t.id] = t
+        sides = dict.fromkeys(chain.from_iterable(t[1:] for t in tiles))
+        self.glues = tuple(g for g in sides if g.strength > 0)
 
     def tile(self, tile_id: str) -> TileType:
-        try:
-            return self._by_id[tile_id]
-        except KeyError:
-            raise UnknownTileId(f"no tile type with id {tile_id!r}") from None
+        return self._by_id[tile_id]
 
     def __len__(self):
         return len(self.tiles)
@@ -308,17 +323,19 @@ class Supertile:
             return self._faces
         cells = self.cells
         self._parents = None
-        faces = {d: {} for d in DIRECTIONS}
+        faces = {NORTH: {}, EAST: {}, SOUTH: {}, WEST: {}}
+        fn, fe, fs, fw = faces.values()
+        tiles = ts._by_id
         for (x, y), tid in cells.items():
-            t = ts.tile(tid)
-            for d in DIRECTIONS:
-                g = t.glue(d)
-                if g.strength <= 0:
-                    continue
-                dx, dy = OFFSET[d]
-                if (x + dx, y + dy) in cells:
-                    continue
-                faces[d].setdefault(g, []).append((x, y))
+            _, n, e, s, w = tiles[tid]
+            if n.strength > 0 and (x, y + 1) not in cells:
+                fn.setdefault(n, []).append((x, y))
+            if e.strength > 0 and (x + 1, y) not in cells:
+                fe.setdefault(e, []).append((x, y))
+            if s.strength > 0 and (x, y - 1) not in cells:
+                fs.setdefault(s, []).append((x, y))
+            if w.strength > 0 and (x - 1, y) not in cells:
+                fw.setdefault(w, []).append((x, y))
         self._faces = {d: {g: tuple(sorted(cs)) for g, cs in by.items()}
                        for d, by in faces.items()}
         self._faces_ts = ts
@@ -348,21 +365,18 @@ def binding_graph(cells: dict, ts: TileSet) -> dict:
     An edge appears exactly where abutting glues interact; mismatched or
     zero-strength abutments yield no edge and never block anything.
     """
+    tiles = ts._by_id
     adj = {v: {} for v in cells}
-    for (x, y), tid in cells.items():
-        t = ts.tile(tid)
-        e = cells.get((x + 1, y))
-        if e is not None:
-            w = interaction(t.east, ts.tile(e).west)
-            if w:
-                adj[(x, y)][(x + 1, y)] = w
-                adj[(x + 1, y)][(x, y)] = w
-        n = cells.get((x, y + 1))
-        if n is not None:
-            w = interaction(t.north, ts.tile(n).south)
-            if w:
-                adj[(x, y)][(x, y + 1)] = w
-                adj[(x, y + 1)][(x, y)] = w
+    for v, tid in cells.items():
+        x, y = v
+        _, n, e, _, _ = tiles[tid]
+        # equal positive glues interact at their strength
+        u = (x + 1, y)
+        if e.strength > 0 and u in cells and tiles[cells[u]].west == e:
+            adj[v][u] = adj[u][v] = e.strength
+        u = (x, y + 1)
+        if n.strength > 0 and u in cells and tiles[cells[u]].south == n:
+            adj[v][u] = adj[u][v] = n.strength
     return adj
 
 
@@ -378,20 +392,32 @@ def is_tau_stable(cells: dict, ts: TileSet, tau: int) -> bool:
         raise EmptyAssembly("stability of an empty assembly is undefined")
     if len(cells) == 1:
         return True
-    tile = ts.tile
+    tiles = ts._by_id
     start = next(iter(cells))
     seen = {start}
     stack = [start]
     while stack:
         x, y = v = stack.pop()
-        t = tile(cells[v])
-        for u, g, facing in (((x + 1, y), t.east, "west"),
-                             ((x - 1, y), t.west, "east"),
-                             ((x, y + 1), t.north, "south"),
-                             ((x, y - 1), t.south, "north")):
-            # equal glues of strength >= tau >= 1 interact at full strength
-            if (g.strength >= tau and u not in seen and u in cells
-                    and getattr(tile(cells[u]), facing) == g):
+        _, n, e, s, w = tiles[cells[v]]
+        # equal glues of strength >= tau >= 1 interact at full strength
+        if n.strength >= tau:
+            u = (x, y + 1)
+            if u not in seen and u in cells and tiles[cells[u]].south == n:
+                seen.add(u)
+                stack.append(u)
+        if e.strength >= tau:
+            u = (x + 1, y)
+            if u not in seen and u in cells and tiles[cells[u]].west == e:
+                seen.add(u)
+                stack.append(u)
+        if s.strength >= tau:
+            u = (x, y - 1)
+            if u not in seen and u in cells and tiles[cells[u]].north == s:
+                seen.add(u)
+                stack.append(u)
+        if w.strength >= tau:
+            u = (x - 1, y)
+            if u not in seen and u in cells and tiles[cells[u]].east == w:
                 seen.add(u)
                 stack.append(u)
     if len(seen) == len(cells):
@@ -599,9 +625,11 @@ class TAS:
             else:
                 merged[st.fingerprint] = (st, count)
         state = sorted(merged.values(), key=lambda pair: pair[0].sort_key)
+        known = tile_set._by_id.keys()
         for st, _ in state:
-            for tid in st.cells.values():
-                tile_set.tile(tid)
+            if not known >= set(st.cells.values()):
+                for tid in st.cells.values():
+                    tile_set.tile(tid)
             if not is_tau_stable(st.cells, tile_set, tau):
                 raise ValueError(
                     f"initial supertile {st.fingerprint[:10]} is not {tau}-stable")

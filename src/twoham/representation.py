@@ -30,11 +30,19 @@ def blocks_at(s: Supertile, m: int, ox: int, oy: int) -> dict:
     """Partition cells into m-blocks for the grid anchored at (ox, oy).
 
     Keys are block coordinates; values map in-block (i, j) to tile ids.
+    Cells are normalized, so the divisions come from one table per
+    column and one per row.
     """
+    cols = [divmod(x - ox, m) for x in range(s.width)]
+    rows = [divmod(y - oy, m) for y in range(s.height)]
     blocks = {}
     for (x, y), tid in s.cells.items():
-        key = ((x - ox) // m, (y - oy) // m)
-        blocks.setdefault(key, {})[((x - ox) % m, (y - oy) % m)] = tid
+        bx, i = cols[x]
+        by, j = rows[y]
+        block = blocks.get((bx, by))
+        if block is None:
+            block = blocks[(bx, by)] = {}
+        block[(i, j)] = tid
     return blocks
 
 

@@ -47,13 +47,29 @@ def _int(value, path):
     return value
 
 
+class _Memo(dict):
+    """A dict that builds each missing value from its key on first lookup,
+    so a hit costs one C-level subscript."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 def _glue_obj(g: Glue) -> dict:
     return {"label": g.label, "strength": g.strength}
 
 
-def _tile_obj(t: TileType) -> dict:
-    return {"id": t.id, "north": _glue_obj(t.north), "east": _glue_obj(t.east),
-            "south": _glue_obj(t.south), "west": _glue_obj(t.west)}
+def _tile_obj(t: TileType, glue_objs: _Memo) -> dict:
+    """A tile's document object; glue_objs is a _Memo(_glue_obj)."""
+    tid, north, east, south, west = t
+    return {"id": tid, "north": glue_objs[north], "east": glue_objs[east],
+            "south": glue_objs[south], "west": glue_objs[west]}
 
 
 def _parse_glue(obj, path) -> Glue:
@@ -73,9 +89,10 @@ def _parse_glue(obj, path) -> Glue:
 
 def tas_document(tas: TAS) -> dict:
     """The document form of a system; default states are left implicit."""
+    glue_objs = _Memo(_glue_obj)
     doc = {
         "temperature": tas.tau,
-        "tiles": [_tile_obj(t) for t in tas.tile_set],
+        "tiles": [_tile_obj(t, glue_objs) for t in tas.tile_set],
     }
     # TAS has validated and merged the entries, so one singleton per tile,
     # each of infinite count, is exactly the default state
@@ -182,14 +199,17 @@ def compiled_document(comp) -> dict:
     the fresh decoder.  The anchor table is included so the mapping
     from block anchors to source tiles is inspectable on its own; it is
     also the decoder's alignment key, since blocks are read at anchor
-    cells.
+    cells.  Each distinct glue's object is built once and shared by
+    every tile side that carries it, so the document is read-only.
     """
+    glue_objs = _Memo(_glue_obj)
     return {
         "format": "twoham-compiled",
         "method": comp.variant,
         "temperature": comp.tau,
         "scale": comp.m,
-        "universal_tiles": [_tile_obj(t) for t in comp.universal_tiles],
+        "universal_tiles": [_tile_obj(t, glue_objs)
+                            for t in comp.universal_tiles],
         "input_supertiles": [_state_obj(st, count)
                              for st, count in comp.input_supertiles],
         "decoder": {
@@ -216,23 +236,15 @@ def serialize_compiled(comp) -> str:
     _dumps(compiled_document(comp)): keys in sorted order, strings
     escaped by the C function json.dumps itself uses.
     """
-    glue_text = {}
-
-    def glue(g):
-        text = glue_text.get(g)
-        if text is None:
-            text = glue_text[g] = (
-                f'{{\n        "label": {_escape(g.label)},\n'
-                f'        "strength": {g.strength}\n      }}')
-        return text
-
+    glue = _Memo(lambda g: (f'{{\n        "label": {_escape(g.label)},\n'
+                            f'        "strength": {g.strength}\n      }}'))
     tiles = [
-        f'    {{\n      "east": {glue(t.east)},\n'
-        f'      "id": {_escape(t.id)},\n'
-        f'      "north": {glue(t.north)},\n'
-        f'      "south": {glue(t.south)},\n'
-        f'      "west": {glue(t.west)}\n    }}'
-        for t in comp.universal_tiles]
+        f'    {{\n      "east": {glue[east]},\n'
+        f'      "id": {_escape(tid)},\n'
+        f'      "north": {glue[north]},\n'
+        f'      "south": {glue[south]},\n'
+        f'      "west": {glue[west]}\n    }}'
+        for tid, north, east, south, west in comp.universal_tiles]
     states = []
     for st, count in comp.input_supertiles:
         cells = [f'        {{\n          "tile": {_escape(tid)},\n'

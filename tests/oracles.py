@@ -260,3 +260,36 @@ def oracle_decode(cells, m, decode_block):
                 raise AmbiguousAlignment(
                     f"offsets {found[0]} and {(ox, oy)} disagree")
     return found
+
+
+def oracle_blocks_at(cells, m, ox, oy):
+    """The m-block partition at grid offset (ox, oy), cell by cell: (x, y)
+    lies in block ((x - ox) // m, (y - oy) // m) at in-block coordinate
+    ((x - ox) % m, (y - oy) % m)."""
+    blocks = {}
+    for (x, y), tid in cells.items():
+        key = ((x - ox) // m, (y - oy) // m)
+        blocks.setdefault(key, {})[((x - ox) % m, (y - oy) % m)] = tid
+    return blocks
+
+
+def oracle_wire_tiles(cells, faces, prefix, strength):
+    """Wired tile types built side by side: each side facing an occupied
+    cell gets the glue named after the lower or left cell of the pair,
+    then the outward faces override.  Returns (id, north, east, south,
+    west) tuples of (label, strength) pairs."""
+    tiles = []
+    for (x, y), uid in cells.items():
+        sides = {d: ("", 0) for d in "NESW"}
+        if (x, y + 1) in cells:
+            sides["N"] = (f"{prefix}:{x},{y}:v", strength)
+        if (x, y - 1) in cells:
+            sides["S"] = (f"{prefix}:{x},{y - 1}:v", strength)
+        if (x + 1, y) in cells:
+            sides["E"] = (f"{prefix}:{x},{y}:h", strength)
+        if (x - 1, y) in cells:
+            sides["W"] = (f"{prefix}:{x - 1},{y}:h", strength)
+        for d, g in faces.get((x, y), ()):
+            sides[d] = (g.label, g.strength)
+        tiles.append((uid,) + tuple(sides[d] for d in "NESW"))
+    return tiles

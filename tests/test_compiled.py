@@ -1,12 +1,18 @@
-"""Shared compiler building blocks: the anchored block reader."""
+"""Shared compiler building blocks: the anchored block reader and the piece wiring."""
+
+import random
 
 import pytest
 
-from twoham import decode_supertile, explore
+from twoham import (TAS, Glue, Supertile, TileSet, UnknownTileId,
+                    decode_supertile, explore)
+from twoham.compiled import wire_tiles
+from twoham.model import DIRECTIONS, OFFSET, OPPOSITE
 from twoham.representation import blocks_at
 from twoham.strong import STRONG2, compile_strong
 from twoham.weak import WEAK1, compile_weak
 
+from oracles import oracle_wire_tiles
 from test_acceptance import TARGET_BOUND, suite
 
 
@@ -33,3 +39,44 @@ def test_anchor_hint_matches_full_scan(compiler, variant):
             decoded += 1
             assert decode_supertile(s, comp.rep).offset == offsets[0]
     assert decoded >= 3, decoded
+
+
+def test_wire_tiles_share_one_glue_per_adjacency():
+    """The two tiles of an interior adjacency hold one Glue object; every
+    side is the per-side formula of the oracle, and outward faces
+    override.  A system over the wired tiles names the first unknown id
+    of an initial supertile in cell order."""
+    rng = random.Random(2718)
+    shared = 0
+    for trial in range(40):
+        spots = [(x, y) for x in range(6) for y in range(5)]
+        rng.shuffle(spots)
+        cells = {xy: f"u{i}" for i, xy in enumerate(spots[:rng.randint(1, 30)])}
+        faces = {}
+        for xy in cells:
+            for d in DIRECTIONS:
+                dx, dy = OFFSET[d]
+                if (xy[0] + dx, xy[1] + dy) not in cells and rng.random() < 0.3:
+                    faces.setdefault(xy, []).append(
+                        (d, Glue(f"f{rng.randint(0, 2)}", rng.randint(1, 2))))
+        tiles = wire_tiles(cells, faces, f"p{trial}", 2)
+        assert [tuple(t) for t in tiles] == oracle_wire_tiles(cells, faces, f"p{trial}", 2)
+        by_xy = dict(zip(cells, tiles))
+        for (x, y), t in by_xy.items():
+            for d, g in faces.get((x, y), ()):
+                assert t.glue(d) is g
+            for d in DIRECTIONS:
+                dx, dy = OFFSET[d]
+                other = by_xy.get((x + dx, y + dy))
+                if other is not None:
+                    assert t.glue(d) is other.glue(OPPOSITE[d])
+                    shared += 1
+    assert shared >= 500, shared
+
+    ts = TileSet(tiles)
+    for unknown in ({(0, 0): tiles[0].id, (1, 0): "zz9", (2, 0): "zz1"},
+                    {(0, 0): "zz9", (0, 1): "zz1"}):
+        with pytest.raises(UnknownTileId, match="'zz9'"):
+            TAS(ts, 2, [(unknown, 1)])
+        with pytest.raises(UnknownTileId, match="'zz9'"):
+            Supertile(unknown).faces(ts)

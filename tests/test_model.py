@@ -116,6 +116,40 @@ def test_glue_contract():
             assert interaction(g, h) == want, (g, h)
 
 
+def test_tile_type_contract():
+    """Tile types are immutable (id, north, east, south, west) tuples:
+    built by position or keyword with null sides by default, equal and
+    equally hashed on equal fields, and printed as before."""
+    g, h = Glue("g", 2), Glue("h", 1)
+    by_position = TileType("t", g, NULL_GLUE, h)
+    by_keyword = TileType(id="t", north=g, south=h)
+    assert by_position == by_keyword
+    assert hash(by_position) == hash(by_keyword)
+    assert {by_position: 1}[by_keyword] == 1
+    assert (by_keyword.id, by_keyword.north, by_keyword.east, by_keyword.south,
+            by_keyword.west) == ("t", g, NULL_GLUE, h, NULL_GLUE)
+    assert tuple(TileType("u")) == ("u", NULL_GLUE, NULL_GLUE, NULL_GLUE, NULL_GLUE)
+    assert TileType("u", west=h) == TileType("u", NULL_GLUE, NULL_GLUE, NULL_GLUE, h)
+    assert TileType("t", g) != TileType("t", h) != TileType("u", h)
+
+    assert [by_keyword.glue(d) for d in DIRECTIONS] == [g, NULL_GLUE, h, NULL_GLUE]
+    for bad in ("north", "n", "", None):
+        with pytest.raises(KeyError):
+            by_keyword.glue(bad)
+
+    for field in ("id", "north", "east", "south", "west", "label"):
+        with pytest.raises(AttributeError):
+            setattr(by_keyword, field, g)
+    copied = copy.deepcopy(by_keyword)
+    assert type(copied) is TileType
+    assert copied == by_keyword and hash(copied) == hash(by_keyword)
+
+    assert repr(TileType("a'b", east=Glue("x", 2), west=Glue("w", 0))) == (
+        "TileType(id=\"a'b\", north=Glue(label='', strength=0), "
+        "east=Glue(label='x', strength=2), south=Glue(label='', strength=0), "
+        "west=Glue(label='w', strength=0))")
+
+
 def test_tileset_rejects_duplicate_ids():
     a = tile("x", e=("g", 1))
     with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from twoham import (
     fits_single_block,
 )
 
-from oracles import oracle_decode
+from oracles import oracle_blocks_at, oracle_decode
 
 A_CELLS = {(0, 0): "a0", (1, 0): "a1", (0, 1): "a2", (1, 1): "a3"}
 B_CELLS = {(0, 0): "b0", (1, 0): "b1", (0, 1): "b2", (1, 1): "b3"}
@@ -41,6 +41,24 @@ def test_blocks_at_negative_coordinates():
     blocks = blocks_at(s, 2, 1, 1)
     # cell (0,0) lands at in-block (1,1) of block (-1,-1)
     assert blocks == {(-1, -1): {(1, 1): "t"}, (0, -1): {(0, 1): "u"}}
+
+
+def test_blocks_at_matches_the_oracle():
+    """The per-column and per-row divmod tables give the per-cell formula,
+    blocks and their cells in the same order, on random supertiles at
+    every offset of scales 1 to 5."""
+    rng = random.Random(5525)
+    for _ in range(60):
+        cells = {(rng.randint(-4, 9), rng.randint(-4, 9)): rng.choice("pqrs")
+                 for _ in range(rng.randint(1, 40))}
+        s = Supertile(cells)
+        for m in range(1, 6):
+            for ox in range(m):
+                for oy in range(m):
+                    got = blocks_at(s, m, ox, oy)
+                    want = oracle_blocks_at(s.cells, m, ox, oy)
+                    assert ([(k, list(b.items())) for k, b in got.items()]
+                            == [(k, list(b.items())) for k, b in want.items()])
 
 
 def test_decode_full_block():
