@@ -124,24 +124,47 @@ def place_piece(union, cells, m, bx, by):
         union[(x + m * bx, y + m * by)] = uid
 
 
-def wire_tiles(cells, faces, prefix, strength):
+def wire_tiles(cells, faces, prefix, strength, glues):
     """Tile types for one rigid piece, in the iteration order of cells.
 
     Interior adjacencies get coordinate-keyed glues of the given strength,
-    one Glue object per adjacency, shared by the two tiles it joins;
-    faces maps a cell to the (direction, Glue) pairs it shows outward,
-    which override.
+    labelled prefix:x,y:v or prefix:x,y:h after the lower or left cell of
+    the pair, one Glue object per adjacency, shared by the two tiles it
+    joins; faces maps a cell to the (direction, Glue) pairs it shows
+    outward, which override.  glues is the glue table that one
+    compilation passes to every call, keyed on prefix, strength,
+    coordinates and orientation: each interior glue is built once per
+    compile and shared by every piece wired under that prefix and
+    strength.
+
+    Lemma: a wired label holds a colon, so it is never the null label,
+    and the strength is checked once per call by the validating Glue
+    constructor, so every glue built here with tuple.__new__ meets Glue's
+    invariants.  Equal glues are equal values, so sharing objects
+    changes no tile set, document or verdict.
     """
+    Glue(f"{prefix}:", strength)  # NegativeStrength on a bad strength
+    vertical, horizontal = glues.setdefault((prefix, strength), ({}, {}))
+    new = tuple.__new__
     north, east, south, west = sides = {}, {}, {}, {}
-    for x, y in cells:
-        if (x, y + 1) in cells:
-            north[(x, y)] = south[(x, y + 1)] = Glue(f"{prefix}:{x},{y}:v", strength)
-        if (x + 1, y) in cells:
-            east[(x, y)] = west[(x + 1, y)] = Glue(f"{prefix}:{x},{y}:h", strength)
+    for xy in cells:
+        x, y = xy
+        above = (x, y + 1)
+        if above in cells:
+            g = vertical.get(xy)
+            if g is None:
+                g = vertical[xy] = new(Glue, (f"{prefix}:{x},{y}:v", strength))
+            north[xy] = south[above] = g
+        right = (x + 1, y)
+        if right in cells:
+            g = horizontal.get(xy)
+            if g is None:
+                g = horizontal[xy] = new(Glue, (f"{prefix}:{x},{y}:h", strength))
+            east[xy] = west[right] = g
     by_direction = dict(zip(DIRECTIONS, sides))
     for xy, shown in faces.items():
         for d, g in shown:
             by_direction[d][xy] = g
-    return [TileType(uid, north.get(xy, NULL_GLUE), east.get(xy, NULL_GLUE),
-                     south.get(xy, NULL_GLUE), west.get(xy, NULL_GLUE))
+    return [new(TileType, (uid, north.get(xy, NULL_GLUE), east.get(xy, NULL_GLUE),
+                           south.get(xy, NULL_GLUE), west.get(xy, NULL_GLUE)))
             for xy, uid in cells.items()]

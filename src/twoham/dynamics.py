@@ -73,7 +73,9 @@ def _require_member(s, p: ProducibleSet):
 def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
     """Close the initial state under pairwise combination, up to size_bound.
 
-    The worklist starts with the initial supertiles in fingerprint order.
+    The worklist starts with the initial supertiles in the order of
+    tas.initial_state (by size, then fingerprint), or in fingerprint
+    order under a step bound, which keeps clipped listings as they were.
     One step is the full pairing of one supertile against everything
     processed before it (and itself), and the step's new members join the
     worklist in the order the seam pass finds them: by the processed
@@ -87,7 +89,8 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
     empty, and every pair of members is tried once, so the members, the
     edges (up to the order of each pair's parents) and the overflow count
     are the same in every order.  So a run without a step bound computes
-    no fingerprint beyond those of the initial supertiles.
+    no fingerprint at all; TAS hashed only the initial supertiles that tie
+    on size.
 
     Processed members sit in a SeamIndex, keyed by exposed (direction,
     glue) and then by size, with the step's supertile added last so that
@@ -116,7 +119,9 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
             raise BoundTooSmall(
                 f"size bound {size_bound} below initial supertile of {st.size} tiles")
         members[st] = st
-    pending = sorted(members, key=by_fingerprint)
+    pending = list(members)
+    if step_bound is not None:
+        pending.sort(key=by_fingerprint)
     if rng is not None:
         rng.shuffle(pending)
     queue = deque(pending)

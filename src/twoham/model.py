@@ -602,6 +602,12 @@ class TAS:
     (possibly infinite) counts; by default it holds infinitely many copies
     of each singleton tile.  Construction validates stability and tile ids
     of every initial supertile.
+
+    ``initial_state`` merges equal supertiles, found by Supertile
+    equality as explore finds them, and lists them by size, breaking a
+    size tie by fingerprint: the (size, fingerprint) order.  Only a
+    supertile that shares its size with another is hashed, so a seed of
+    unique size costs no SHA-1.
     """
 
     __slots__ = ("tile_set", "tau", "initial_state")
@@ -619,12 +625,19 @@ class TAS:
                 st = Supertile(st)
             if not _valid_count(count):
                 raise ValueError(f"count must be a positive integer or INFINITE, got {count!r}")
-            if st.fingerprint in merged:
-                prev, c = merged[st.fingerprint]
-                merged[st.fingerprint] = (prev, INFINITE if INFINITE in (c, count) else c + count)
-            else:
-                merged[st.fingerprint] = (st, count)
-        state = sorted(merged.values(), key=lambda pair: pair[0].sort_key)
+            c = merged.get(st)
+            if c is not None:
+                count = INFINITE if INFINITE in (c, count) else c + count
+            merged[st] = count  # an equal key keeps the first supertile
+        by_size = {}
+        for pair in merged.items():
+            by_size.setdefault(pair[0].size, []).append(pair)
+        state = []
+        for size in sorted(by_size):
+            tied = by_size[size]
+            if len(tied) > 1:  # only a size tie reads fingerprints
+                tied.sort(key=lambda pair: pair[0].fingerprint)
+            state += tied
         known = tile_set._by_id.keys()
         for st, _ in state:
             if not known >= set(st.cells.values()):

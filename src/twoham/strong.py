@@ -285,11 +285,12 @@ def compile_strong(tas, variant=STRONG2) -> CompiledSimulator:
     layouts = {}
     tiles = []
     anchors = {}
+    glues = {}
     for tidx, t in enumerate(ts):
         lay = _build_layout(t, tidx, geo, gidx)
         layouts[t.id] = lay
         anchors[lay.cells[(geo.h, geo.h)]] = t.id
-        tiles.extend(wire_tiles(lay.cells, lay.faces, "i", tas.tau))
+        tiles.extend(wire_tiles(lay.cells, lay.faces, "i", tas.tau, glues))
     universal = TileSet(tiles)
     signatures = {t.id: _signature(t) for t in ts}
     meta = StrongMeta(geo, tuple(glue_order), signatures, layouts)

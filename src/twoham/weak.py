@@ -208,8 +208,9 @@ def _completion_layout(side, gi, strength, geo) -> Piece:
 
 
 def _wire_piece(lay: Piece, prefix, tau):
-    # sorted cell order fixes the order of the universal tile list
-    return wire_tiles(dict(sorted(lay.cells.items())), lay.faces, prefix, tau)
+    # sorted cell order fixes the order of the universal tile list; every
+    # piece has a prefix of its own, so it shares no glue with another
+    return wire_tiles(dict(sorted(lay.cells.items())), lay.faces, prefix, tau, {})
 
 
 @dataclass

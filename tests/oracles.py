@@ -7,6 +7,7 @@ only usable for small inputs.
 """
 
 import itertools
+import math
 import random
 from collections import deque
 
@@ -177,6 +178,23 @@ def oracle_closure(seed_cells, ts, tau, size_bound):
                     shapes.add(c)
                     changed = True
     return shapes
+
+
+def oracle_initial_state(initial_state):
+    """The initial state by fingerprint: (Supertile, count) pairs merged
+    on equal fingerprints, keeping the first supertile and summing the
+    counts (an infinite count absorbs), then sorted by (size,
+    fingerprint).  Returns a tuple of pairs."""
+    merged = {}
+    for st, count in initial_state:
+        if st.fingerprint in merged:
+            first, c = merged[st.fingerprint]
+            total = math.inf if math.inf in (c, count) else c + count
+            merged[st.fingerprint] = (first, total)
+        else:
+            merged[st.fingerprint] = (st, count)
+    return tuple(sorted(merged.values(),
+                        key=lambda pair: (pair[0].size, pair[0].fingerprint)))
 
 
 def oracle_explore(tas, size_bound, step_bound=None, shuffle_seed=None):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -421,14 +422,20 @@ def test_passing_verify_sha1s_only_initial_supertiles_and_target_members(
         capsys, tmp_path, sha1_calls):
     """A verify that passes prints no simulator fingerprint, so it
     computes none: SHA-1 runs only for the initial supertiles of the
-    source and the simulator, and for the target members the checks
+    source, for those of the simulator that share their size with
+    another (a system orders its initial supertiles by size and reads
+    fingerprints only in a tie), and for the target members the checks
     list."""
     tas = dict(suite())["seeded-chain"]
     comp = compile_weak(tas, WEAK1)
     sim = explore(comp.simulator_tas(), 3 * comp.budget)
-    allowed = {st.fingerprint for st, _ in tas.initial_state}
-    allowed |= {st.fingerprint for st, _ in comp.simulator_tas().initial_state}
+    seeds = [st for st, _ in comp.simulator_tas().initial_state]
+    sizes = Counter(st.size for st in seeds)
+    tied = {st.fingerprint for st in seeds if sizes[st.size] > 1}
+    alone = {st.fingerprint for st in seeds if sizes[st.size] == 1}
+    allowed = {st.fingerprint for st, _ in tas.initial_state} | tied
     allowed |= {s.fingerprint for s in explore(tas, 3).members()}
+    assert alone and not alone & allowed
     path = tmp_path / "chain.json"
     path.write_text(serialize_tas(tas))
     compiled = tmp_path / "chain.weak1.json"

@@ -28,7 +28,7 @@ from twoham.compiled import wire_tiles
 from twoham.dynamics import explore
 from twoham.model import DIRECTIONS, OFFSET, OPPOSITE, SeamIndex
 from twoham.serialize import parse_tas
-from oracles import canon, oracle_combine, oracle_stable
+from oracles import canon, oracle_combine, oracle_initial_state, oracle_stable
 
 
 def tile(tid, n=None, e=None, s=None, w=None):
@@ -84,7 +84,7 @@ def test_glue_contract():
     doc = {"temperature": 2, "tiles": [
         {"id": "A", "east": {"label": "p:0,0:h", "strength": 2}}]}
     parsed = parse_tas(json.dumps(doc)).tile_set.tile("A").east
-    wired = wire_tiles({(0, 0): "u", (1, 0): "v"}, {}, "p", 2)[0].east
+    wired = wire_tiles({(0, 0): "u", (1, 0): "v"}, {}, "p", 2, {})[0].east
     by_hand = Glue("p:0,0:h", 2)
     assert parsed == wired == by_hand
     assert hash(parsed) == hash(wired) == hash(by_hand)
@@ -630,6 +630,81 @@ def test_tas_merges_duplicate_supertiles():
     s = Supertile({(0, 0): "a"})
     sys_ = TAS(ts, 1, [(s, 2), (Supertile({(4, 4): "a"}), 3)])
     assert sys_.initial_state == ((s, 5),)
+
+
+def random_initial_state(rng):
+    """A system whose tiles all show one glue of strength at least tau,
+    so that every connected placement is stable, and a random initial
+    state of fresh supertiles over it: a few shapes of one to four
+    tiles, each listed one or more times, some shifted, with finite and
+    infinite counts.  Returns (tile set, tau, state, (shape, shift)
+    picks)."""
+    tau = rng.randint(1, 3)
+    g = Glue("a", rng.randint(tau, 3))
+    ts = TileSet(TileType(f"t{i}", g, g, g, g) for i in range(3))
+    shapes = [random_placement(rng, ts, rng.randint(1, 4))
+              for _ in range(rng.randint(2, 6))]
+    state = []
+    picks = []
+    for _ in range(rng.randint(1, 10)):
+        i = rng.randrange(len(shapes))
+        dx, dy = rng.choice(((0, 0), (0, 0), (3, -1), (-2, 5)))
+        cells = {(x + dx, y + dy): t for (x, y), t in shapes[i].items()}
+        count = INFINITE if rng.random() < 0.3 else rng.randint(1, 4)
+        state.append((Supertile(cells), count))
+        picks.append((i, dx, dy))
+    return ts, tau, state, picks
+
+
+def _initial_state_against_the_oracle(seed):
+    rng = random.Random(seed)
+    seen = Counter()
+    for _ in range(150):
+        ts, tau, state, picks = random_initial_state(rng)
+        got = TAS(ts, tau, state).initial_state
+        want = oracle_initial_state(state)
+        assert len(got) == len(want)
+        for (st, count), (want_st, want_count) in zip(got, want):
+            assert st is want_st and count == want_count
+        sizes = Counter(st.size for st, _ in got)
+        seen["repeated"] += len(set(picks)) < len(picks)
+        seen["translated"] += len({i for i, _, _ in picks}) < len(set(picks))
+        seen["tied"] += any(n > 1 for n in sizes.values())
+        seen["distinct sizes"] += len(sizes) > 1
+        seen["infinite"] += any(c == INFINITE for _, c in got)
+        seen["finite"] += any(c != INFINITE for _, c in got)
+    assert min(seen.values()) >= 10 and len(seen) == 6, seen
+
+
+def test_tas_initial_state_matches_the_oracle():
+    """TAS merges by the supertile and orders by size, reading
+    fingerprints only in a size tie; that must give the same objects,
+    order and counts as merging by fingerprint and sorting by (size,
+    fingerprint)."""
+    _initial_state_against_the_oracle(4561)
+
+
+def test_tas_initial_state_matches_the_oracle_under_colliding_keys(colliding_keys):
+    _initial_state_against_the_oracle(4562)
+
+
+def test_tas_hashes_only_initial_supertiles_that_tie_on_size(sha1_calls):
+    """A supertile whose size no other initial supertile shares is never
+    hashed, each tied one is hashed once, and a merged duplicate not at
+    all."""
+    rng = random.Random(4563)
+    unique = tied = 0
+    for _ in range(60):
+        ts, tau, state, _ = random_initial_state(rng)
+        del sha1_calls[:]
+        got = TAS(ts, tau, state).initial_state
+        calls = list(sha1_calls)
+        sizes = Counter(st.size for st, _ in got)
+        ties = [st for st, _ in got if sizes[st.size] > 1]
+        assert sorted(calls) == sorted(st.fingerprint for st in ties)
+        unique += len(got) - len(ties)
+        tied += len(ties)
+    assert unique >= 30 and tied >= 30, (unique, tied)
 
 
 def test_tas_rejects_bad_input():
