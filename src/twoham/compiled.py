@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import CorruptMacrotile
 from .model import DIRECTIONS, NULL_GLUE, TAS, Glue, TileType
-from .representation import BlockRepresentation
+from .representation import AnchorHint, BlockRepresentation
 
 
 class CompiledSimulator:
@@ -80,7 +80,10 @@ def anchored_rep(m, k, corner, anchors, check) -> BlockRepresentation:
     block is a CorruptMacrotile.  check(block, tile_id) runs the
     compiler's own consistency test and returns the tile id.  Only
     alignments that put an anchor cell on the body corner can decode,
-    so those, and no others, are the candidate offsets.
+    so those, and no others, are the candidate offsets.  The hint is
+    data, an AnchorHint, so a BlockReader takes a union's offsets from
+    its parents': a union's anchor cells are its parents' anchor cells,
+    shifted, and no pass over its cells looks for them.
     """
     body = {(x, y) for x in range(corner, corner + k)
             for y in range(corner, corner + k)}
@@ -93,11 +96,7 @@ def anchored_rep(m, k, corner, anchors, check) -> BlockRepresentation:
             raise CorruptMacrotile("body anchor cell is no macrotile anchor")
         return check(block, tid)
 
-    def offsets(s):
-        return sorted({((x - corner) % m, (y - corner) % m)
-                       for (x, y), uid in s.cells.items() if uid in anchors})
-
-    return BlockRepresentation(m, decode, candidate_offsets=offsets)
+    return BlockRepresentation(m, decode, AnchorHint(m, anchors, corner))
 
 
 def framed_code(length, index):

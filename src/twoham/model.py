@@ -16,11 +16,13 @@ A supertile is identified by a Karp-Rabin key over its normalized
 cells, H = sum of w(tile) * X**x * Y**y mod a prime.  The key is
 translation covariant, so a union's key follows from its parents' keys
 in constant time.  Equal keys only nominate an equal supertile: equality
-is always decided cell by cell, and a union still holding its parents
-is compared through them, so a dict keyed by supertiles finds a
-duplicate union without building its cells.  Every supertile builds
-its SHA-1 fingerprint on first read, and a union its cell dict too, so
-a union that turns out to duplicate a known supertile costs neither.
+is always decided cell by cell, and a fresh union is compared through
+its parents, so a dict keyed by supertiles finds a duplicate union
+without building its cells.  Every supertile builds its SHA-1
+fingerprint on first read, and a union its cell dict too, so a union
+that turns out to duplicate a known supertile costs neither.  A union
+keeps its parents for good: the block reader (representation.py) reads
+a union through its parents' readings.
 """
 
 from __future__ import annotations
@@ -194,10 +196,16 @@ class Supertile:
     distinct.  ``fingerprint`` is the SHA-1 of the sorted cells, and it
     and a union's ``cells`` are slots filled on first read, after which
     every read is a plain slot read.  Cells must be treated as read-only.
+
+    ``parents`` is a union's construction record, ((a, ax, ay), (b, bx,
+    by)): each parent with the shift that places it in the union, a
+    first.  It is None for a supertile built from cells.  One slot is
+    enough: a union is fresh, and compared through its parents, until it
+    derives its faces, which builds its cells.
     """
 
     __slots__ = ("cells", "fingerprint", "key", "size", "width", "height",
-                 "_faces_ts", "_faces", "_cols", "_parents")
+                 "_faces_ts", "_faces", "_cols", "parents")
 
     def __init__(self, cells: dict):
         if not cells:
@@ -247,12 +255,12 @@ class Supertile:
         self._faces_ts = faces_ts
         self._faces = None
         self._cols = None
-        self._parents = parents
+        self.parents = parents
 
     def __getattr__(self, name):
         # only reached while the cells or fingerprint slot is still unset
         if name == "cells":
-            (a, ax, ay), (b, bx, by) = self._parents
+            (a, ax, ay), (b, bx, by) = self.parents
             if ax or ay:
                 cells = {(x + ax, y + ay): t for (x, y), t in a.cells.items()}
             else:
@@ -277,16 +285,17 @@ class Supertile:
             return True
         if self.key != other.key or self.size != other.size:
             return False
-        # a union still holding its parents reads them against the other's
-        # cells instead of building its own: with sizes equal, both parents
-        # inside the other is the whole of it.  A dict lookup calls
-        # stored == probe, and the probe is the fresh union, so try other.
-        if other._parents is not None:
+        # a fresh union, one whose faces (and so cells) are not built yet,
+        # reads its parents against the other's cells instead of building
+        # its own: with sizes equal, both parents inside the other is the
+        # whole of it.  A dict lookup calls stored == probe, and the probe
+        # is the fresh union, so try other.
+        if other.parents is not None and other._faces is None:
             self, other = other, self
-        elif self._parents is None:
+        elif self.parents is None or self._faces is not None:
             return self.cells == other.cells
         cells = other.cells
-        for p, sx, sy in self._parents:
+        for p, sx, sy in self.parents:
             if sx or sy:
                 get = cells.get
                 for (x, y), t in p.cells.items():
@@ -319,10 +328,8 @@ class Supertile:
         if self._faces_ts is ts:
             if self._faces is None:
                 self._faces = self._union_faces(ts)
-                self._parents = None
             return self._faces
         cells = self.cells
-        self._parents = None
         faces = {NORTH: {}, EAST: {}, SOUTH: {}, WEST: {}}
         fn, fe, fs, fw = faces.values()
         tiles = ts._by_id
@@ -344,7 +351,7 @@ class Supertile:
     def _union_faces(self, ts: TileSet) -> dict:
         # a parent's open face stays open unless the other parent covers it
         cells = self.cells
-        parents = [(p.faces(ts), sx, sy) for p, sx, sy in self._parents]
+        parents = [(p.faces(ts), sx, sy) for p, sx, sy in self.parents]
         faces = {}
         for d in DIRECTIONS:
             dx, dy = OFFSET[d]

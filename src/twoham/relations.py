@@ -43,7 +43,9 @@ from itertools import product
 from .dynamics import single_step_reachable
 from .errors import AmbiguousAlignment
 from .model import combine
-from .representation import decode_supertile, fits_single_block
+# decode_supertile is not called here; perfbench's tracer looks it up in
+# this module, so it stays importable from it.
+from .representation import BlockReader, decode_supertile, fits_single_block
 
 __all__ = [
     "CHECKS",
@@ -106,11 +108,19 @@ class ImageMap:
     whose grid alignments disagree (it reads as junk), in member listing
     order; every check puts them at the head of its violations.  Nothing
     here reads a fingerprint except those records.
+
+    Every supertile is read through a BlockReader the map owns.  By the
+    union lemma (see BlockReader) a union's reading is its parents'
+    readings, shifted, with only the seam blocks merged and decoded
+    again, and with an anchored representation its candidate offsets
+    are its parents', shifted.  Every member but a seed, and every
+    product strong builds, is a union of members.
     """
 
     def __init__(self, sim, rep):
         self.sim = sim
         self.rep = rep
+        self._read = BlockReader(rep).decode
         self.decoded = {}
         self.preimages = {}
         self._position = {}
@@ -133,7 +143,7 @@ class ImageMap:
         reads as junk without being recorded as an ambiguity."""
         if s not in self.decoded:
             try:
-                self.decoded[s] = decode_supertile(s, self.rep)
+                self.decoded[s] = self._read(s)
             except AmbiguousAlignment as exc:
                 self.decoded[s] = None
                 if s in self.sim:

@@ -13,8 +13,6 @@ always yields the same bytes.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .model import (
     DIRECTIONS,
     EAST,
@@ -30,6 +28,12 @@ from .model import (
 CELL = 40
 MARGIN = 12
 TICK_HALF = 5
+
+
+def _escape(text: str) -> str:
+    """Text escaped for XML character data, as xml.sax.saxutils.escape
+    does it, without importing that module's urllib and email chain."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _tick_offsets(n: int):
@@ -82,7 +86,7 @@ def render_svg(s: Supertile, ts: TileSet) -> str:
             f'  <text x="{px + CELL // 2}" y="{py + CELL // 2}"'
             f' text-anchor="middle" dominant-baseline="central"'
             f' font-family="monospace" font-size="{CELL // 3}">'
-            f'{escape(cells[(x, y)])}</text>')
+            f'{_escape(cells[(x, y)])}</text>')
     for (x, y) in sorted(cells):
         tile = ts.tile(cells[(x, y)])
         px, py = corner(x, y)

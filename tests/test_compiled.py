@@ -8,7 +8,7 @@ from twoham import (TAS, Glue, NegativeStrength, Supertile, TileSet,
                     TileType, UnknownTileId, decode_supertile, explore)
 from twoham.compiled import wire_tiles
 from twoham.model import DIRECTIONS, OFFSET, OPPOSITE
-from twoham.representation import blocks_at
+from twoham.representation import BlockReader, blocks_at
 from twoham.strong import STRONG2, compile_strong
 from twoham.weak import WEAK1, compile_weak
 
@@ -28,13 +28,16 @@ def decoding_offsets(s, rep):
                          [(compile_strong, STRONG2), (compile_weak, WEAK1)])
 def test_anchor_hint_matches_full_scan(compiler, variant):
     # the hint must name exactly the alignments a full m x m scan decodes
-    # at: missing one could hide an ambiguity, an extra one is wasted work
+    # at: missing one could hide an ambiguity, an extra one is wasted work;
+    # the block reader takes a union's from its parents' instead
     comp = compiler(dict(suite())["pair"], variant)
     sim = explore(comp.simulator_tas(), TARGET_BOUND * comp.budget)
+    reader = BlockReader(comp.rep)
     decoded = 0
     for s in sim.members():
         offsets = comp.rep.offsets_for(s)
         assert offsets == decoding_offsets(s, comp.rep), s.fingerprint
+        assert reader.offsets(s) == offsets, s.fingerprint
         if offsets:
             decoded += 1
             assert decode_supertile(s, comp.rep).offset == offsets[0]

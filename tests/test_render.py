@@ -1,3 +1,5 @@
+from xml.sax.saxutils import escape
+
 from twoham import Glue, Supertile, TAS, TileSet, TileType
 from twoham import weak
 from twoham.render import render_svg
@@ -69,6 +71,12 @@ def test_tile_ids_are_escaped():
     svg = render_svg(Supertile({(0, 0): "a<b"}), ts)
     assert "a&lt;b" in svg
     assert "<b" not in svg.replace("a&lt;b", "")
+    # &, < and > come out as xml.sax.saxutils.escape writes them, an
+    # entity-looking id included
+    for tid in ("a&b", "a>b", "&lt;<>&amp;"):
+        svg = render_svg(Supertile({(0, 0): tid}), TileSet([TileType(tid)]))
+        assert f">{escape(tid)}</text>" in svg
+        assert tid not in svg.replace(escape(tid), "")
 
 
 def test_macrotile_square_count_matches_layout():
