@@ -14,8 +14,10 @@ a verify run whose checks find violations reports them and exits 1.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import ladders, strong, weak
@@ -52,13 +54,42 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@contextmanager
+def _collector_paused():
+    """Run the body with Python's cyclic garbage collector disabled, and
+    restore the caller's setting afterwards, whatever the outcome.
+
+    Reference counting alone frees everything verify and compile make,
+    because none of it forms a reference cycle (the acyclicity lemma):
+    a union references its parents and never its children, so
+    supertiles form a DAG; tile types and glues are tuples of strings
+    and ints; parsed and built documents are trees; and a compilation's
+    decoder closures reference its metadata, which never references
+    back.  So a collection pass would find nothing, yet each one
+    re-traverses every live container: the parsed document, tens of
+    thousands of universal tile types and seed cells.  main builds its
+    argparse parser, which is cyclic, before entering, and
+    tests/test_cli.py holds every verify and compile path to the lemma
+    with gc.DEBUG_SAVEALL.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _read(path: str) -> str:
     return Path(path).read_text()
 
 
 def _emit_error(kind: str, message: str):
-    json.dump({"error": {"type": kind, "message": message}}, sys.stderr)
-    sys.stderr.write("\n")
+    # json.dumps takes the C encoder; json.dump's pure-Python one leaves
+    # reference cycles of nested closures behind on every error exit
+    sys.stderr.write(
+        json.dumps({"error": {"type": kind, "message": message}}) + "\n")
 
 
 def _exploration_note(prod) -> str:
@@ -103,6 +134,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+@_collector_paused()
 def _cmd_compile(args) -> int:
     tas = parse_tas(_read(args.tas))
     comp = METHODS[args.method](tas)
@@ -112,6 +144,7 @@ def _cmd_compile(args) -> int:
     return 0
 
 
+@_collector_paused()
 def _cmd_verify(args) -> int:
     tas = parse_tas(_read(args.tas))
     doc = parse_compiled(_read(args.compiled))

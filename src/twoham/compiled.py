@@ -16,7 +16,7 @@ own consistency check on a block that already has a complete body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CorruptMacrotile
 from .model import DIRECTIONS, NULL_GLUE, TAS, Glue, TileType
@@ -60,16 +60,14 @@ class CompiledSimulator:
                 f"inputs={len(self.input_supertiles)}>")
 
 
-@dataclass
-class Piece:
+class Piece(namedtuple("Piece", ("cells", "faces"))):
     """Cells and outward faces of one rigid piece in its block frame.
 
     cells maps (x, y) to a universal tile id; faces maps a cell to the
     list of (direction, Glue) pairs it shows outward.
     """
 
-    cells: dict
-    faces: dict
+    __slots__ = ()
 
 
 def anchored_rep(m, k, corner, anchors, check) -> BlockRepresentation:

@@ -237,7 +237,9 @@ class Supertile:
         Supertile(merged dict): a's, then b's.  faces(ts) is derived on
         first use from the parents' faces, which costs their open faces
         rather than every cell; that is what pays on the large supertiles
-        of a compiled simulator.
+        of a compiled simulator.  Either read builds any unbuilt parents
+        first, each before its children, so a chain of any length reads
+        without recursion.
         """
         ox, oy = offset
         ax, ay = max(0, -ox), max(0, -oy)
@@ -261,6 +263,8 @@ class Supertile:
         # only reached while the cells or fingerprint slot is still unset
         if name == "cells":
             (a, ax, ay), (b, bx, by) = self.parents
+            if _cells_pending(a) or _cells_pending(b):
+                _parents_first(self, _cells_pending, attrgetter("cells"))
             if ax or ay:
                 cells = {(x + ax, y + ay): t for (x, y), t in a.cells.items()}
             else:
@@ -327,6 +331,11 @@ class Supertile:
         """
         if self._faces_ts is ts:
             if self._faces is None:
+                (a, _, _), (b, _, _) = self.parents
+                if a._faces is None or b._faces is None:
+                    _parents_first(
+                        self, lambda u: u._faces is None and u._faces_ts is ts,
+                        lambda u: u.faces(ts))
                 self._faces = self._union_faces(ts)
             return self._faces
         cells = self.cells
@@ -364,6 +373,41 @@ class Supertile:
                         by_glue.setdefault(g, []).extend(kept)
             faces[d] = {g: tuple(sorted(cs)) for g, cs in by_glue.items()}
         return faces
+
+
+_cells_slot = Supertile.cells.__get__
+
+
+def _cells_pending(st) -> bool:
+    """True while reading st.cells would build them from st's parents.
+    Derived faces imply built cells, which is every member explore
+    keeps, so only the slot of a faceless supertile is probed."""
+    if st._faces is not None:
+        return False
+    try:
+        _cells_slot(st)
+    except AttributeError:
+        return True
+    return False
+
+
+def _parents_first(st, pending, build):
+    """build(u) for every pending union under st, each after its pending
+    parents, through an explicit stack, as representation._bottom_up
+    does: a long chain of unions built one Supertile.union at a time
+    cannot exhaust recursion.  st's own read then finds both parents
+    built and takes the one-level path."""
+    stack = [p for p, _, _ in st.parents if pending(p)]
+    while stack:
+        u = stack[-1]
+        waiting = [p for p, _, _ in u.parents if pending(p)]
+        if waiting:
+            stack += waiting
+            continue
+        stack.pop()
+        # a parent shared down two paths is stacked twice, built once
+        if pending(u):
+            build(u)
 
 
 def binding_graph(cells: dict, ts: TileSet) -> dict:

@@ -37,7 +37,6 @@ passes it to every check as decoded.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import product
 
 from .dynamics import single_step_reachable
@@ -58,21 +57,29 @@ __all__ = [
 ]
 
 
-@dataclass
 class Report:
     """Outcome of one relation check.
 
     checked counts the proof obligations examined; boundary counts the
     ones skipped because they fell outside an exploration bound; skipped
     counts the ones that were vacuous (no preimage, junk-only step).
+    violations and notes default to fresh empty lists.
     """
 
-    relation: str
-    checked: int = 0
-    boundary: int = 0
-    skipped: int = 0
-    violations: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    __slots__ = ("relation", "checked", "boundary", "skipped", "violations",
+                 "notes")
+
+    def __init__(self, relation, checked=0, boundary=0, skipped=0,
+                 violations=None, notes=None):
+        self.relation = relation
+        self.checked = checked
+        self.boundary = boundary
+        self.skipped = skipped
+        self.violations = [] if violations is None else violations
+        self.notes = [] if notes is None else notes
+
+    def __repr__(self):
+        return f"Report({self.to_dict()!r})"
 
     @property
     def passed(self):

@@ -50,7 +50,7 @@ anchor's tile is reported as a corrupt macrotile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .compiled import (CompiledSimulator, Piece, anchored_rep, framed_code,
                        place_piece, tooth_offsets, wire_tiles)
@@ -70,18 +70,10 @@ def _side_count(n):
     return math.isqrt(n - 1) + 1
 
 
-@dataclass(frozen=True)
-class _Geometry:
-    variant: str
-    tau: int
-    n_glues: int
-    ell: int
-    framed: int
-    s_len: int
-    pad: int
-    k: int
-    h: int
-    m: int
+class _Geometry(namedtuple("_Geometry", (
+        "variant", "tau", "n_glues", "ell", "framed", "s_len", "pad", "k",
+        "h", "m"))):
+    __slots__ = ()
 
     def pad_offset(self, i):
         return 2 + i * (self.pad + 1)
@@ -199,12 +191,9 @@ def _build_layout(t, tidx, geo, gidx) -> Piece:
     return Piece(named, faces)
 
 
-@dataclass
-class StrongMeta:
-    geo: _Geometry
-    glues: tuple
-    signatures: dict     # tile id -> normalized glue 4-tuple
-    layouts: dict        # tile id -> Piece
+# signatures: tile id -> normalized glue 4-tuple; layouts: tile id -> Piece
+StrongMeta = namedtuple("StrongMeta", ("geo", "glues", "signatures",
+                                       "layouts"))
 
 
 def _signature(t):

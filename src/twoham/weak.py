@@ -35,7 +35,7 @@ system but does not track it step for step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .compiled import (CompiledSimulator, Piece, anchored_rep, framed_code,
                        place_piece, tooth_offsets, wire_tiles)
@@ -60,21 +60,9 @@ _CELL = {
 _ALONG = {NORTH: EAST, SOUTH: EAST, EAST: NORTH, WEST: NORTH}
 
 
-@dataclass(frozen=True)
-class _Geometry:
-    variant: str
-    tau: int
-    n_tiles: int
-    n_glues: int
-    nt: int
-    ng: int
-    span: int
-    slots: int
-    d: int
-    x_t: int
-    x_s: int
-    k: int
-    m: int
+_Geometry = namedtuple("_Geometry", (
+    "variant", "tau", "n_tiles", "n_glues", "nt", "ng", "span", "slots", "d",
+    "x_t", "x_s", "k", "m"))
 
 
 def _geometry(n_tiles, n_glues, tau, variant) -> _Geometry:
@@ -213,13 +201,8 @@ def _wire_piece(lay: Piece, prefix, tau):
     return wire_tiles(dict(sorted(lay.cells.items())), lay.faces, prefix, tau, {})
 
 
-@dataclass
-class WeakMeta:
-    geo: _Geometry
-    glues: tuple
-    megas: dict
-    gadgets: dict
-    completions: dict
+WeakMeta = namedtuple("WeakMeta", ("geo", "glues", "megas", "gadgets",
+                                   "completions"))
 
 
 def _check_body(block, tid, meta: WeakMeta):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 from collections import Counter
@@ -5,7 +6,7 @@ from collections import Counter
 import pytest
 
 from twoham import Glue, INFINITE, NULL_GLUE, Supertile, TAS, TileSet, TileType
-from twoham import ladders
+from twoham import cli, ladders
 from twoham.cli import main
 from twoham.dynamics import explore
 from twoham.weak import WEAK1, compile_weak
@@ -474,3 +475,118 @@ def test_verify_outputs_are_frozen(capsys, tmp_path):
                 digest = hashlib.sha256(out.encode()).hexdigest()
                 got[f"{name}/{method}/{mode}"] = (code, digest)
     assert got == FROZEN_VERIFY
+
+
+def paused_run(capsys, monkeypatch, *argv):
+    """run(capsys, *argv) and the number of objects that the cyclic
+    collector then finds unreachable.  The parser is built first, since
+    argparse's parser is the one cyclic structure a main call makes;
+    under the acyclicity lemma of cli._collector_paused the count is 0."""
+    parser = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        result = run(capsys, *argv)
+        gc.collect()
+        cyclic = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    return result, cyclic
+
+
+def cooperative_square_t3():
+    """2x2 square at temperature 3: each row binds at 3, and the rows
+    join only through both vertical seams at once (2 + 1)."""
+    h3, k3 = Glue("h", 3), Glue("k", 3)
+    v2, w1 = Glue("v", 2), Glue("w", 1)
+    return TAS(TileSet([
+        TileType("A", east=h3, north=v2),
+        TileType("B", west=h3, north=w1),
+        TileType("C", east=k3, south=v2),
+        TileType("D", west=k3, south=w1),
+    ]), 3)
+
+
+def test_verify_and_compile_leave_no_cyclic_garbage(capsys, monkeypatch,
+                                                    tmp_path):
+    """Every compile and verify path runs with the collector paused, so
+    each must free all it makes by reference counting alone: the suite
+    and a temperature-3 system under all five methods, a FAIL, and a
+    SchemaError from a tampered document."""
+    systems = [*suite(), ("coop-t3", cooperative_square_t3())]
+    cases = []
+    for name, tas in systems:
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_tas(tas))
+        for method in ("strong2", "strong1", "weak1", "weak2", "weak3"):
+            compiled = tmp_path / f"{name}.{method}.json"
+            (code, _, err), cyclic = paused_run(
+                capsys, monkeypatch, "compile", "--tas", str(path),
+                "--method", method, "--out", str(compiled))
+            assert (code, err, cyclic) == (0, "", 0), (name, method)
+            (code, out, err), cyclic = paused_run(
+                capsys, monkeypatch, "verify", "--tas", str(path),
+                "--compiled", str(compiled), "--size-bound", "3")
+            assert (code, err, cyclic) == (0, "", 0), (name, method)
+            cases.append(out.splitlines()[-1])
+    assert cases == ["result: PASS"] * 20
+    pair, compiled = tmp_path / "pair.json", tmp_path / "pair.weak1.json"
+    (code, out, _), cyclic = paused_run(
+        capsys, monkeypatch, "verify", "--tas", str(pair), "--compiled",
+        str(compiled), "--size-bound", "2", "--relation", "all")
+    assert (code, cyclic) == (1, 0) and "result: FAIL" in out
+    doc = json.loads(compiled.read_text())
+    doc["scale"] += 1
+    compiled.write_text(json.dumps(doc))
+    (code, _, err), cyclic = paused_run(
+        capsys, monkeypatch, "verify", "--tas", str(pair), "--compiled",
+        str(compiled), "--size-bound", "2")
+    assert (code, cyclic) == (2, 0)
+    assert json.loads(err)["error"]["type"] == "SchemaError"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_verify_and_compile_restore_the_collector(capsys, monkeypatch,
+                                                  tmp_path, enabled):
+    """compile and verify run with the collector off, and leave it as
+    the caller had it after exit codes 0, 1 and 2."""
+    parse_tas_ = cli.parse_tas
+    paused = []
+
+    def spy(text):
+        paused.append(not gc.isenabled())
+        return parse_tas_(text)
+
+    monkeypatch.setattr(cli, "parse_tas", spy)
+    tas = write_pair(tmp_path)
+    compiled = tmp_path / "pair.weak1.json"
+    runs = [
+        ["compile", "--tas", str(tas), "--method", "weak1",
+         "--out", str(compiled)],
+        ["verify", "--tas", str(tas), "--compiled", str(compiled),
+         "--size-bound", "2"],
+        ["verify", "--tas", str(tas), "--compiled", str(compiled),
+         "--size-bound", "2", "--relation", "all"],
+        ["verify", "--tas", str(tas), "--compiled", str(tas),
+         "--size-bound", "2"],
+    ]
+    was = gc.isenabled()
+    codes, after = [], []
+    try:
+        for argv in runs:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            codes.append(run(capsys, *argv)[0])
+            after.append(gc.isenabled())
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+    assert codes == [0, 0, 1, 2]
+    assert after == [enabled] * 4
+    assert paused == [True] * 4

@@ -599,6 +599,28 @@ def test_union_equality_reads_parents_under_colliding_keys(colliding_keys):
     assert _union_lookups(2025, colliding=True) >= 300
 
 
+def test_long_union_chain_reads_without_recursion():
+    """A 1,500-tile line built one Supertile.union at a time, none of
+    whose cells were read on the way, gives the cells, faces, equality
+    and dict probe of Supertile(merged dict); each read starts from a
+    fresh chain."""
+    ts = TileSet([TileType("a", east=Glue("g", 2), west=Glue("g", 2))])
+    tile = Supertile({(0, 0): "a"})
+    want = Supertile({(x, 0): "a" for x in range(1500)})
+
+    def line():
+        st = tile
+        for x in range(1, 1500):
+            st = Supertile.union(st, tile, (x, 0), ts)
+        assert _cells_unbuilt(st.parents[0][0])
+        return st
+
+    assert list(line().cells.items()) == list(want.cells.items())
+    assert line().faces(ts) == want.faces(ts)
+    assert line() == want and want == line()
+    assert {want: want}.get(line()) is want
+
+
 def test_combine_is_symmetric_and_sized():
     rng = random.Random(3551)
     for _ in range(25):
