@@ -20,7 +20,7 @@ from collections import namedtuple
 
 from .errors import CorruptMacrotile
 from .model import DIRECTIONS, NULL_GLUE, TAS, Glue, TileType
-from .representation import AnchorHint, BlockRepresentation
+from .representation import BlockRepresentation
 
 
 class CompiledSimulator:
@@ -78,9 +78,9 @@ def anchored_rep(m, k, corner, anchors, check) -> BlockRepresentation:
     block is a CorruptMacrotile.  check(block, tile_id) runs the
     compiler's own consistency test and returns the tile id.  Only
     alignments that put an anchor cell on the body corner can decode,
-    so those, and no others, are the candidate offsets.  The hint is
-    data, an AnchorHint, so a BlockReader takes a union's offsets from
-    its parents': a union's anchor cells are its parents' anchor cells,
+    so those, and no others, are the candidate offsets.  The anchors
+    are data, so a BlockReader takes a union's offsets from its
+    parents': a union's anchor cells are its parents' anchor cells,
     shifted, and no pass over its cells looks for them.
     """
     body = {(x, y) for x in range(corner, corner + k)
@@ -94,7 +94,7 @@ def anchored_rep(m, k, corner, anchors, check) -> BlockRepresentation:
             raise CorruptMacrotile("body anchor cell is no macrotile anchor")
         return check(block, tid)
 
-    return BlockRepresentation(m, decode, AnchorHint(m, anchors, corner))
+    return BlockRepresentation(m, decode, anchors, corner)
 
 
 def framed_code(length, index):

@@ -201,7 +201,7 @@ class Supertile:
     by)): each parent with the shift that places it in the union, a
     first.  It is None for a supertile built from cells.  One slot is
     enough: a union is fresh, and compared through its parents, until it
-    derives its faces, which builds its cells.
+    holds its faces, which builds its cells.
     """
 
     __slots__ = ("cells", "fingerprint", "key", "size", "width", "height",
@@ -235,11 +235,12 @@ class Supertile:
         Only the box and the key are computed here, the key from the
         parents' keys.  Cells, built on first read, keep the order of
         Supertile(merged dict): a's, then b's.  faces(ts) is derived on
-        first use from the parents' faces, which costs their open faces
-        rather than every cell; that is what pays on the large supertiles
-        of a compiled simulator.  Either read builds any unbuilt parents
-        first, each before its children, so a chain of any length reads
-        without recursion.
+        first use from the parents' faces when both hold theirs, which
+        costs their open faces rather than every cell; that is what pays
+        on the large supertiles of a compiled simulator.  Either read of
+        a union whose parents are not built stores nothing on the unions
+        under it (see _gathered), so a chain of any length reads without
+        recursion, in memory linear in its size.
         """
         ox, oy = offset
         ax, ay = max(0, -ox), max(0, -oy)
@@ -264,7 +265,8 @@ class Supertile:
         if name == "cells":
             (a, ax, ay), (b, bx, by) = self.parents
             if _cells_pending(a) or _cells_pending(b):
-                _parents_first(self, _cells_pending, attrgetter("cells"))
+                self.cells = cells = _gathered(self)
+                return cells
             if ax or ay:
                 cells = {(x + ax, y + ay): t for (x, y), t in a.cells.items()}
             else:
@@ -326,18 +328,17 @@ class Supertile:
     def faces(self, ts: TileSet) -> dict:
         """Positive glues on open faces, per direction: glue -> coordinates.
 
-        A union derives them from its parents on the first call with the
-        tile set it was built with; any other TileSet object gets a scan.
+        A union whose parents both hold their faces derives its own from
+        theirs on the first call with the tile set it was built with;
+        any other union, and any other TileSet object, gets a scan.
         """
         if self._faces_ts is ts:
-            if self._faces is None:
-                (a, _, _), (b, _, _) = self.parents
-                if a._faces is None or b._faces is None:
-                    _parents_first(
-                        self, lambda u: u._faces is None and u._faces_ts is ts,
-                        lambda u: u.faces(ts))
+            if self._faces is not None:
+                return self._faces
+            (a, _, _), (b, _, _) = self.parents
+            if a._faces is not None and b._faces is not None:
                 self._faces = self._union_faces(ts)
-            return self._faces
+                return self._faces
         cells = self.cells
         faces = {NORTH: {}, EAST: {}, SOUTH: {}, WEST: {}}
         fn, fe, fs, fw = faces.values()
@@ -380,8 +381,8 @@ _cells_slot = Supertile.cells.__get__
 
 def _cells_pending(st) -> bool:
     """True while reading st.cells would build them from st's parents.
-    Derived faces imply built cells, which is every member explore
-    keeps, so only the slot of a faceless supertile is probed."""
+    Faces imply built cells, and every member explore keeps holds its
+    faces, so only the slot of a faceless supertile is probed."""
     if st._faces is not None:
         return False
     try:
@@ -391,23 +392,25 @@ def _cells_pending(st) -> bool:
     return False
 
 
-def _parents_first(st, pending, build):
-    """build(u) for every pending union under st, each after its pending
-    parents, through an explicit stack, as representation._bottom_up
-    does: a long chain of unions built one Supertile.union at a time
-    cannot exhaust recursion.  st's own read then finds both parents
-    built and takes the one-level path."""
-    stack = [p for p, _, _ in st.parents if pending(p)]
+def _gathered(st) -> dict:
+    """st's cells, copied from the nearest built cells under it with their
+    cumulative shifts, a's before b's, through an explicit stack: a long
+    chain of unions built one Supertile.union at a time cannot exhaust
+    recursion, and nothing is stored on the unions under st.  A parent
+    shared down two paths is copied once per path, at each path's shift,
+    as the one-level path copies it once per parent."""
+    cells = {}
+    stack = [(st, 0, 0)]
     while stack:
-        u = stack[-1]
-        waiting = [p for p, _, _ in u.parents if pending(p)]
-        if waiting:
-            stack += waiting
-            continue
-        stack.pop()
-        # a parent shared down two paths is stacked twice, built once
-        if pending(u):
-            build(u)
+        u, sx, sy = stack.pop()
+        if _cells_pending(u):
+            (a, ax, ay), (b, bx, by) = u.parents
+            stack.append((b, sx + bx, sy + by))
+            stack.append((a, sx + ax, sy + ay))
+        else:
+            for (x, y), t in u.cells.items():
+                cells[(x + sx, y + sy)] = t
+    return cells
 
 
 def binding_graph(cells: dict, ts: TileSet) -> dict:

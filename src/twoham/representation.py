@@ -2,14 +2,14 @@
 
 A representation carries a scale m and a decoder from m x m blocks of
 simulator tiles to simulated tile ids.  Decoding a supertile tries block
-grids at every offset, or only at the offsets a registered hint proposes
-(the compilers read blocks at anchor cells, and their AnchorHint
-proposes exactly the offsets that put one on a body corner; see
-compiled.anchored_rep), and succeeds when exactly one grid alignment
-produces a non-empty image.  Each alignment's blocks give both the image
-and, through their keys, the fuzz rule.  Distinct non-empty images at
-two alignments mean the supertile cannot be read at all, which is
-reported loudly rather than resolved by preference.
+grids at every offset, or, for a representation with anchors, only at
+the offsets that put an anchor cell on the in-block corner (the
+compilers read blocks at anchor cells; see compiled.anchored_rep), and
+succeeds when exactly one grid alignment produces a non-empty image.
+Each alignment's blocks give both the image and, through their keys, the
+fuzz rule.  Distinct non-empty images at two alignments mean the
+supertile cannot be read at all, which is reported loudly rather than
+resolved by preference.
 
 decode_supertile reads a supertile's cells, one pass per alignment: the
 generic path and the oracle.  BlockReader gives the same readings from a
@@ -22,7 +22,6 @@ from .errors import AmbiguousAlignment
 from .model import Supertile
 
 __all__ = [
-    "AnchorHint",
     "BlockReader",
     "BlockRepresentation",
     "DecodedImage",
@@ -52,51 +51,32 @@ def blocks_at(s: Supertile, m: int, ox: int, oy: int) -> dict:
     return blocks
 
 
-class AnchorHint:
-    """Candidate offsets as data: the anchor tile ids and the in-block
-    corner (corner, corner) where a block must show one to decode.
-
-    Called on a supertile it scans the cells for anchors, one offset per
-    anchor cell.  BlockReader instead takes a union's offsets from its
-    parents': the union's anchor cells are its parents' anchor cells,
-    shifted (see BlockReader.offsets).
-    """
-
-    __slots__ = ("m", "anchors", "corner")
-
-    def __init__(self, m, anchors, corner):
-        self.m = m
-        self.anchors = anchors
-        self.corner = corner
-
-    def __call__(self, s: Supertile):
-        m, c, anchors = self.m, self.corner, self.anchors
-        return sorted({((x - c) % m, (y - c) % m)
-                       for (x, y), uid in s.cells.items() if uid in anchors})
-
-
 class BlockRepresentation:
-    """Scale plus block decoder, with an optional alignment hint.
+    """Scale plus block decoder, with optional anchors.
 
     decode_block takes one non-empty block (dict of in-block coordinate to
     simulator tile id) and returns a simulated tile id or None.  The empty
     block always decodes to None and is never passed in.
 
-    candidate_offsets, when given, maps a supertile to the grid offsets
-    worth trying; it must cover every offset that could decode to a
-    non-empty image, and exists so anchored decoders can skip the full
-    m * m scan.  An AnchorHint is such a map that a BlockReader can also
-    read as data.
+    anchors, when given, holds the simulator tile ids one of which a block
+    must show at in-block (corner, corner) to decode, so the only offsets
+    worth trying are those that put an anchor cell there: one per anchor
+    cell, and a BlockReader takes a union's from its parents'.  Without
+    anchors all m * m offsets are tried.
     """
 
-    __slots__ = ("m", "decode_block", "candidate_offsets")
+    __slots__ = ("m", "decode_block", "anchors", "corner", "_every_offset")
 
-    def __init__(self, m, decode_block, candidate_offsets=None):
+    def __init__(self, m, decode_block, anchors=None, corner=0):
         if m < 1:
             raise ValueError(f"scale must be positive, got {m}")
         self.m = m
         self.decode_block = decode_block
-        self.candidate_offsets = candidate_offsets
+        self.anchors = anchors
+        self.corner = corner
+        if anchors is None:
+            self._every_offset = tuple(
+                (ox, oy) for ox in range(m) for oy in range(m))
 
     @classmethod
     def from_table(cls, m, table):
@@ -116,9 +96,12 @@ class BlockRepresentation:
         return cls(m, decode)
 
     def offsets_for(self, s: Supertile):
-        if self.candidate_offsets is not None:
-            return list(self.candidate_offsets(s))
-        return [(ox, oy) for ox in range(self.m) for oy in range(self.m)]
+        """The grid offsets worth trying on s, in sorted order."""
+        if self.anchors is None:
+            return self._every_offset
+        m, c, anchors = self.m, self.corner, self.anchors
+        return sorted({((x - c) % m, (y - c) % m)
+                       for (x, y), uid in s.cells.items() if uid in anchors})
 
 
 class DecodedImage:
@@ -180,7 +163,7 @@ def decode_supertile(s: Supertile, rep: BlockRepresentation):
     is reported); different images raise AmbiguousAlignment.
     """
     def readings():
-        for ox, oy in sorted(rep.offsets_for(s)):
+        for ox, oy in rep.offsets_for(s):
             blocks = blocks_at(s, rep.m, ox, oy)
             image = {}
             for key, block in blocks.items():
@@ -214,22 +197,22 @@ class BlockReader:
     block's fragments merge in cell order too.
 
     A reading maps block keys to [content, decode] pairs that every
-    reading holding the same block shares.  The content is the block
-    dict of a supertile built from cells, or, for a seam block, the
-    tuple of its parents' fragments, merged only to be decoded, so the
-    readings hold no cell twice.  The decode is filled in the first time
-    some supertile is read at an offset whose blocks include it, so
-    decode_block runs only on a block that decode_supertile also reads
-    for that supertile at that offset, and on each block once.  A decode
-    that raises is not kept, so the same exception comes back on the
-    next read.  Supertiles built from cells are read by blocks_at.
+    reading holding the same block shares.  The content is a tuple of
+    block fragments, merged only to be decoded: the one block dict of a
+    supertile built from cells, or, for a seam block, its parents'
+    fragments, a's then b's, so the readings hold no cell twice.  The
+    decode is filled in the first time some supertile is read at an
+    offset whose blocks include it, so decode_block runs only on a block
+    that decode_supertile also reads for that supertile at that offset,
+    and on each block once.  A decode that raises is not kept, so the
+    same exception comes back on the next read.  Supertiles built from
+    cells are read by blocks_at.
 
-    Readings, and with an AnchorHint the candidate offsets, are memoized
-    by supertile, so a supertile equal to one read before gets that
-    one's reading: the same image, in the first one's block order.  With
-    an AnchorHint the offsets come from the parents too; any other hint
-    is called on the supertile, and without one all m * m offsets are
-    read and kept.
+    Readings, and with anchors the candidate offsets, are memoized by
+    supertile, so a supertile equal to one read before gets that one's
+    reading: the same image, in the first one's block order.  With
+    anchors the offsets come from the parents too; without them all
+    m * m offsets are read and kept.
     """
 
     __slots__ = ("rep", "_readings", "_offsets")
@@ -240,15 +223,15 @@ class BlockReader:
         self._offsets = {}   # supertile -> its sorted candidate offsets
 
     def offsets(self, s: Supertile):
-        """s's candidate offsets, in sorted order.  With an AnchorHint a
-        union's are its parents' offsets moved by their shifts mod m: an
-        anchor cell of p at (x, y) proposes ((x - c) % m, (y - c) % m),
-        and in the union it sits at (x + sx, y + sy)."""
-        hint = self.rep.candidate_offsets
-        if not isinstance(hint, AnchorHint):
-            return sorted(self.rep.offsets_for(s))
-        return _bottom_up(self._offsets, s, _parent_supertiles, hint,
-                          self._union_offsets)
+        """s's candidate offsets, in sorted order.  With anchors a union's
+        are its parents' offsets moved by their shifts mod m: an anchor
+        cell of p at (x, y) proposes ((x - c) % m, (y - c) % m), and in
+        the union it sits at (x + sx, y + sy)."""
+        rep = self.rep
+        if rep.anchors is None:
+            return rep.offsets_for(s)
+        return _bottom_up(self._offsets, s, _parent_supertiles,
+                          rep.offsets_for, self._union_offsets)
 
     def _union_offsets(self, u):
         m = self.rep.m
@@ -269,7 +252,7 @@ class BlockReader:
 
     def _leaf_reading(self, key):
         u, ox, oy = key
-        return {k: [block, _UNREAD]
+        return {k: [(block,), _UNREAD]
                 for k, block in blocks_at(u, self.rep.m, ox, oy).items()}
 
     def _union_reading(self, key):
@@ -283,7 +266,7 @@ class BlockReader:
                 k = kx - qx, ky - qy
                 seam = blocks.get(k)
                 blocks[k] = pair if seam is None else [
-                    _fragments(seam) + _fragments(pair), _UNREAD]
+                    seam[0] + pair[0], _UNREAD]
         return blocks
 
     def decode(self, s: Supertile):
@@ -298,13 +281,10 @@ class BlockReader:
                 for key, pair in blocks.items():
                     tid = pair[1]
                     if tid is _UNREAD:
-                        content = pair[0]
-                        if type(content) is tuple:
-                            block = {}
-                            for fragment in content:
-                                block.update(fragment)
-                            content = block
-                        tid = pair[1] = decode_block(content)
+                        block = {}
+                        for fragment in pair[0]:
+                            block.update(fragment)
+                        tid = pair[1] = decode_block(block)
                     if tid is not None:
                         image[key] = tid
                 yield (ox, oy), image, blocks
@@ -339,8 +319,3 @@ def _bottom_up(memo, key, deps, leaf, union):
 
 def _parent_supertiles(u):
     return u.parents and [p for p, _, _ in u.parents]
-
-
-def _fragments(pair):
-    content = pair[0]
-    return content if type(content) is tuple else (content,)

@@ -599,12 +599,32 @@ def test_union_equality_reads_parents_under_colliding_keys(colliding_keys):
     assert _union_lookups(2025, colliding=True) >= 300
 
 
+def _unions_under(st):
+    """Every union under st, down its first parents and both parents
+    of each, once."""
+    seen = {}
+    stack = [p for p, _, _ in st.parents]
+    while stack:
+        u = stack.pop()
+        if u.parents is not None and id(u) not in seen:
+            seen[id(u)] = u
+            stack += [p for p, _, _ in u.parents]
+    return list(seen.values())
+
+
+def _nothing_stored_under(st):
+    return all(_cells_unbuilt(u) and u._faces is None
+               for u in _unions_under(st))
+
+
 def test_long_union_chain_reads_without_recursion():
     """A 1,500-tile line built one Supertile.union at a time, none of
     whose cells were read on the way, gives the cells, faces, equality
     and dict probe of Supertile(merged dict); each read starts from a
-    fresh chain."""
-    ts = TileSet([TileType("a", east=Glue("g", 2), west=Glue("g", 2))])
+    fresh chain.  Reading its cells and then its faces stores neither on
+    any union under it, so the read takes memory linear in the line."""
+    ts = TileSet([TileType("a", north=Glue("n", 1), east=Glue("g", 2),
+                           west=Glue("g", 2))])
     tile = Supertile({(0, 0): "a"})
     want = Supertile({(x, 0): "a" for x in range(1500)})
 
@@ -615,10 +635,43 @@ def test_long_union_chain_reads_without_recursion():
         assert _cells_unbuilt(st.parents[0][0])
         return st
 
-    assert list(line().cells.items()) == list(want.cells.items())
-    assert line().faces(ts) == want.faces(ts)
+    st = line()
+    assert list(st.cells.items()) == list(want.cells.items())
+    assert len(_unions_under(st)) == 1498 and _nothing_stored_under(st)
+    assert st.faces(ts) == want.faces(ts)
+    assert _nothing_stored_under(st)
+    st = line()
+    assert st.faces(ts) == want.faces(ts) and _nothing_stored_under(st)
     assert line() == want and want == line()
     assert {want: want}.get(line()) is want
+
+
+def test_shared_parent_union_dag_reads_like_merged_cells():
+    """11 rounds of doubling, each union taking one supertile as both
+    parents, give a 2,048-tile line whose fresh cells are those of
+    Supertile(merged dict), in order, and so are its faces; neither read
+    stores anything on the unions under it."""
+    ts = TileSet([TileType("a", north=Glue("n", 1), east=Glue("g", 2),
+                           west=Glue("g", 2))])
+
+    def doubled():
+        u = Supertile({(0, 0): "a"})
+        for _ in range(11):
+            u = Supertile.union(u, u, (u.width, 0), ts)
+        return u
+
+    merged = {(0, 0): "a"}
+    for _ in range(11):
+        width = len(merged)
+        merged.update({(x + width, y): t for (x, y), t in list(merged.items())})
+    want = Supertile(merged)
+    u = doubled()
+    assert u.size == 2048 and len(_unions_under(u)) == 10
+    assert list(u.cells.items()) == list(want.cells.items())
+    assert _nothing_stored_under(u)
+    assert u.faces(ts) == want.faces(ts) and _nothing_stored_under(u)
+    u = doubled()
+    assert u.faces(ts) == want.faces(ts) and _nothing_stored_under(u)
 
 
 def test_combine_is_symmetric_and_sized():

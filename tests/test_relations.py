@@ -413,8 +413,8 @@ def null_decoder_case():
     that every member wider than a block is oversized junk."""
     sim_tas, sim_bound, tas, bound, rep = compiled_case("seeded-chain", WEAK1)
     return (sim_tas, sim_bound, tas, bound,
-            BlockRepresentation(rep.m, lambda block: None,
-                                rep.candidate_offsets))
+            BlockRepresentation(rep.m, lambda block: None, rep.anchors,
+                                rep.corner))
 
 
 def follows_case():

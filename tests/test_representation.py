@@ -157,49 +157,6 @@ def test_scale_must_be_positive():
         BlockRepresentation(0, lambda block: None)
 
 
-def test_offset_hook_must_agree_with_full_scan():
-    # a hook that merely reorders the full scan never changes the outcome
-    rep = two_block_rep()
-    hook = BlockRepresentation(2, rep.decode_block, candidate_offsets=lambda s: [
-        (1, 1), (1, 0), (0, 1), (0, 0)])
-    rng = random.Random(2204)
-    tiles = ["a0", "a1", "a2", "a3", "b0", "b1", "b2", "b3", "x"]
-    for _ in range(120):
-        cells = {(0, 0): rng.choice(tiles)}
-        n = rng.randrange(1, 9)
-        while len(cells) < n:
-            x, y = rng.choice(sorted(cells))
-            dx, dy = rng.choice([(0, 1), (0, -1), (1, 0), (-1, 0)])
-            cells[(x + dx, y + dy)] = rng.choice(tiles)
-        s = Supertile(cells)
-        try:
-            expect = decode_supertile(s, rep)
-        except AmbiguousAlignment:
-            with pytest.raises(AmbiguousAlignment):
-                decode_supertile(s, hook)
-            continue
-        got = decode_supertile(s, hook)
-        if expect is None:
-            assert got is None
-        else:
-            assert got.offset == expect.offset
-            assert got.supertile.fingerprint == expect.supertile.fingerprint
-
-
-def test_restricting_hook_skips_useless_offsets():
-    rep = two_block_rep()
-    probed = []
-
-    def aligned_only(s):
-        probed.append(s.fingerprint)
-        return [(0, 0)]
-
-    narrow = BlockRepresentation(2, rep.decode_block, candidate_offsets=aligned_only)
-    img = decode_supertile(Supertile(A_CELLS), narrow)
-    assert img.supertile.cells == {(0, 0): "A"}
-    assert len(probed) == 1
-
-
 def random_decodes(seed, m, count):
     """Random from_table reps at scale m, each read on supertiles made of
     its own blocks on a small grid plus fuzz cells; yields (s, rep)."""
@@ -277,8 +234,8 @@ def recording_reader(rep):
         calls.append(tuple(sorted(block.items())))
         return rep.decode_block(block)
 
-    return BlockReader(BlockRepresentation(rep.m, decode,
-                                           rep.candidate_offsets)), calls
+    return BlockReader(BlockRepresentation(rep.m, decode, rep.anchors,
+                                           rep.corner)), calls
 
 
 def outcome(read, s):
@@ -426,11 +383,6 @@ def test_reader_reads_a_from_table_system_like_decode_supertile():
         seen[kind] = seen.get(kind, 0) + 1
     assert min(seen.get(k, 0) for k in (
         "image", "junk", "AmbiguousAlignment")) >= 5, seen
-    # an offset hook is called as the hint of decode_supertile is
-    hook = BlockRepresentation(2, rep.decode_block, lambda s: [(1, 1), (0, 0)])
-    reader, calls = recording_reader(hook)
-    for s in sim.supertiles:
-        read_alike(reader, calls, s)
 
 
 def test_union_gains_an_ambiguous_alignment_from_one_parent():
@@ -502,8 +454,26 @@ def test_reader_reads_a_long_chain_of_unions():
     line = tiles["A"]
     for x in range(1, 3000):
         line = Supertile.union(line, tiles["Af"[x % 2]], (x, 0), ts)
-        if x % 500 == 0:
-            line.cells  # as explore does, so building cells stays shallow
     img = BlockReader(rep).decode(line)
     assert img.offset == (0, 0) and len(img.image) == 1500
     assert img.image == decode_supertile(line, rep).image
+
+
+def test_reader_decodes_each_block_of_a_shared_parent_dag_once():
+    """A 2,048-tile line built by 11 rounds of doubling, each union taking
+    one supertile as both parents, reads as decode_supertile reads it.
+    Both parents' readings are one memo entry, so the union's blocks
+    share their [content, decode] pairs, and each pair is decoded once:
+    13 decodes for the 2,049 blocks of both offsets."""
+    rep = anchored_rep(2, 1, 0, {"A": "A"}, lambda block, tid: tid)
+    ts = TileSet([TileType("A")])
+    line = Supertile({(0, 0): "A"})
+    for _ in range(11):
+        line = Supertile.union(line, line, (line.width, 0), ts)
+    reader, calls = recording_reader(rep)
+    img = reader.decode(line)
+    pairs = {id(pair): pair for offset in reader.offsets(line)
+             for pair in reader.blocks(line, *offset).values()}
+    assert len(calls) == len(pairs) == 13
+    assert img.offset == (0, 0) and len(img.image) == 1024
+    assert img.image == decode_supertile(line, reader.rep).image
