@@ -20,15 +20,16 @@ class ProducibleSet:
     """Supertiles producible within a size bound, plus the step relation.
 
     ``supertiles`` maps each member to itself in discovery order; it is
-    the one member map, looked up by Supertile equality, and what
-    combine's members argument takes.  ``edges`` holds each (parentA,
-    parentB, child) member triple once, as a dict to None in the order
-    explore found them, with the parents in the order explore processed
-    them; it records every combination discovered among members whose
-    union stayed within the bound.  ``overflow`` counts the member pairs
-    that were set aside unevaluated because their union would have
-    exceeded the bound, so callers can tell a true fixed point from a
-    clipped one.  Only members() and a printed listing read fingerprints.
+    the one member map, looked up by Supertile equality (key, size, then
+    packed rows), and what combine's members argument takes.  ``edges``
+    holds each (parentA, parentB, child) member triple once, as a dict to
+    None in the order explore found them, with the parents in the order
+    explore processed them; it records every combination discovered
+    among members whose union stayed within the bound.  ``overflow``
+    counts the member pairs that were set aside unevaluated because their
+    union would have exceeded the bound, so callers can tell a true fixed
+    point from a clipped one.  Only members() and a printed listing read
+    fingerprints.
     """
 
     __slots__ = ("tas", "size_bound", "supertiles", "edges", "overflow",
@@ -104,8 +105,10 @@ def explore(tas, size_bound, step_bound=None, shuffle_seed=None):
     bound still counts toward ``overflow``.
 
     Members are kept in a dict mapping each to itself, so a union that
-    duplicates a member is found through Supertile equality without
-    building its cells.
+    duplicates a member is found through Supertile equality, which
+    compares the packed rows a union takes from its parents.  Overlap
+    tests and a union's faces read rows too, so no member but a seed
+    builds its cells here.
     """
     if size_bound < 1:
         raise BoundTooSmall("size bound must be at least 1")

@@ -16,13 +16,13 @@ A supertile is identified by a Karp-Rabin key over its normalized
 cells, H = sum of w(tile) * X**x * Y**y mod a prime.  The key is
 translation covariant, so a union's key follows from its parents' keys
 in constant time.  Equal keys only nominate an equal supertile: equality
-is always decided cell by cell, and a fresh union is compared through
-its parents, so a dict keyed by supertiles finds a duplicate union
-without building its cells.  Every supertile builds its SHA-1
-fingerprint on first read, and a union its cell dict too, so a union
-that turns out to duplicate a known supertile costs neither.  A union
-keeps its parents for good: the block reader (representation.py) reads
-a union through its parents' readings.
+compares packed rows, one int per row with a 32-bit code per cell, which
+are equal exactly when the cells are.  A union packs its rows from its
+parents' rows in O(height) big-int operations, and overlap tests and its
+open faces read rows too, so a union builds no cell dict, nor a SHA-1
+fingerprint, until one is read.  A union keeps its parents for good: the
+block reader (representation.py) reads a union through its parents'
+readings.
 """
 
 from __future__ import annotations
@@ -180,6 +180,28 @@ def _power_rows(width: int, height: int):
     return _XP, _YP
 
 
+# Row codes.  A supertile's rows hold one int per row y with a 32-bit
+# field per cell at bit 32 * x, the code of the cell's tile id in _CODES:
+# id -> n | 1 << 31, n counting the ids interned before it.  The table is
+# process-wide, never cleared, and grows with the number of distinct tile
+# ids seen.  Row lemma: codes are nonzero and injective (for fewer than
+# 2**31 ids) and cells are normalized, so equal row tuples hold exactly
+# when the cells are equal, whatever the keys and tile sets; and the top
+# bit of every occupied field makes the rows occupancy masks too.
+_CODES = {}
+
+
+def _packed(cells: dict, height: int) -> tuple:
+    rows = [0] * height
+    codes = _CODES
+    for (x, y), t in cells.items():
+        code = codes.get(t)
+        if code is None:
+            code = codes[t] = len(codes) | 1 << 31
+        rows[y] |= code << (x << 5)
+    return tuple(rows)
+
+
 def _fingerprint(cells) -> str:
     return hashlib.sha1(repr(sorted(cells.items())).encode()).hexdigest()
 
@@ -192,20 +214,20 @@ class Supertile:
 
     The placement is shifted so both coordinate minima are 0.  ``key`` is
     the Karp-Rabin key of that shifted form and is the hash; equality
-    compares cells exactly, so two supertiles whose keys collide stay
-    distinct.  ``fingerprint`` is the SHA-1 of the sorted cells, and it
-    and a union's ``cells`` are slots filled on first read, after which
-    every read is a plain slot read.  Cells must be treated as read-only.
+    compares ``rows`` (see the row lemma above), so two supertiles whose
+    keys collide stay distinct.  ``fingerprint`` is the SHA-1 of the
+    sorted cells, and it, a union's ``cells`` and the ``rows`` of a
+    supertile built from cells are slots filled on first read, after
+    which every read is a plain slot read.  Cells must be treated as
+    read-only.
 
     ``parents`` is a union's construction record, ((a, ax, ay), (b, bx,
     by)): each parent with the shift that places it in the union, a
-    first.  It is None for a supertile built from cells.  One slot is
-    enough: a union is fresh, and compared through its parents, until it
-    holds its faces, which builds its cells.
+    first.  It is None for a supertile built from cells.
     """
 
-    __slots__ = ("cells", "fingerprint", "key", "size", "width", "height",
-                 "_faces_ts", "_faces", "_cols", "parents")
+    __slots__ = ("cells", "rows", "fingerprint", "key", "size", "width",
+                 "height", "_faces_ts", "_faces", "parents")
 
     def __init__(self, cells: dict):
         if not cells:
@@ -232,15 +254,18 @@ class Supertile:
     def union(cls, a: Supertile, b: Supertile, offset, ts: TileSet):
         """The union of a and b with b translated by offset; no overlap.
 
-        Only the box and the key are computed here, the key from the
-        parents' keys.  Cells, built on first read, keep the order of
-        Supertile(merged dict): a's, then b's.  faces(ts) is derived on
-        first use from the parents' faces when both hold theirs, which
-        costs their open faces rather than every cell; that is what pays
-        on the large supertiles of a compiled simulator.  Either read of
-        a union whose parents are not built stores nothing on the unions
-        under it (see _gathered), so a chain of any length reads without
-        recursion, in memory linear in its size.
+        The box, the key (from the parents' keys) and the rows (each
+        parent's rows shifted into place and ORed, which the parents'
+        disjointness makes exact) are computed here.  Cells, built on
+        first read, keep the order of Supertile(merged dict): a's, then
+        b's.  faces(ts) is derived on first use from the parents' faces
+        and rows when both parents hold their faces, which costs their
+        open faces rather than every cell; that is what pays on the large
+        supertiles of a compiled simulator.  Reading the cells of a union
+        whose parents are not built stores nothing on the unions under it
+        (see _gathered), so a chain of any length reads its cells without
+        recursion, in memory linear in its size; each union keeps only its
+        rows, about 4 bytes per cell of its box.
         """
         ox, oy = offset
         ax, ay = max(0, -ox), max(0, -oy)
@@ -251,30 +276,29 @@ class Supertile:
         st.height = height = max(a.height + ay, b.height + by)
         xp, yp = _power_rows(width, height)
         st.key = (a.key * xp[ax] * yp[ay] + b.key * xp[bx] * yp[by]) % _KEY_MOD
-        st._seal(ts, ((a, ax, ay), (b, bx, by)))
+        parents = ((a, ax, ay), (b, bx, by))
+        rows = [0] * height
+        for p, sx, sy in parents:
+            shift = sx << 5
+            for y, row in enumerate(p.rows, sy):
+                rows[y] |= row << shift
+        st.rows = tuple(rows)
+        st._seal(ts, parents)
         return st
 
     def _seal(self, faces_ts, parents):
         self._faces_ts = faces_ts
         self._faces = None
-        self._cols = None
         self.parents = parents
 
     def __getattr__(self, name):
-        # only reached while the cells or fingerprint slot is still unset
+        # only reached while the cells, rows or fingerprint slot is unset
         if name == "cells":
-            (a, ax, ay), (b, bx, by) = self.parents
-            if _cells_pending(a) or _cells_pending(b):
-                self.cells = cells = _gathered(self)
-                return cells
-            if ax or ay:
-                cells = {(x + ax, y + ay): t for (x, y), t in a.cells.items()}
-            else:
-                cells = dict(a.cells)
-            for (x, y), t in b.cells.items():
-                cells[(x + bx, y + by)] = t
-            self.cells = cells
+            self.cells = cells = _gathered(self)
             return cells
+        if name == "rows":
+            self.rows = rows = _packed(self.cells, self.height)
+            return rows
         if name == "fingerprint":
             self.fingerprint = fp = _fingerprint(self.cells)
             return fp
@@ -287,43 +311,15 @@ class Supertile:
     def __eq__(self, other):
         if not isinstance(other, Supertile):
             return NotImplemented
-        if self is other:
-            return True
-        if self.key != other.key or self.size != other.size:
-            return False
-        # a fresh union, one whose faces (and so cells) are not built yet,
-        # reads its parents against the other's cells instead of building
-        # its own: with sizes equal, both parents inside the other is the
-        # whole of it.  A dict lookup calls stored == probe, and the probe
-        # is the fresh union, so try other.
-        if other.parents is not None and other._faces is None:
-            self, other = other, self
-        elif self.parents is None or self._faces is not None:
-            return self.cells == other.cells
-        cells = other.cells
-        for p, sx, sy in self.parents:
-            if sx or sy:
-                get = cells.get
-                for (x, y), t in p.cells.items():
-                    if get((x + sx, y + sy)) != t:
-                        return False
-            elif not p.cells.items() <= cells.items():
-                return False
-        return True
+        return self is other or (self.key == other.key
+                                 and self.size == other.size
+                                 and self.rows == other.rows)
 
     def __hash__(self):
         return self.key
 
     def __repr__(self):
         return f"<Supertile {self.size} tiles {self.fingerprint[:10]}>"
-
-    def columns(self) -> dict:
-        if self._cols is None:
-            cols = {}
-            for (x, y) in self.cells:
-                cols.setdefault(x, []).append(y)
-            self._cols = {x: tuple(sorted(ys)) for x, ys in cols.items()}
-        return self._cols
 
     def faces(self, ts: TileSet) -> dict:
         """Positive glues on open faces, per direction: glue -> coordinates.
@@ -359,17 +355,21 @@ class Supertile:
         return self._faces
 
     def _union_faces(self, ts: TileSet) -> dict:
-        # a parent's open face stays open unless the other parent covers it
-        cells = self.cells
-        parents = [(p.faces(ts), sx, sy) for p, sx, sy in self.parents]
+        # a parent's open face stays open unless the other parent covers
+        # it, which the top bit of the other's field there tells
+        (a, ax, ay), (b, bx, by) = self.parents
+        sides = ((a.faces(ts), ax, ay, b.rows, bx, by),
+                 (b.faces(ts), bx, by, a.rows, ax, ay))
         faces = {}
         for d in DIRECTIONS:
             dx, dy = OFFSET[d]
             by_glue = {}
-            for pfaces, sx, sy in parents:
+            for pfaces, sx, sy, rows, qx, qy in sides:
+                cx, cy, h = sx + dx - qx, sy + dy - qy, len(rows)
                 for g, coords in pfaces[d].items():
                     kept = [(x + sx, y + sy) for x, y in coords
-                            if (x + sx + dx, y + sy + dy) not in cells]
+                            if not 0 <= y + cy < h or x + cx < 0
+                            or not rows[y + cy] >> ((x + cx) << 5 | 31) & 1]
                     if kept:
                         by_glue.setdefault(g, []).extend(kept)
             faces[d] = {g: tuple(sorted(cs)) for g, cs in by_glue.items()}
@@ -379,37 +379,26 @@ class Supertile:
 _cells_slot = Supertile.cells.__get__
 
 
-def _cells_pending(st) -> bool:
-    """True while reading st.cells would build them from st's parents.
-    Faces imply built cells, and every member explore keeps holds its
-    faces, so only the slot of a faceless supertile is probed."""
-    if st._faces is not None:
-        return False
-    try:
-        _cells_slot(st)
-    except AttributeError:
-        return True
-    return False
-
-
 def _gathered(st) -> dict:
-    """st's cells, copied from the nearest built cells under it with their
-    cumulative shifts, a's before b's, through an explicit stack: a long
-    chain of unions built one Supertile.union at a time cannot exhaust
-    recursion, and nothing is stored on the unions under st.  A parent
-    shared down two paths is copied once per path, at each path's shift,
-    as the one-level path copies it once per parent."""
+    """The cells of a union st, copied from the nearest built cells under
+    it with their cumulative shifts, a's before b's, through an explicit
+    stack: a long chain of unions built one Supertile.union at a time
+    cannot exhaust recursion, and nothing is stored on the unions under
+    st.  A parent shared down two paths is copied once per path, at each
+    path's shift.  Only the cells slot says whether a supertile's cells
+    are built: a union's faces come from its parents' faces and rows."""
     cells = {}
-    stack = [(st, 0, 0)]
+    stack = list(st.parents[::-1])
     while stack:
         u, sx, sy = stack.pop()
-        if _cells_pending(u):
+        try:
+            built = _cells_slot(u)
+        except AttributeError:
             (a, ax, ay), (b, bx, by) = u.parents
-            stack.append((b, sx + bx, sy + by))
-            stack.append((a, sx + ax, sy + ay))
-        else:
-            for (x, y), t in u.cells.items():
-                cells[(x + sx, y + sy)] = t
+            stack += ((b, sx + bx, sy + by), (a, sx + ax, sy + ay))
+            continue
+        for (x, y), t in built.items():
+            cells[(x + sx, y + sy)] = t
     return cells
 
 
@@ -508,26 +497,20 @@ def interface_strength(a: Supertile, b: Supertile, ts: TileSet, offset) -> int:
 
 
 def _disjoint_at(a: Supertile, b: Supertile, ox: int, oy: int) -> bool:
-    x0 = max(0, ox)
-    x1 = min(a.width - 1, ox + b.width - 1)
-    if x0 > x1:
-        return True
+    """No cell of b placed at (ox, oy) lands on a cell of a: over the
+    shared rows, each pair of rows shifted into line ANDs to 0, since
+    every occupied field has its top bit set."""
     y0 = max(0, oy)
-    y1 = min(a.height - 1, oy + b.height - 1)
-    if y0 > y1:
-        return True
-    acells = a.cells
-    for bx, ys in b.columns().items():
-        x = bx + ox
-        if x < x0 or x > x1:
-            continue
-        for by in ys:
-            y = by + oy
-            if y < y0:
-                continue
-            if y > y1:
-                break
-            if (x, y) in acells:
+    pairs = zip(a.rows[y0:], b.rows[y0 - oy:])
+    if ox >= 0:
+        shift = ox << 5
+        for p, q in pairs:
+            if p >> shift & q:
+                return False
+    else:
+        shift = -ox << 5
+        for p, q in pairs:
+            if p & q >> shift:
                 return False
     return True
 

@@ -26,7 +26,8 @@ from twoham import (
 from twoham import mincut
 from twoham.compiled import wire_tiles
 from twoham.dynamics import explore
-from twoham.model import DIRECTIONS, OFFSET, OPPOSITE, SeamIndex
+from twoham import model
+from twoham.model import DIRECTIONS, OFFSET, OPPOSITE, SeamIndex, _disjoint_at
 from twoham.serialize import parse_tas
 from oracles import canon, oracle_combine, oracle_initial_state, oracle_stable
 
@@ -500,7 +501,7 @@ def _same_supertile(got, want, ts):
     assert list(got.cells.items()) == list(want.cells.items())
     assert (got.size, got.width, got.height, got.key, got.fingerprint) == (
         want.size, want.width, want.height, want.key, want.fingerprint)
-    assert got.faces(ts) == want.faces(ts)
+    assert got.rows == want.rows and got.faces(ts) == want.faces(ts)
 
 
 def test_union_matches_merged_dict():
@@ -535,6 +536,82 @@ def test_union_matches_merged_dict():
     assert min(checked.values()) >= 30 and nested >= 200, (checked, nested)
 
 
+def _row_kernels_against_cells(seed):
+    """The row kernels on random stable pairs at tau 1 to 4, each against
+    its cell-dict form: a fresh union's rows and derived faces against
+    Supertile(merged dict), built and scanned from cells; _disjoint_at
+    against cell-set intersection at every offset of the joint box; and
+    == against cell-dict equality over every pair of the pieces and
+    children seen, which under colliding keys includes many pairs of
+    equal key and size."""
+    rng = random.Random(seed)
+    seen = Counter()
+    for tau in (1, 2, 3, 4):
+        pairs = 0
+        while pairs < 500:
+            ts = random_tileset(rng, ntiles=2, max_strength=tau + 1)
+            pa = random_placement(rng, ts, rng.randint(1, 4))
+            pb = random_placement(rng, ts, rng.randint(1, 4))
+            if not oracle_stable(pa, ts, tau) or not oracle_stable(pb, ts, tau):
+                continue
+            pairs += 1
+            a, b = Supertile(pa), Supertile(pb)
+            for ox in range(-b.width, a.width + 1):
+                for oy in range(-b.height, a.height + 1):
+                    hit = any((x + ox, y + oy) in a.cells for x, y in b.cells)
+                    assert _disjoint_at(a, b, ox, oy) is not hit, (ox, oy)
+                    seen["overlap" if hit else "disjoint"] += 1
+            pool = [a, b, Supertile(pa), Supertile(pb)]
+            for offset, child in combination_offsets(a, b, ts, tau):
+                merged = _merged(a, b, offset)
+                assert child.rows == merged.rows
+                assert child.faces(ts) == merged.faces(ts)
+                assert _cells_unbuilt(child)
+                pool += [child, merged]
+                seen["union"] += 1
+            for s in pool:
+                for t in pool:
+                    same = s == t
+                    if s.key == t.key and s.size == t.size:
+                        seen["equal" if same else "same key, unequal"] += 1
+                    assert same is (s.cells == t.cells)
+    return seen
+
+
+def test_row_kernels_match_cells():
+    seen = _row_kernels_against_cells(1618)
+    assert min(seen[k] for k in ("overlap", "disjoint", "union")) >= 200, seen
+
+
+def test_row_kernels_match_cells_under_colliding_keys(colliding_keys):
+    seen = _row_kernels_against_cells(1619)
+    assert min(seen.values()) >= 200, seen
+
+
+def test_equality_compares_rows_not_keys(monkeypatch):
+    """With every key 0, supertiles of one size are told apart by their
+    rows alone: rearrangements of the same tiles, and one shape over two
+    tile sets whose ids differ.  A union equals the same cells built from
+    a dict, wherever they were placed."""
+    monkeypatch.setattr(model, "_KEY_MOD", 1)
+    ab = TileSet([tile("a", e=("g", 2)), tile("b", w=("g", 2))])
+    cd = TileSet([tile("c", e=("g", 2)), tile("d", w=("g", 2))])
+    a, c = Supertile({(0, 0): "a"}), Supertile({(0, 0): "c"})
+    shapes = [Supertile.union(a, Supertile({(0, 0): "b"}), (1, 0), ab),
+              Supertile.union(c, Supertile({(0, 0): "d"}), (1, 0), cd),
+              Supertile({(0, 0): "b", (1, 0): "a"}),
+              Supertile({(0, 0): "a", (0, 1): "b"}),
+              Supertile({(0, 0): "a", (1, 1): "b"}),
+              Supertile({(5, 5): "a", (6, 5): "b"}),
+              Supertile({(0, 0): "c", (1, 0): "d"})]
+    assert {s.key for s in shapes} == {0} and {s.size for s in shapes} == {2}
+    for s in shapes:
+        for t in shapes:
+            assert (s == t) is (s.cells == t.cells)
+    assert shapes[0] == shapes[5] and shapes[1] == shapes[6]
+    assert shapes[0] != shapes[1]
+
+
 def _cells_unbuilt(st):
     with pytest.raises(AttributeError):
         Supertile.cells.__get__(st)
@@ -544,8 +621,9 @@ def _cells_unbuilt(st):
 def _lookups_through_parents(u, s, colliding):
     """u, a fresh union, against s, its Supertile(merged dict), both ways
     round and through dict and set lookups, none of which may build u's
-    cells.  With colliding keys u is also held against a same-key
-    supertile that it is not."""
+    cells: equality compares the rows u took from its parents.  With
+    colliding keys u is also held against a same-key supertile that it
+    is not."""
     assert u == s and _cells_unbuilt(u)
     assert s == u and _cells_unbuilt(u)
     assert {s: s}.get(u) is s and _cells_unbuilt(u)

@@ -30,6 +30,7 @@ from twoham.strong import STRONG2, compile_strong
 from twoham.weak import WEAK1, WEAK2, WEAK3, compile_weak
 
 from test_acceptance import suite
+from test_model import _cells_unbuilt
 
 BLOCK = {(0, 0), (1, 0), (0, 1), (1, 1)}
 
@@ -448,3 +449,21 @@ def test_report_order_comes_from_sorting(case):
         sim = explore(sim_tas, sim_bound, shuffle_seed=k)
         target = explore(tas, bound, shuffle_seed=k)
         assert every_report(sim, target, rep) == want, k
+
+
+@pytest.mark.parametrize("name, compile_, variant", [
+    ("pair", compile_weak, WEAK1), ("seeded-chain", compile_strong, STRONG2)])
+def test_claimed_checks_build_no_member_cells(name, compile_, variant):
+    """Explore, decode_producibles and every claimed check compare,
+    overlap and face the simulator's unions through their rows and read
+    them through their parents' block readings, so no member but a seed
+    ever builds a cell dict."""
+    tas = dict(suite())[name]
+    comp = compile_(tas, variant)
+    sim = explore(comp.simulator_tas(), 3 * comp.budget)
+    target = explore(tas, 3)
+    decoded = decode_producibles(sim, comp.rep)
+    for claim in comp.claims:
+        assert CHECKS[claim](sim, target, comp.rep, decoded=decoded).passed
+    unions = [s for s in sim.supertiles if s.parents is not None]
+    assert unions and all(_cells_unbuilt(s) for s in unions)
