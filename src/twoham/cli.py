@@ -24,7 +24,7 @@ from . import ladders, strong, weak
 from .dynamics import explore
 from .enumeration import get_nth_tas
 from .errors import NotProducible, SchemaError, TwohamError
-from .model import TAS
+from .model import INFINITE, TAS
 from .relations import CHECKS, decode_producibles
 from .render import render_svg
 from .serialize import (
@@ -96,6 +96,8 @@ def _exploration_note(prod) -> str:
     note = "complete" if prod.complete else "clipped by step bound"
     if prod.overflow:
         note += f", skipped pairs: {prod.overflow}"
+    if any(c != INFINITE for _, c in prod.tas.initial_state):
+        note += ", finite counts read as infinite"
     return note
 
 

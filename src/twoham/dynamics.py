@@ -2,8 +2,8 @@
 
 Exploration uses set semantics: every supertile present is treated as
 available in unlimited supply, matching the usual convention that initial
-counts are infinite.  StateMultiset holds the finite-count state of the
-model; exploration never uses it.
+counts are infinite.  A finite initial count is read as infinite too, and
+the CLI listings and the relation checks' notes say so.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from bisect import bisect_right, insort
 from collections import deque
 
 from .errors import BoundTooSmall, NotProducible
-from .model import INFINITE, SeamIndex, Supertile, by_fingerprint, combine
+# combine is not called here; perfbench's tracer looks it up in this
+# module, so it stays importable from it.
+from .model import INFINITE, SeamIndex, by_fingerprint, combine
 
 
 class ProducibleSet:
@@ -177,46 +179,3 @@ def single_step_reachable(a, b, p: ProducibleSet) -> bool:
     _require_member(a, p)
     _require_member(b, p)
     return b in p.children_of(a)
-
-
-class StateMultiset:
-    """The model's finite-count state, checked by the tests; immutable."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts):
-        self.counts = {}
-        for fp, c in counts.items():
-            if c == INFINITE:
-                self.counts[fp] = INFINITE
-            elif isinstance(c, int) and not isinstance(c, bool) and c >= 0:
-                if c:
-                    self.counts[fp] = c
-            else:
-                raise ValueError(f"count must be non-negative or INFINITE, got {c!r}")
-
-    @classmethod
-    def from_tas(cls, tas):
-        return cls({st.fingerprint: c for st, c in tas.initial_state})
-
-    def count(self, fp):
-        return self.counts.get(fp, 0)
-
-    def step(self, a: Supertile, b: Supertile, child: Supertile, ts, tau):
-        """Consume a and b, produce child; child must be a legal combination."""
-        if child not in combine(a, b, ts, tau):
-            raise ValueError("child is not a combination of the two reactants")
-        need = {a.fingerprint: 1}
-        need[b.fingerprint] = need.get(b.fingerprint, 0) + 1
-        for fp, k in need.items():
-            have = self.count(fp)
-            if have != INFINITE and have < k:
-                raise ValueError(f"state holds {have} of {fp[:10]}, needs {k}")
-        counts = dict(self.counts)
-        for fp, k in need.items():
-            if counts[fp] != INFINITE:
-                counts[fp] -= k
-        have = counts.get(child.fingerprint, 0)
-        if have != INFINITE:
-            counts[child.fingerprint] = have + 1
-        return StateMultiset(counts)

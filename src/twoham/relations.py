@@ -5,7 +5,7 @@ target system's explored producible set through a block representation,
 and returns a Report rather than a verdict alone.  All checks are
 bounded: they see only what the two explorations saw, so a pass means
 "no violation within the explored horizon" and the notes say when a
-horizon was clipped.
+horizon was clipped or finite initial counts were read as infinite.
 
 The four relations, in increasing strength of the dynamic requirement:
 
@@ -41,7 +41,7 @@ from itertools import product
 
 from .dynamics import single_step_reachable
 from .errors import AmbiguousAlignment
-from .model import combine
+from .model import INFINITE, combine
 # decode_supertile is not called here; perfbench's tracer looks it up in
 # this module, so it stays importable from it.
 from .representation import BlockReader, decode_supertile, fits_single_block
@@ -191,6 +191,9 @@ def _bound_notes(report, sim, target):
             report.notes.append(
                 f"{name} exploration set aside {p.overflow} pairs at "
                 f"size bound {p.size_bound}")
+        if any(c != INFINITE for _, c in p.tas.initial_state):
+            report.notes.append(
+                f"{name} exploration read finite counts as infinite")
     return report
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from twoham import Glue, INFINITE, NULL_GLUE, Supertile, TAS, TileSet, TileType
+from twoham import CHECKS, Glue, INFINITE, NULL_GLUE, Supertile, TAS, TileSet, TileType
 from twoham import cli, ladders
 from twoham.cli import main
 from twoham.dynamics import explore
@@ -120,6 +120,56 @@ def test_verify_rejects_a_tampered_document(capsys, tmp_path):
     payload = json.loads(err)
     assert payload["error"]["type"] == "SchemaError"
     assert "fresh weak1 compilation" in payload["error"]["message"]
+
+
+def test_finite_counts_are_read_as_infinite_and_noted(capsys, tmp_path):
+    """Exploration has one count semantics, unlimited supply: a pair with
+    both counts 1 lists and verifies as with "inf", plus a note wherever
+    an exploration read its finite counts."""
+    ts = TileSet([
+        TileType("a", east=Glue("g", 2)),
+        TileType("b", west=Glue("g", 2)),
+    ])
+    outs = {}
+    for count in (1, INFINITE):
+        path = tmp_path / f"pair-{count}.json"
+        path.write_text(serialize_tas(TAS(ts, 2, [
+            (Supertile({(0, 0): t.id}), count) for t in ts])))
+        compiled = tmp_path / f"pair-{count}.strong2.json"
+        assert run(capsys, "compile", "--tas", str(path), "--method",
+                   "strong2", "--out", str(compiled))[0] == 0
+        outs[count] = (
+            run(capsys, "simulate", "--tas", str(path), "--size-bound", "2"),
+            run(capsys, "verify", "--tas", str(path), "--compiled",
+                str(compiled), "--size-bound", "2", "--relation", "all"))
+    (code, listing, err), (vcode, verdicts, verr) = outs[1]
+    assert code == vcode == 0 and err == verr == ""
+    assert listing.startswith(
+        "producible supertiles: 3 within size bound 2 (complete, skipped "
+        "pairs: 3, finite counts read as infinite)\n")
+    lines = verdicts.splitlines()
+    for head in ("target: ", "simulator: "):
+        line, = (line for line in lines if line.startswith(head))
+        assert line.endswith(", finite counts read as infinite)")
+    notes = {}
+    for line in lines:
+        if "(checked " in line:
+            current = notes.setdefault(line.split(":")[0], [])
+        elif line.startswith("  note: "):
+            current.append(line[len("  note: "):])
+    assert len(notes) == len(CHECKS)
+    for got in notes.values():
+        assert "simulator exploration read finite counts as infinite" in got
+        assert "target exploration read finite counts as infinite" in got
+    # the same verdicts and counts as with "inf", which prints no note
+    inf_listing, inf_verdicts = outs[INFINITE][0][1], outs[INFINITE][1][1]
+    assert "finite" not in inf_listing + inf_verdicts
+    assert listing.replace(", finite counts read as infinite", "") == inf_listing
+    assert "".join(
+        line for line in verdicts.replace(
+            ", finite counts read as infinite", "").splitlines(True)
+        if not line.endswith("read finite counts as infinite\n")
+    ) == inf_verdicts
 
 
 def test_ladders_counts_and_matrix(capsys):

@@ -85,7 +85,7 @@ def two_tile_target(bound=2):
     return explore(TAS(ts, 2), bound)
 
 
-def doubled_two_tile():
+def doubled_two_tile(count=INFINITE):
     """Faithful scale-2 simulator: one macroblock per tile, paired reds."""
     am_tiles, am = rigid("am", BLOCK, extra={
         (1, 0): {"east": Glue("s0", 1)},
@@ -96,7 +96,7 @@ def doubled_two_tile():
         (0, 1): {"west": Glue("s1", 1)},
     })
     ts = TileSet(tuple(am_tiles + bm_tiles))
-    sim = explore(TAS(ts, 2, [(am, INFINITE), (bm, INFINITE)]), 8)
+    sim = explore(TAS(ts, 2, [(am, count), (bm, count)]), 8)
     rep = BlockRepresentation.from_table(2, {entry(am): "A", entry(bm): "B"})
     return sim, rep, am, bm
 
@@ -125,6 +125,22 @@ def test_images_past_the_target_bound_are_boundary_skips():
     assert check_weakly_models(sim, target, rep).passed
     assert check_strongly_models(sim, target, rep).passed
     assert any("target" in note for note in prod.notes)
+
+
+def test_finite_counts_are_read_as_infinite_and_noted():
+    sim, rep, _, _ = doubled_two_tile(count=1)
+    ts = two_tile_target().tas.tile_set
+    target = explore(TAS(ts, 2, [(Supertile({(0, 0): t.id}), 1) for t in ts]), 2)
+    finite = check_equivalent_productions(sim, target, rep)
+    sim, rep, _, _ = doubled_two_tile()
+    infinite = check_equivalent_productions(sim, two_tile_target(), rep)
+    read = ["simulator exploration read finite counts as infinite",
+            "target exploration read finite counts as infinite"]
+    assert [n for n in finite.notes if n in read] == read
+    assert [n for n in finite.notes if n not in read] == infinite.notes
+    assert not any("finite" in n for n in infinite.notes)
+    finite.notes = infinite.notes
+    assert finite.to_dict() == infinite.to_dict()
 
 
 def test_report_to_dict_round_trip():
