@@ -81,7 +81,8 @@ def anchored_rep(m, k, corner, anchors, check) -> BlockRepresentation:
     so those, and no others, are the candidate offsets.  The anchors
     are data, so a BlockReader takes a union's offsets from its
     parents': a union's anchor cells are its parents' anchor cells,
-    shifted, and no pass over its cells looks for them.
+    shifted, and no pass over its cells looks for them.  The block
+    itself is cut from the union's rows.
     """
     body = {(x, y) for x in range(corner, corner + k)
             for y in range(corner, corner + k)}

@@ -22,17 +22,18 @@ compares packed rows, one int per row with a 32-bit code per cell, which
 are equal exactly when the cells are.  A union packs its rows from its
 parents' rows in O(height) big-int operations, and overlap tests and its
 open faces read rows too, so a union builds no cell dict, nor a SHA-1
-fingerprint, until one is read.  A union keeps its parents for good: the
-block reader (representation.py) reads a union through its parents'
-readings.
+fingerprint, until one is read.  A union keeps its parents for good, but
+they feed only its candidate block offsets (representation.BlockReader),
+its cells and its faces: blocks are read off its own rows (window).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, compress
 from operator import attrgetter
 
 from . import mincut
@@ -184,13 +185,16 @@ def _power_rows(width: int, height: int):
 
 # Row codes.  A supertile's rows hold one int per row y with a 32-bit
 # field per cell at bit 32 * x, the code of the cell's tile id in _CODES:
-# id -> n | 1 << 31, n counting the ids interned before it.  The table is
-# process-wide, never cleared, and grows with the number of distinct tile
-# ids seen.  Row lemma: codes are nonzero and injective (for fewer than
-# 2**31 ids) and cells are normalized, so equal row tuples hold exactly
-# when the cells are equal, whatever the keys and tile sets; and the top
-# bit of every occupied field makes the rows occupancy masks too.
+# id -> n | 1 << 31, n counting the ids interned before it, and _IDS[n]
+# maps the code back.  Both tables are process-wide, never cleared, and
+# grow by each distinct tile id seen.  Row lemma: codes are nonzero and
+# injective (for fewer than 2**31 ids) and cells are normalized, so equal
+# row tuples hold exactly when the cells are equal, whatever the keys and
+# tile sets; the same holds for the windows cut from rows (window), so a
+# window is an exact memo key for its block; and the top bit of every
+# occupied field makes the rows occupancy masks too.
 _CODES = {}
+_IDS = []
 
 
 def _packed(cells: dict, height: int) -> tuple:
@@ -200,8 +204,42 @@ def _packed(cells: dict, height: int) -> tuple:
         code = codes.get(t)
         if code is None:
             code = codes[t] = len(codes) | 1 << 31
+            _IDS.append(t)
         rows[y] |= code << (x << 5)
     return tuple(rows)
+
+
+def window(st, x0: int, y0: int, m: int) -> tuple:
+    """The m x m window of st whose lower-left cell is (x0, y0): rows y0
+    to y0 + m - 1, each cut to its m fields from x0 on, with 0 for an
+    empty row or one outside the box; x0 and y0 may be negative or run
+    past the box.  By the row lemma, equal windows hold equal blocks,
+    whatever the supertiles and their keys."""
+    lo, hi = max(y0, 0), min(y0 + m, st.height)
+    if lo >= hi:
+        return (0,) * m
+    cut = ((1 << (m << 5)) - 1).__and__
+    band = st.rows[lo:hi]
+    if x0 >= 0:
+        band = map(cut, map((x0 << 5).__rrshift__, band))
+    else:
+        band = map(cut, map((-x0 << 5).__rlshift__, band))
+    return (0,) * (lo - y0) + tuple(band) + (0,) * (y0 + m - hi)
+
+
+def window_block(win: tuple) -> dict:
+    """The block a window holds: in-block (i, j) -> tile id.  Fields are
+    read as little-endian 32-bit words, which is how they sit in the int
+    whatever the host's byte order."""
+    m = len(win)
+    unpack, size, ids = struct.Struct(f"<{m}I").unpack, m << 2, _IDS
+    block = {}
+    for j, row in enumerate(win):
+        if row:
+            codes = unpack(row.to_bytes(size, "little"))
+            for i in compress(range(m), codes):
+                block[(i, j)] = ids[codes[i] & 0x7FFFFFFF]
+    return block
 
 
 def _fingerprint(cells) -> str:
@@ -227,9 +265,10 @@ class Supertile:
     by)): each parent with the shift that places it in the union, a
     first.  It is None for a supertile built from cells.
 
-    ``rows`` hold codes from ``_CODES``, a process-wide table that is never
-    cleared and grows by each distinct tile id seen (49,785 ids for one
-    weak1 compilation of a 5x5 square, about 120 bytes each).
+    ``rows`` hold codes from ``_CODES``, which with its inverse ``_IDS``
+    is process-wide, never cleared, and grows by each distinct tile id
+    seen (49,785 ids for one weak1 compilation of a 5x5 square, about
+    135 bytes each, 8 of them the ``_IDS`` slot).
     """
 
     __slots__ = ("cells", "rows", "fingerprint", "key", "size", "width",

@@ -116,12 +116,11 @@ class ImageMap:
     order; every check puts them at the head of its violations.  Nothing
     here reads a fingerprint except those records.
 
-    Every supertile is read through a BlockReader the map owns.  By the
-    union lemma (see BlockReader) a union's reading is its parents'
-    readings, shifted, with only the seam blocks merged and decoded
-    again, and with an anchored representation its candidate offsets
-    are its parents', shifted.  Every member but a seed, and every
-    product strong builds, is a union of members.
+    Every supertile is read through a BlockReader the map owns, so a
+    block that recurs across members, as equal windows of their rows, is
+    decoded once.  With an anchored representation a union's candidate
+    offsets are its parents', shifted; every member but a seed, and
+    every product strong builds, is a union of members.
     """
 
     def __init__(self, sim, rep):

@@ -11,44 +11,23 @@ fuzz rule.  Distinct non-empty images at two alignments mean the
 supertile cannot be read at all, which is reported loudly rather than
 resolved by preference.
 
-decode_supertile reads a supertile's cells, one pass per alignment: the
-generic path and the oracle.  BlockReader gives the same readings from a
-union's parents' readings, with only the seam blocks read again.
+There is one reader, BlockReader: it cuts each block as a window of the
+supertile's packed rows (model.window) and decodes each distinct window
+once.  decode_supertile is a fresh BlockReader's decode.
 """
 
 from __future__ import annotations
 
 from .errors import AmbiguousAlignment
-from .model import Supertile
+from .model import Supertile, window, window_block
 
 __all__ = [
     "BlockReader",
     "BlockRepresentation",
     "DecodedImage",
-    "blocks_at",
     "decode_supertile",
     "fits_single_block",
 ]
-
-
-def blocks_at(s: Supertile, m: int, ox: int, oy: int) -> dict:
-    """Partition cells into m-blocks for the grid anchored at (ox, oy).
-
-    Keys are block coordinates; values map in-block (i, j) to tile ids.
-    Cells are normalized, so the divisions come from one table per
-    column and one per row.
-    """
-    cols = [divmod(x - ox, m) for x in range(s.width)]
-    rows = [divmod(y - oy, m) for y in range(s.height)]
-    blocks = {}
-    for (x, y), tid in s.cells.items():
-        bx, i = cols[x]
-        by, j = rows[y]
-        block = blocks.get((bx, by))
-        if block is None:
-            block = blocks[(bx, by)] = {}
-        block[(i, j)] = tid
-    return blocks
 
 
 class BlockRepresentation:
@@ -136,25 +115,6 @@ def fits_single_block(s: Supertile, m: int) -> bool:
     return s.width <= m and s.height <= m
 
 
-def _first_image(s, readings):
-    """The reading at the lowest offset with a non-empty image, from
-    (offset, image, blocks) triples in offset order; None when every
-    image is empty.  Equal images at two offsets are harmless, distinct
-    ones raise AmbiguousAlignment."""
-    found = None
-    for offset, image, blocks in readings:
-        if not image:
-            continue
-        img = DecodedImage(offset, image, blocks)
-        if found is None:
-            found = img
-        elif found.supertile != img.supertile:
-            raise AmbiguousAlignment(
-                f"supertile {s.fingerprint[:10]} decodes to distinct images "
-                f"at offsets {found.offset} and {offset}")
-    return found
-
-
 def decode_supertile(s: Supertile, rep: BlockRepresentation):
     """Read a supertile through the block grid; None when nothing decodes.
 
@@ -162,160 +122,83 @@ def decode_supertile(s: Supertile, rep: BlockRepresentation):
     alignments producing the same image are harmless (the lowest offset
     is reported); different images raise AmbiguousAlignment.
     """
-    def readings():
-        for ox, oy in rep.offsets_for(s):
-            blocks = blocks_at(s, rep.m, ox, oy)
-            image = {}
-            for key, block in blocks.items():
-                tid = rep.decode_block(block)
-                if tid is not None:
-                    image[key] = tid
-            yield (ox, oy), image, blocks
-
-    return _first_image(s, readings())
-
-
-_UNREAD = object()
+    return BlockReader(rep).decode(s)
 
 
 class BlockReader:
-    """decode_supertile for one representation, with every reading of a
-    supertile at an offset memoized and a union read off its parents.
+    """decode_supertile for one representation, with each distinct block
+    decoded once.
 
-    Union lemma.  Let a parent p sit in the union u at shift (sx, sy)
-    (Supertile.parents), and read u at offset (ox, oy).  Write
-    ox - sx = qx * m + px with 0 <= px < m, and likewise y.  p's cell
-    (x, y) is u's cell (x + sx, y + sy), which lies in u's block
-    ((x - px) // m - qx, (y - py) // m - qy) at in-block coordinate
-    ((x - px) % m, (y - py) % m).  So p's cells fall in the blocks p has
-    at offset (px, py), their keys moved by the whole blocks (-qx, -qy)
-    and their in-block coordinates unchanged.  A block that only one
-    parent touches is that parent's block, the same content and so the
-    same decode; only a seam block, touched by both parents, is merged
-    and decoded again.  u's cells are a's cells, then b's, so its blocks
-    come in blocks_at's order: a's, then b's that a lacks, and a seam
-    block's fragments merge in cell order too.
-
-    A reading maps block keys to [content, decode] pairs that every
-    reading holding the same block shares.  The content is a tuple of
-    block fragments, merged only to be decoded: the one block dict of a
-    supertile built from cells, or, for a seam block, its parents'
-    fragments, a's then b's, so the readings hold no cell twice.  The
-    decode is filled in the first time some supertile is read at an
-    offset whose blocks include it, so decode_block runs only on a block
-    that decode_supertile also reads for that supertile at that offset,
-    and on each block once.  A decode that raises is not kept, so the
-    same exception comes back on the next read.  Supertiles built from
-    cells are read by blocks_at.
-
-    Readings, and with anchors the candidate offsets, are memoized by
-    supertile, so a supertile equal to one read before gets that one's
-    reading: the same image, in the first one's block order.  With
-    anchors the offsets come from the parents too; without them all
-    m * m offsets are read and kept.
+    A block is read as its window of the supertile's rows, and by the
+    row lemma (model) equal windows hold equal blocks, so the decode of
+    every window is memoized by the window itself, across supertiles.
+    A decode that raises is not kept, so the same exception comes back
+    on the next read.  With anchors, candidate offsets are memoized by
+    supertile too, and a union's come from its parents'.
     """
 
-    __slots__ = ("rep", "_readings", "_offsets")
+    __slots__ = ("rep", "_offsets", "_decoded")
 
     def __init__(self, rep: BlockRepresentation):
         self.rep = rep
-        self._readings = {}  # (supertile, ox, oy) -> {block key: [content, decode]}
-        self._offsets = {}   # supertile -> its sorted candidate offsets
+        self._offsets = {}  # supertile -> its sorted candidate offsets
+        self._decoded = {}  # window -> decode
 
     def offsets(self, s: Supertile):
         """s's candidate offsets, in sorted order.  With anchors a union's
         are its parents' offsets moved by their shifts mod m: an anchor
         cell of p at (x, y) proposes ((x - c) % m, (y - c) % m), and in
-        the union it sits at (x + sx, y + sy)."""
+        the union it sits at (x + sx, y + sy).  Parents come first,
+        through an explicit stack, so a long chain of unions cannot
+        exhaust recursion."""
         rep = self.rep
         if rep.anchors is None:
             return rep.offsets_for(s)
-        return _bottom_up(self._offsets, s, _parent_supertiles,
-                          rep.offsets_for, self._union_offsets)
-
-    def _union_offsets(self, u):
-        m = self.rep.m
-        return sorted({((ox + sx) % m, (oy + sy) % m)
-                       for p, sx, sy in u.parents
-                       for ox, oy in self._offsets[p]})
-
-    def blocks(self, s: Supertile, ox: int, oy: int) -> dict:
-        """s's reading at offset (ox, oy): block key -> [content, decode]."""
-        return _bottom_up(self._readings, (s, ox, oy), self._parent_readings,
-                          self._leaf_reading, self._union_reading)
-
-    def _parent_readings(self, key):
-        u, ox, oy = key
-        m = self.rep.m
-        return u.parents and [(p, (ox - sx) % m, (oy - sy) % m)
-                              for p, sx, sy in u.parents]
-
-    def _leaf_reading(self, key):
-        u, ox, oy = key
-        return {k: [(block,), _UNREAD]
-                for k, block in blocks_at(u, self.rep.m, ox, oy).items()}
-
-    def _union_reading(self, key):
-        u, ox, oy = key
-        m = self.rep.m
-        blocks = {}
-        for p, sx, sy in u.parents:
-            qx, px = divmod(ox - sx, m)
-            qy, py = divmod(oy - sy, m)
-            for (kx, ky), pair in self._readings[p, px, py].items():
-                k = kx - qx, ky - qy
-                seam = blocks.get(k)
-                blocks[k] = pair if seam is None else [
-                    seam[0] + pair[0], _UNREAD]
-        return blocks
-
-    def decode(self, s: Supertile):
-        """decode_supertile(s, rep): the same DecodedImage or None, or the
-        same exception."""
-        decode_block = self.rep.decode_block
-
-        def readings():
-            for ox, oy in self.offsets(s):
-                blocks = self.blocks(s, ox, oy)
-                image = {}
-                for key, pair in blocks.items():
-                    tid = pair[1]
-                    if tid is _UNREAD:
-                        block = {}
-                        for fragment in pair[0]:
-                            block.update(fragment)
-                        tid = pair[1] = decode_block(block)
-                    if tid is not None:
-                        image[key] = tid
-                yield (ox, oy), image, blocks
-
-        return _first_image(s, readings())
-
-
-def _bottom_up(memo, key, deps, leaf, union):
-    """memo[key], filled in parents first without recursion, so that a
-    long chain of unions cannot exhaust the stack.  deps(k) is None for
-    a supertile built from cells, whose entry is leaf(k); otherwise it
-    lists the keys that union(k) reads from memo."""
-    got = memo.get(key)
-    if got is not None:
-        return got
-    stack = [key]
-    while stack:
-        k = stack[-1]
-        if k not in memo:
-            needed = deps(k)
-            if needed is None:
-                memo[k] = leaf(k)
+        memo, m = self._offsets, rep.m
+        stack = [s]
+        while stack:
+            u = stack[-1]
+            if u in memo:
+                stack.pop()
+            elif u.parents is None:
+                memo[u] = rep.offsets_for(u)
             else:
-                missing = [d for d in needed if d not in memo]
+                missing = [p for p, _, _ in u.parents if p not in memo]
                 if missing:
                     stack += missing
-                    continue
-                memo[k] = union(k)
-        stack.pop()
-    return memo[key]
+                else:
+                    memo[u] = sorted({((ox + sx) % m, (oy + sy) % m)
+                                      for p, sx, sy in u.parents
+                                      for ox, oy in memo[p]})
+        return memo[s]
 
-
-def _parent_supertiles(u):
-    return u.parents and [p for p, _, _ in u.parents]
+    def decode(self, s: Supertile):
+        """The DecodedImage of s at its lowest offset with a non-empty
+        image, or None; AmbiguousAlignment when two offsets give distinct
+        images."""
+        m, decode_block = self.rep.m, self.rep.decode_block
+        memo = self._decoded
+        found = None
+        for ox, oy in self.offsets(s):
+            image, occupied = {}, []
+            for by in range(-oy // m, (s.height - 1 - oy) // m + 1):
+                for bx in range(-ox // m, (s.width - 1 - ox) // m + 1):
+                    win = window(s, ox + m * bx, oy + m * by, m)
+                    if not any(win):
+                        continue
+                    occupied.append((bx, by))
+                    tid = memo.get(win, memo)
+                    if tid is memo:  # not decoded yet
+                        tid = memo[win] = decode_block(window_block(win))
+                    if tid is not None:
+                        image[(bx, by)] = tid
+            if not image:
+                continue
+            img = DecodedImage((ox, oy), image, occupied)
+            if found is None:
+                found = img
+            elif found.supertile != img.supertile:
+                raise AmbiguousAlignment(
+                    f"supertile {s.fingerprint[:10]} decodes to distinct "
+                    f"images at offsets {found.offset} and {img.offset}")
+        return found

@@ -36,6 +36,7 @@ system but does not track it step for step.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import itemgetter
 
 from .compiled import (CompiledSimulator, Piece, anchored_rep, framed_code,
                        place_piece, tooth_offsets, wire_tiles)
@@ -290,8 +291,13 @@ def compile_weak(tas, variant=WEAK1) -> CompiledSimulator:
             tiles.extend(_wire_piece(clay, f"c{side}{gidx[g]}", geo.tau))
     universal = TileSet(tiles)
     meta = WeakMeta(geo, tuple(glue_order), megas, gadgets, completions)
-    rep = anchored_rep(geo.m, geo.k, geo.d, anchors,
-                       lambda block, tid: _check_body(block, tid, meta))
+    # one itemgetter call reads a block's whole body; only a mismatch is
+    # walked cell by cell, to name the first foreign cell
+    span = range(geo.d, geo.d + geo.k)
+    body = itemgetter(*[(x, y) for x in span for y in span])
+    own = {tid: body(lay.cells) for tid, lay in megas.items()}
+    rep = anchored_rep(geo.m, geo.k, geo.d, anchors, lambda block, tid: (
+        tid if body(block) == own[tid] else _check_body(block, tid, meta)))
     inputs = [(_loaded_union(st, meta, ts), count)
               for st, count in tas.initial_state]
     for lay in gadgets.values():

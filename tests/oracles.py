@@ -242,41 +242,42 @@ def oracle_explore(tas, size_bound, step_bound=None, shuffle_seed=None):
     return supers, edges, overflow, steps, not queue
 
 
-def oracle_decode(cells, m, decode_block):
+def oracle_decode(cells, m, decode_block, offsets=None):
     """Block decoding the slow way: every one of the m * m grid offsets,
-    each block gathered by a range test over all cells, and the fuzz rule
-    read in a second pass over the cells.  Returns None when no offset
-    decodes, else (offset, image, clean) at the lowest offset that does;
-    raises AmbiguousAlignment when two offsets give images that are not
-    translates of each other."""
+    or the given ones in sorted order, each block gathered by a range
+    test over all cells, and the fuzz rule read in a second pass over the
+    cells.  Returns None when no offset decodes, else (offset, image,
+    clean) at the lowest offset that does; raises AmbiguousAlignment when
+    two offsets give images that are not translates of each other."""
     # imported here so that loading the module needs no twoham on the path
     from twoham.errors import AmbiguousAlignment
 
+    if offsets is None:
+        offsets = [(ox, oy) for ox in range(m) for oy in range(m)]
     found = None
-    for ox in range(m):
-        for oy in range(m):
-            image = {}
-            for bx, by in {((x - ox) // m, (y - oy) // m) for x, y in cells}:
-                x0, y0 = ox + m * bx, oy + m * by
-                block = {(x - x0, y - y0): t for (x, y), t in cells.items()
-                         if x0 <= x < x0 + m and y0 <= y < y0 + m}
-                tid = decode_block(block)
-                if tid is not None:
-                    image[(bx, by)] = tid
-            if not image:
-                continue
-            occupied = set()
-            for x, y in cells:
-                occupied.add(((x - ox) // m, (y - oy) // m))
-            clean = len(occupied) <= 1 or all(
-                any((bx + dx, by + dy) in image
-                    for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)))
-                for bx, by in occupied)
-            if found is None:
-                found = ((ox, oy), image, clean)
-            elif canon(found[1]) != canon(image):
-                raise AmbiguousAlignment(
-                    f"offsets {found[0]} and {(ox, oy)} disagree")
+    for ox, oy in sorted(offsets):
+        image = {}
+        for bx, by in {((x - ox) // m, (y - oy) // m) for x, y in cells}:
+            x0, y0 = ox + m * bx, oy + m * by
+            block = {(x - x0, y - y0): t for (x, y), t in cells.items()
+                     if x0 <= x < x0 + m and y0 <= y < y0 + m}
+            tid = decode_block(block)
+            if tid is not None:
+                image[(bx, by)] = tid
+        if not image:
+            continue
+        occupied = set()
+        for x, y in cells:
+            occupied.add(((x - ox) // m, (y - oy) // m))
+        clean = len(occupied) <= 1 or all(
+            any((bx + dx, by + dy) in image
+                for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)))
+            for bx, by in occupied)
+        if found is None:
+            found = ((ox, oy), image, clean)
+        elif canon(found[1]) != canon(image):
+            raise AmbiguousAlignment(
+                f"offsets {found[0]} and {(ox, oy)} disagree")
     return found
 
 

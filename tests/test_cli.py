@@ -375,7 +375,9 @@ def test_simulate_listings_are_frozen(capsys, tmp_path):
 
 # SHA-256 of `twoham verify --size-bound 3` stdout, with its exit code:
 # pins every verdict line, count, note and violation record of the four
-# checks on the suite under each compiler
+# checks on the suite under each compiler, and the claimed checks of the
+# uniquely glued 3 x 3 square at tau 2, whose 735, 845 and 18 simulator
+# members share blocks across members
 FROZEN_VERIFY = {
     "pair/strong2/claimed":
         (0, "cf7ce44a857db35ffd1f6d581e101c29bce3b12f686876abc1f804052589f2fc"),
@@ -467,6 +469,12 @@ FROZEN_VERIFY = {
         (1, "095b3c7644252e7e3ae4ca2b3d328af2edfba4e1ba580357d7910560eb28e846"),
     "seeded-chain/weak3/all-literal":
         (1, "72148b251a85317e10fc832f2816e2332d8262ee8b7baf76835e97b68573880a"),
+    "square3/weak1/claimed":
+        (0, "dfe5d777f610ed619493806ad0e5ffabb495f63ccb133e1815bb21105d75b17d"),
+    "square3/weak3/claimed":
+        (0, "50940f7ceb7be59de5ab30660f6efc2c6ab1191d84bbad717c239ff5e0f4e809"),
+    "square3/strong2/claimed":
+        (0, "75d02a70e678c43e64f0dcecc1acfc0aa904c2a7c84c1b20a5526fc40307979c"),
 }
 
 def test_passing_verify_sha1s_only_initial_supertiles_and_target_members(
@@ -509,15 +517,19 @@ VERIFY_MODES = {
 
 
 def test_verify_outputs_are_frozen(capsys, tmp_path):
+    runs = [(name, tas, ("strong2", "strong1", "weak1", "weak2", "weak3"),
+             VERIFY_MODES) for name, tas in suite()]
+    runs.append(("square3", square_tas(3, 2), ("weak1", "weak3", "strong2"),
+                 {"claimed": []}))
     got = {}
-    for name, tas in suite():
+    for name, tas, methods, modes in runs:
         path = tmp_path / f"{name}.json"
         path.write_text(serialize_tas(tas))
-        for method in ("strong2", "strong1", "weak1", "weak2", "weak3"):
+        for method in methods:
             compiled = tmp_path / f"{name}.{method}.json"
             assert run(capsys, "compile", "--tas", str(path), "--method",
                        method, "--out", str(compiled))[0] == 0
-            for mode, argv in VERIFY_MODES.items():
+            for mode, argv in modes.items():
                 code, out, err = run(capsys, "verify", "--tas", str(path),
                                      "--compiled", str(compiled),
                                      "--size-bound", "3", *argv)

@@ -8,11 +8,11 @@ from twoham import (TAS, Glue, NegativeStrength, Supertile, TileSet,
                     TileType, UnknownTileId, decode_supertile, explore)
 from twoham.compiled import wire_tiles
 from twoham.model import DIRECTIONS, OFFSET, OPPOSITE
-from twoham.representation import BlockReader, blocks_at
+from twoham.representation import BlockReader
 from twoham.strong import STRONG2, compile_strong
 from twoham.weak import WEAK1, compile_weak
 
-from oracles import oracle_wire_tiles
+from oracles import oracle_blocks_at, oracle_wire_tiles
 from test_acceptance import TARGET_BOUND, suite
 
 
@@ -21,7 +21,7 @@ def decoding_offsets(s, rep):
     m = rep.m
     return [(ox, oy) for ox in range(m) for oy in range(m)
             if any(rep.decode_block(block) is not None
-                   for block in blocks_at(s, m, ox, oy).values())]
+                   for block in oracle_blocks_at(s.cells, m, ox, oy).values())]
 
 
 @pytest.mark.parametrize("compiler, variant",

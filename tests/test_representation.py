@@ -13,14 +13,14 @@ from twoham import (
     Supertile,
     TileSet,
     TileType,
-    blocks_at,
     combine,
     decode_supertile,
     explore,
     fits_single_block,
 )
+from twoham import model
 from twoham.compiled import anchored_rep
-from twoham.model import OFFSET
+from twoham.model import OFFSET, window, window_block
 from twoham.representation import BlockReader
 from twoham.strong import STRONG1, STRONG2, compile_strong
 from twoham.weak import WEAK1, WEAK2, WEAK3, compile_weak
@@ -42,6 +42,18 @@ def two_block_rep():
     })
 
 
+def blocks_at(s, m, ox, oy):
+    """The non-empty blocks of the grid at offset (ox, oy), as the reader
+    reads them: each a window of s's rows turned into a block."""
+    blocks = {}
+    for by in range(-oy // m, (s.height - 1 - oy) // m + 1):
+        for bx in range(-ox // m, (s.width - 1 - ox) // m + 1):
+            block = window_block(window(s, ox + m * bx, oy + m * by, m))
+            if block:
+                blocks[(bx, by)] = block
+    return blocks
+
+
 def test_blocks_at_splits_on_the_grid():
     s = Supertile({(0, 0): "t", (1, 0): "u", (2, 0): "v"})
     blocks = blocks_at(s, 2, 0, 0)
@@ -56,9 +68,8 @@ def test_blocks_at_negative_coordinates():
 
 
 def test_blocks_at_matches_the_oracle():
-    """The per-column and per-row divmod tables give the per-cell formula,
-    blocks and their cells in the same order, on random supertiles at
-    every offset of scales 1 to 5."""
+    """The grid of windows gives the per-cell formula's blocks, on random
+    supertiles at every offset of scales 1 to 5."""
     rng = random.Random(5525)
     for _ in range(60):
         cells = {(rng.randint(-4, 9), rng.randint(-4, 9)): rng.choice("pqrs")
@@ -67,10 +78,57 @@ def test_blocks_at_matches_the_oracle():
         for m in range(1, 6):
             for ox in range(m):
                 for oy in range(m):
-                    got = blocks_at(s, m, ox, oy)
-                    want = oracle_blocks_at(s.cells, m, ox, oy)
-                    assert ([(k, list(b.items())) for k, b in got.items()]
-                            == [(k, list(b.items())) for k, b in want.items()])
+                    assert blocks_at(s, m, ox, oy) == oracle_blocks_at(
+                        s.cells, m, ox, oy)
+
+
+def random_split(rng):
+    """A random supertile built from cells and an equal one built as the
+    union of two of its parts, placed as explore places them."""
+    cells = {(rng.randint(0, 9), rng.randint(0, 7)): rng.choice("pqrst")
+             for _ in range(rng.randint(2, 40))}
+    spots = sorted(cells)
+    rng.shuffle(spots)
+    cut = rng.randint(1, len(spots) - 1)
+    a = Supertile({xy: cells[xy] for xy in spots[:cut]})
+    b = Supertile({xy: cells[xy] for xy in spots[cut:]})
+    shift = (min(x for x, _ in spots[cut:]) - min(x for x, _ in spots[:cut]),
+             min(y for _, y in spots[cut:]) - min(y for _, y in spots[:cut]))
+    ts = TileSet(TileType(t) for t in "pqrst")
+    return Supertile(cells), Supertile.union(a, b, shift, ts)
+
+
+def test_window_and_its_block_match_the_oracle_past_every_edge():
+    """window(s, x0, y0, m) turned into a block is the oracle's block at
+    the grid offset and key that put its lower-left cell at (x0, y0), on
+    supertiles built from cells and on unions, for every window that
+    touches the box or lies up to two cells past any edge of it."""
+    rng = random.Random(2209)
+    for _ in range(40):
+        for s in random_split(rng):
+            for m in range(1, 6):
+                for x0 in range(-m - 2, s.width + 2):
+                    for y0 in range(-m - 2, s.height + 2):
+                        win = window(s, x0, y0, m)
+                        assert len(win) == m
+                        want = oracle_blocks_at(s.cells, m, x0 % m, y0 % m).get(
+                            (x0 // m, y0 // m), {})
+                        assert window_block(win) == want
+                        assert any(win) == bool(want)
+
+
+def test_window_fields_are_little_endian_words():
+    """A window built field by field with explicit shifts, codes taken
+    from the intern table, reads back as the block it spells, whatever
+    the host's byte order; and a supertile's rows are those fields."""
+    cells = {(0, 0): "p", (2, 0): "q", (1, 1): "r", (2, 1): "p"}
+    s = Supertile(cells)
+    code = model._CODES
+    rows = (code["p"] | code["q"] << 64, code["r"] << 32 | code["p"] << 64)
+    assert s.rows == rows
+    assert window_block(rows + (0,)) == cells
+    assert window_block((0, rows[1], 0)) == {(1, 1): "r", (2, 1): "p"}
+    assert window(s, 1, 0, 2) == (code["q"] << 32, code["r"] | code["p"] << 32)
 
 
 def test_decode_full_block():
@@ -222,12 +280,12 @@ def test_one_pass_decode_matches_the_oracle_under_colliding_keys(
     assert min(seen.values()) >= 20, seen
 
 
-# -- BlockReader: a union read off its parents' readings ------------------
+# -- BlockReader: each distinct window decoded once ------------------------
 
 
 def recording_reader(rep):
     """A BlockReader over rep whose decoder logs every block it is given,
-    and that log; decode_supertile over reader.rep logs into it too."""
+    and that log; the oracle run on reader.rep logs into it too."""
     calls = []
 
     def decode(block):
@@ -245,26 +303,33 @@ def outcome(read, s):
         return exc
 
 
+def oracle_read(rep, s):
+    """oracle_decode of s through rep, at the offsets its anchor cells
+    give (all m * m without anchors)."""
+    offsets = None if rep.anchors is None else rep.offsets_for(s)
+    return oracle_decode(s.cells, rep.m, rep.decode_block, offsets)
+
+
 def read_alike(reader, calls, s):
-    """The reader reads s as decode_supertile does: the same offset, image
-    (in block order) and clean, None for junk, or the same exception.  It
-    decodes only blocks that decode_supertile reads for s.  Returns the
-    kind of outcome."""
+    """The reader reads s as the oracle does: the same offset, image and
+    clean, None for junk, or an exception of the same type (the oracle
+    meets blocks in another order, so a corrupt-block message may name
+    another block).  It decodes only blocks that the oracle reads for s.
+    Returns the kind of outcome."""
     del calls[:]
     got = outcome(reader.decode, s)
     decoded = set(calls)
     del calls[:]
-    want = outcome(lambda t: decode_supertile(t, reader.rep), s)
+    want = outcome(lambda t: oracle_read(reader.rep, t), s)
     assert decoded <= set(calls)
     if isinstance(want, Exception):
-        assert type(got) is type(want) and str(got) == str(want)
+        assert type(got) is type(want)
         return type(want).__name__
     if want is None:
         assert got is None
         return "junk"
-    assert (got.offset, list(got.image.items()), got.clean) == (
-        want.offset, list(want.image.items()), want.clean)
-    assert got.supertile == want.supertile
+    assert (got.offset, got.image, got.clean) == want
+    assert got.supertile == Supertile(want[1])
     return "image"
 
 
@@ -297,13 +362,12 @@ COMPILERS = ((compile_strong, STRONG2), (compile_strong, STRONG1),
              (compile_weak, WEAK1), (compile_weak, WEAK2), (compile_weak, WEAK3))
 
 
-def test_reader_matches_decode_supertile_on_random_explorations():
+def reader_matches_the_oracle_on_random_explorations():
     """Every member of shuffled explorations of random systems under all
     five compilers at tau 2 to 4, and the products of every member pair
     beyond the exploration, as strong builds them, read alike through
-    the reader.  It reads members in discovery order or newest first, so
-    parents are read both before and after their unions, and a second
-    pass over the members decodes no block."""
+    the reader.  It reads members in discovery order or newest first,
+    and a second pass over the members decodes no block."""
     rng = random.Random(1717)
     seen = {}
     for trial in range(30):
@@ -330,8 +394,6 @@ def test_reader_matches_decode_supertile_on_random_explorations():
         for x in members:
             for y in members:
                 for c in combine(x, y, ts, comp.tau, sim.supertiles):
-                    # an equal product met again reads as the first one,
-                    # in its block order, as ImageMap reads it
                     if c not in sim and c not in products:
                         products.add(c)
                         kind = read_alike(reader, calls, c)
@@ -339,6 +401,16 @@ def test_reader_matches_decode_supertile_on_random_explorations():
                             "product " + kind, 0) + 1
     assert min(seen.get(k, 0) for k in (
         "image", "junk", "product image")) >= 30, seen
+
+
+def test_reader_matches_the_oracle_on_random_explorations():
+    reader_matches_the_oracle_on_random_explorations()
+
+
+def test_reader_matches_the_oracle_under_colliding_keys(colliding_keys):
+    # equal windows, not keys, share a decode, and a union's offsets are
+    # memoized by supertile, which colliding keys must not merge
+    reader_matches_the_oracle_on_random_explorations()
 
 
 def two_block_system():
@@ -371,9 +443,9 @@ def two_block_system():
         ((1, 0, "a0"), (1, 1, "a2")): "B"})
 
 
-def test_reader_reads_a_from_table_system_like_decode_supertile():
-    """from_table has no anchors: every one of the m * m offsets is read
-    through the memo, junk, fuzz and ambiguous alignments included."""
+def test_reader_reads_a_from_table_system_like_the_oracle():
+    """from_table has no anchors: every one of the m * m offsets is read,
+    junk, fuzz and ambiguous alignments included."""
     tas, rep = two_block_system()
     sim = explore(tas, 10)
     reader, calls = recording_reader(rep)
@@ -388,8 +460,8 @@ def test_reader_reads_a_from_table_system_like_decode_supertile():
 def test_union_gains_an_ambiguous_alignment_from_one_parent():
     """A alone decodes at offset (0, 0) only; the union with B beside it
     gets (1, 0) from B's anchor, where B reads as a different image.  The
-    reader raises AmbiguousAlignment as decode_supertile does, and still
-    reads each parent alone."""
+    reader raises AmbiguousAlignment as the oracle does, and still reads
+    each parent alone."""
     rep = anchored_rep(2, 1, 0, {"A": "A", "B": "B"},
                        lambda block, tid: tid)
     ts = TileSet([TileType("A"), TileType("B")])
@@ -455,16 +527,16 @@ def test_reader_reads_a_long_chain_of_unions():
     for x in range(1, 3000):
         line = Supertile.union(line, tiles["Af"[x % 2]], (x, 0), ts)
     img = BlockReader(rep).decode(line)
+    assert (img.offset, img.image, img.clean) == oracle_read(rep, line)
     assert img.offset == (0, 0) and len(img.image) == 1500
-    assert img.image == decode_supertile(line, rep).image
 
 
-def test_reader_decodes_each_block_of_a_shared_parent_dag_once():
+def test_reader_decodes_each_distinct_window_of_a_shared_parent_dag_once():
     """A 2,048-tile line built by 11 rounds of doubling, each union taking
-    one supertile as both parents, reads as decode_supertile reads it.
-    Both parents' readings are one memo entry, so the union's blocks
-    share their [content, decode] pairs, and each pair is decoded once:
-    13 decodes for the 2,049 blocks of both offsets."""
+    one supertile as both parents, reads as the oracle reads it.  Of the
+    2,049 non-empty windows at its two offsets only three are distinct:
+    a whole block, and the half blocks at either end.  decode_block runs
+    once on each, and a second read decodes nothing."""
     rep = anchored_rep(2, 1, 0, {"A": "A"}, lambda block, tid: tid)
     ts = TileSet([TileType("A")])
     line = Supertile({(0, 0): "A"})
@@ -472,8 +544,40 @@ def test_reader_decodes_each_block_of_a_shared_parent_dag_once():
         line = Supertile.union(line, line, (line.width, 0), ts)
     reader, calls = recording_reader(rep)
     img = reader.decode(line)
-    pairs = {id(pair): pair for offset in reader.offsets(line)
-             for pair in reader.blocks(line, *offset).values()}
-    assert len(calls) == len(pairs) == 13
+    offsets = reader.offsets(line)
+    assert offsets == [(0, 0), (1, 0)]
+    distinct = {tuple(sorted(block.items()))
+                for ox, oy in offsets
+                for block in oracle_blocks_at(line.cells, 2, ox, oy).values()}
+    assert len(distinct) == 3 and sorted(calls) == sorted(distinct)
     assert img.offset == (0, 0) and len(img.image) == 1024
-    assert img.image == decode_supertile(line, reader.rep).image
+    assert (img.offset, img.image, img.clean) == oracle_read(rep, line)
+    del calls[:]
+    assert reader.decode(line).image == img.image
+    assert not calls
+
+
+def test_a_decode_that_raises_runs_again_on_the_next_read():
+    """A raising decode is not kept: the next read of the same window
+    decodes it again, and once it returns, the result is kept."""
+    failures = [CorruptMacrotile("first read"), CorruptMacrotile("second")]
+    calls = []
+
+    def decode(block):
+        calls.append(block)
+        if failures:
+            raise failures.pop(0)
+        return "A" if len(block) == 2 else None
+
+    reader = BlockReader(BlockRepresentation(2, decode))
+    s = Supertile({(0, 0): "p", (1, 0): "q"})
+    for message in ("first read", "second"):
+        with pytest.raises(CorruptMacrotile, match=message):
+            reader.decode(s)
+    assert len(calls) == 2
+    img = reader.decode(s)
+    assert img.image == {(0, 0): "A"}
+    assert reader.decode(s).image == img.image
+    # the block raised twice, then each of the six distinct windows at
+    # the four offsets decoded once
+    assert len(calls) == 2 + 6

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from twoham import (TAS, Glue, INFINITE, Supertile, TileSet, TileType,
@@ -213,7 +215,11 @@ def test_decoding_ignores_gadgets_and_flags_corruption():
     geo = comp.meta.geo
     block = dict(comp.meta.megas["A"].cells)
     block[(geo.d, geo.d)] = comp.meta.megas["B"].cells[(geo.d, geo.d)]
-    with pytest.raises(CorruptMacrotile):
+    # B's anchor in A's body: the first foreign cell, in column order, is
+    # the one above the anchor
+    with pytest.raises(CorruptMacrotile,
+                       match=re.escape(f"'B' with foreign cells at "
+                                       f"{(geo.d, geo.d + 1)}")):
         comp.rep.decode_block(block)
     block[(geo.d, geo.d)] = "g0N.5.24"
     with pytest.raises(CorruptMacrotile):
