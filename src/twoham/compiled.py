@@ -12,13 +12,30 @@ body whose lower-left cell carries a tile type used nowhere else, its
 anchor.  anchored_rep builds the block representation from that table, so
 the anchors are the one alignment key, and each compiler adds only its
 own consistency check on a block that already has a complete body.
+
+Block lemma: every seed a compiler builds is tau-stable over universal
+tile ids, so simulator_tas does not re-check it.  Each piece (a strong
+macrotile; a weak megatile, gadget or completion) is 4-connected and
+shows faces only outward, so wire_tiles joins every adjacency inside it
+with equal strength-tau glues, and place_piece puts it in its seed
+whole.  A cut that splits a piece severs at least tau, and bonds between
+pieces only add weight.  A strong seed has one macrotile per source
+cell, and the arms of interacting neighbours bind pad to pad at min(s,
+tau).  In a weak seed (weak._loaded_union) each gadget binds its
+megatile at tau and each completion binds its gadget at tau - 1 and that
+megatile at 1, so a cut that splits a megatile from its attachments
+severs at least tau, and an interface's two gadgets bind at min(s, tau).
+Any other cut splits the source seed, which its TAS proved tau-stable,
+and weighs at least that cut capped at tau.  Weak's gadget and
+completion seeds are single pieces.  tests/test_compiled.py checks the
+lemma against the validating path.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import CorruptMacrotile
+from .errors import BodyTooSmall, CorruptMacrotile
 from .model import DIRECTIONS, NULL_GLUE, TAS, Glue, TileType
 from .representation import BlockRepresentation
 
@@ -51,8 +68,11 @@ class CompiledSimulator:
         self.budget = budget
 
     def simulator_tas(self) -> TAS:
-        """The compiled system as a runnable TAS."""
-        return TAS(self.universal_tiles, self.tau, list(self.input_supertiles))
+        """The compiled system as a runnable TAS, its seeds trusted by the
+        block lemma: merged and ordered as TAS(universal_tiles, tau,
+        list(input_supertiles)) does, without its id and stability checks.
+        """
+        return TAS._of_stable(self.universal_tiles, self.tau, self.input_supertiles)
 
     def __repr__(self):
         return (f"<CompiledSimulator {self.variant} m={self.m} "
@@ -117,9 +137,13 @@ def tooth_offsets(start, code, flip):
 
 
 def place_piece(union, cells, m, bx, by):
-    """Copy a piece's cells into union at block (bx, by) of scale m."""
+    """Copy a piece's cells into union at block (bx, by) of scale m; a
+    piece that lands on a placed cell is a BodyTooSmall (block lemma)."""
+    size, dx, dy = len(union), m * bx, m * by
     for (x, y), uid in cells.items():
-        union[(x + m * bx, y + m * by)] = uid
+        union[(x + dx, y + dy)] = uid
+    if len(union) - size < len(cells):
+        raise BodyTooSmall(f"a piece placed at block {(bx, by)} lands on a placed cell")
 
 
 def wire_tiles(cells, faces, prefix, strength, glues):

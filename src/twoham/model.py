@@ -132,24 +132,35 @@ class _TileTable(dict):
 
 
 class TileSet:
-    """An ordered collection of tile types with unique ids.
+    """An ordered collection of tile types with unique ids.  The id table
+    is filled in one pass; only when it is shorter than the tile list are
+    the ids scanned again, to name the first duplicate.
 
     ``glues`` lists every distinct positive-strength glue in declaration
     order (tiles in order, sides north, east, south, west), which fixes a
-    deterministic index for each glue.
+    deterministic index for each glue.  It is built on first read, which
+    the compilers make of a source tile set and nothing of a universal one.
     """
 
     __slots__ = ("tiles", "_by_id", "glues")
 
     def __init__(self, tiles):
         self.tiles = tiles = tuple(tiles)
-        self._by_id = by_id = _TileTable()
-        for t in tiles:
-            if t.id in by_id:
-                raise ValueError(f"duplicate tile id {t.id!r}")
-            by_id[t.id] = t
-        sides = dict.fromkeys(chain.from_iterable(t[1:] for t in tiles))
-        self.glues = tuple(g for g in sides if g.strength > 0)
+        self._by_id = _TileTable(zip(map(attrgetter("id"), tiles), tiles))
+        if len(self._by_id) != len(tiles):
+            seen = set()
+            for t in tiles:
+                if t.id in seen:
+                    raise ValueError(f"duplicate tile id {t.id!r}")
+                seen.add(t.id)
+
+    def __getattr__(self, name):
+        # only reached while the glues slot is unset
+        if name == "glues":
+            sides = dict.fromkeys(chain.from_iterable(t[1:] for t in self.tiles))
+            self.glues = glues = tuple(g for g in sides if g.strength > 0)
+            return glues
+        raise AttributeError(name)
 
     def tile(self, tile_id: str) -> TileType:
         return self._by_id[tile_id]
@@ -682,8 +693,10 @@ class TAS:
 
     The initial state is a multiset of stable supertiles with positive
     (possibly infinite) counts; by default it holds infinitely many copies
-    of each singleton tile.  Construction validates stability and tile ids
-    of every initial supertile.
+    of each singleton tile.  The constructor checks the tile ids and the
+    tau-stability of every initial supertile.  Only simulator_tas skips
+    both, through _of_stable, for seeds the block lemma of compiled.py
+    proves; every other caller, parse_tas included, is checked.
 
     ``initial_state`` merges equal supertiles, found by Supertile
     equality as explore finds them, and lists them by size, breaking a
@@ -695,6 +708,27 @@ class TAS:
     __slots__ = ("tile_set", "tau", "initial_state")
 
     def __init__(self, tile_set: TileSet, tau: int, initial_state=None):
+        self._merge(tile_set, tau, initial_state)
+        known = tile_set._by_id.keys()
+        for st, _ in self.initial_state:
+            if not known >= set(st.cells.values()):
+                for tid in st.cells.values():
+                    tile_set.tile(tid)
+            if not is_tau_stable(st.cells, tile_set, tau):
+                raise ValueError(
+                    f"initial supertile {st.fingerprint[:10]} is not {tau}-stable")
+
+    @classmethod
+    def _of_stable(cls, tile_set: TileSet, tau: int, initial_state) -> TAS:
+        """A TAS over initial supertiles that the caller has proved
+        tau-stable over ids of tile_set: merged and ordered as the
+        constructor does, with neither the id check nor the stability
+        check run."""
+        tas = cls.__new__(cls)
+        tas._merge(tile_set, tau, initial_state)
+        return tas
+
+    def _merge(self, tile_set, tau, initial_state):
         if not isinstance(tau, int) or isinstance(tau, bool) or tau < 1:
             raise ValueError(f"temperature must be a positive integer, got {tau!r}")
         self.tile_set = tile_set
@@ -720,12 +754,4 @@ class TAS:
             if len(tied) > 1:  # only a size tie reads fingerprints
                 tied.sort(key=lambda pair: pair[0].fingerprint)
             state += tied
-        known = tile_set._by_id.keys()
-        for st, _ in state:
-            if not known >= set(st.cells.values()):
-                for tid in st.cells.values():
-                    tile_set.tile(tid)
-            if not is_tau_stable(st.cells, tile_set, tau):
-                raise ValueError(
-                    f"initial supertile {st.fingerprint[:10]} is not {tau}-stable")
         self.initial_state = tuple(state)

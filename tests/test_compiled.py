@@ -1,16 +1,20 @@
-"""Shared compiler building blocks: the anchored block reader and the piece wiring."""
+"""Shared compiler building blocks: the anchored block reader, the piece
+wiring and placement, and the block lemma behind simulator_tas."""
 
 import random
 
 import pytest
 
-from twoham import (TAS, Glue, NegativeStrength, Supertile, TileSet,
-                    TileType, UnknownTileId, decode_supertile, explore)
-from twoham.compiled import wire_tiles
+from twoham import (INFINITE, TAS, BodyTooSmall, Glue, NegativeStrength,
+                    Supertile, TileSet, TileType, UnknownTileId,
+                    decode_supertile, explore, is_tau_stable, mincut)
+from twoham.compiled import place_piece, wire_tiles
 from twoham.model import DIRECTIONS, OFFSET, OPPOSITE
 from twoham.representation import BlockReader
 from twoham.strong import STRONG2, compile_strong
+from twoham.strong import VARIANTS as STRONG_VARIANTS
 from twoham.weak import WEAK1, compile_weak
+from twoham.weak import VARIANTS as WEAK_VARIANTS
 
 from oracles import oracle_blocks_at, oracle_wire_tiles
 from test_acceptance import TARGET_BOUND, suite
@@ -149,3 +153,97 @@ def test_wire_tiles_reject_a_bad_strength_once_per_call(strength):
             wire_tiles(cells, {}, "i", strength, glues)
         with pytest.raises(NegativeStrength):
             wire_tiles(cells, {}, "i", strength, {})
+
+
+def test_place_piece_refuses_a_piece_landing_on_a_placed_cell():
+    union = {}
+    place_piece(union, {(0, 0): "a", (1, 0): "b"}, 4, 0, 0)
+    place_piece(union, {(0, 0): "c", (-1, 3): "d"}, 4, 1, 0)
+    assert union == {(0, 0): "a", (1, 0): "b", (4, 0): "c", (3, 3): "d"}
+    with pytest.raises(BodyTooSmall, match=r"block \(0, 1\)"):
+        place_piece(union, {(2, -4): "e", (1, -4): "f"}, 4, 0, 1)
+
+
+def rescaled(tas, tau):
+    """tas at temperature tau, each strength s made ceil(s * tau / tas.tau):
+    a cut that reached tas.tau then reaches tau, so every seed stays
+    stable (the validating TAS constructor checks it)."""
+    def scale(g):
+        return Glue(g.label, -(-g.strength * tau // tas.tau)) if g.strength else g
+
+    ts = TileSet(TileType(t.id, *map(scale, t[1:])) for t in tas.tile_set)
+    return TAS(ts, tau, list(tas.initial_state))
+
+
+def seeded_systems():
+    """The suite at tau 2 plus two systems with multi-tile seeds: the
+    mismatch square preformed as one 4-tile seed, and a 2 x 2 cycle held
+    only by strength-1 glues, whose compiled seed the heavy-glue flood
+    cannot cover."""
+    systems = dict(suite())
+    square = systems["mismatch-square"]
+    whole = Supertile({(0, 0): "A", (1, 0): "B", (1, 1): "C", (0, 1): "D"})
+    systems["preformed-square"] = TAS(square.tile_set, 2, [(whole, 2)])
+    a, b, c, d = (Glue(label, 1) for label in "abcd")
+    cycle = TileSet((TileType("SW", north=b, east=a), TileType("SE", north=c, west=a),
+                     TileType("NE", south=c, west=d), TileType("NW", south=b, east=d)))
+    ring = Supertile({(0, 0): "SW", (1, 0): "SE", (1, 1): "NE", (0, 1): "NW"})
+    systems["light-cycle"] = TAS(cycle, 2, [(ring, INFINITE)])
+    return systems
+
+
+def pieces(comp):
+    if comp.variant in STRONG_VARIANTS:
+        return list(comp.meta.layouts.values())
+    meta = comp.meta
+    return [*meta.megas.values(), *meta.gadgets.values(), *meta.completions.values()]
+
+
+@pytest.mark.parametrize("compiler, variant",
+                         [(compile_strong, v) for v in STRONG_VARIANTS]
+                         + [(compile_weak, v) for v in WEAK_VARIANTS])
+def test_block_lemma_against_the_checking_path(compiler, variant, monkeypatch):
+    """The block lemma of twoham.compiled, with the validating path as its
+    oracle: every piece is 4-connected with outward faces, every compiled
+    seed is tau-stable over universal tile ids, and simulator_tas, which
+    checks neither, lists the same seeds, in the same order with the same
+    counts, as the validating TAS constructor."""
+    cuts = []
+    stability_cut_ok = mincut.stability_cut_ok
+
+    def counted_cut(adj, tau):
+        cuts.append(tau)
+        return stability_cut_ok(adj, tau)
+
+    monkeypatch.setattr(mincut, "stability_cut_ok", counted_cut)
+    seeds = 0
+    for tau in (2, 3, 4):
+        for name, tas in seeded_systems().items():
+            comp = compiler(rescaled(tas, tau), variant)
+            for lay in pieces(comp):
+                start = next(iter(lay.cells))
+                reached, stack = {start}, [start]
+                while stack:
+                    x, y = stack.pop()
+                    for dx, dy in OFFSET.values():
+                        nb = (x + dx, y + dy)
+                        if nb in lay.cells and nb not in reached:
+                            reached.add(nb)
+                            stack.append(nb)
+                assert len(reached) == len(lay.cells), (name, tau)
+                for (x, y), shown in lay.faces.items():
+                    for d, _ in shown:
+                        dx, dy = OFFSET[d]
+                        assert (x + dx, y + dy) not in lay.cells, (name, tau)
+            universal = comp.universal_tiles
+            ids = {t.id for t in universal}
+            for st, _ in comp.input_supertiles:
+                assert set(st.cells.values()) <= ids, (name, tau)
+                assert is_tau_stable(st.cells, universal, comp.tau), (name, tau)
+                seeds += 1
+            trusted = comp.simulator_tas().initial_state
+            checked = TAS(universal, comp.tau, list(comp.input_supertiles)).initial_state
+            assert len(trusted) == len(checked), (name, tau)
+            for (st, count), (want, want_count) in zip(trusted, checked):
+                assert st is want and count == want_count, (name, tau)
+    assert seeds >= 15 and cuts, (seeds, cuts)

@@ -23,12 +23,12 @@ from twoham import (
     interface_strength,
     is_tau_stable,
 )
-from twoham import mincut
+from twoham import cli, mincut
 from twoham.compiled import wire_tiles
 from twoham.dynamics import explore
 from twoham import model
 from twoham.model import DIRECTIONS, OFFSET, OPPOSITE, SeamIndex, _disjoint_at
-from twoham.serialize import parse_tas
+from twoham.serialize import parse_tas, serialize_tas
 from oracles import canon, oracle_combine, oracle_initial_state, oracle_stable
 
 
@@ -155,6 +155,68 @@ def test_tileset_rejects_duplicate_ids():
     a = tile("x", e=("g", 1))
     with pytest.raises(ValueError):
         TileSet([a, tile("x")])
+
+
+def _glues_built(ts):
+    try:
+        TileSet.glues.__get__(ts)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_tileset_pins_lazy_glues_and_the_first_duplicate(capsys, monkeypatch, tmp_path):
+    """glues, built on its first read, is the old eager declaration-order
+    list; a duplicate id is named at its first repeat in tile order; and
+    a verify of the pair, by every method, never builds glues on the
+    universal tile set."""
+    rng = random.Random(3141)
+    for _ in range(200):
+        ts = random_tileset(rng, ntiles=rng.randint(1, 6))
+        assert not _glues_built(ts)
+        want = []
+        for t in ts.tiles:
+            for g in (t.north, t.east, t.south, t.west):
+                if g.strength > 0 and g not in want:
+                    want.append(g)
+        assert ts.glues == tuple(want)
+        assert _glues_built(ts) and ts.glues is ts.glues
+
+    repeats = 0
+    for _ in range(200):
+        ids = [rng.choice("pqrs") for _ in range(rng.randint(1, 6))]
+        first = next((tid for i, tid in enumerate(ids) if tid in ids[:i]), None)
+        tiles = [tile(tid) for tid in ids]
+        if first is None:
+            assert [t.id for t in TileSet(tiles)] == ids
+            continue
+        repeats += 1
+        with pytest.raises(ValueError, match=f"^duplicate tile id '{first}'$"):
+            TileSet(tiles)
+    assert repeats >= 100, repeats
+
+    compiled = []
+
+    def recording(compiler):
+        def compile_and_record(tas):
+            compiled.append(compiler(tas))
+            return compiled[-1]
+        return compile_and_record
+
+    for name, compiler in list(cli.METHODS.items()):
+        monkeypatch.setitem(cli.METHODS, name, recording(compiler))
+    ts = TileSet([tile("a", e=("g", 2)), tile("b", w=("g", 2))])
+    src = tmp_path / "pair.json"
+    src.write_text(serialize_tas(TAS(ts, 2)))
+    for name in sorted(cli.METHODS):
+        out = tmp_path / f"pair.{name}.json"
+        assert cli.main(["compile", "--tas", str(src), "--method", name,
+                         "--out", str(out)]) == 0
+        assert cli.main(["verify", "--tas", str(src), "--compiled", str(out),
+                         "--size-bound", "2"]) == 0
+    capsys.readouterr()
+    assert len(compiled) == 2 * len(cli.METHODS)
+    assert not any(_glues_built(comp.universal_tiles) for comp in compiled)
 
 
 def test_tileset_unknown_id():
