@@ -23,7 +23,7 @@ from pathlib import Path
 from . import ladders, strong, weak
 from .dynamics import explore
 from .enumeration import get_nth_tas
-from .errors import NotProducible, SchemaError, TwohamError
+from .errors import BoundTooSmall, NotProducible, SchemaError, TwohamError
 from .model import INFINITE, TAS
 from .relations import CHECKS, decode_producibles
 from .render import render_svg
@@ -148,6 +148,8 @@ def _cmd_compile(args) -> int:
 
 @_collector_paused()
 def _cmd_verify(args) -> int:
+    if args.size_bound < 1:  # explore's check, before any work
+        raise BoundTooSmall("size bound must be at least 1")
     tas = parse_tas(_read(args.tas))
     doc = parse_compiled(_read(args.compiled))
     method = doc["method"]

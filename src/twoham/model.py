@@ -17,14 +17,16 @@ cells, H = sum of w(tile) * X**x * Y**y mod a prime.  The key is
 translation covariant, so a union's key follows from its parents' keys
 in constant time.  Keying by hash(rows) would be less code, but it costs
 O(box area) per union, and it made 4x4 weak1 simulator exploration 23 %
-slower.  Equal keys only nominate an equal supertile: equality
-compares packed rows, one int per row with a 32-bit code per cell, which
-are equal exactly when the cells are.  A union packs its rows from its
-parents' rows in O(height) big-int operations, and overlap tests and its
-open faces read rows too, so a union builds no cell dict, nor a SHA-1
-fingerprint, until one is read.  A union keeps its parents for good, but
-they feed only its candidate block offsets (representation.BlockReader),
-its cells and its faces: blocks are read off its own rows (window).
+slower.  Equal keys only nominate an equal supertile: equality compares
+packed rows, one int per row with a 32-bit code per cell, which are
+equal exactly when the cells are.  A union packs its rows from its
+parents' rows in O(height) big-int operations, and overlap tests read
+rows too, so a union builds no cell dict, nor a SHA-1 fingerprint, until
+one is read.  Open faces are one flat (direction, glue) table, which a
+seed reads off its rows, visiting open sides only, and a union derives
+from its parents' faces and rows.  A union keeps its parents for good,
+but they feed only its block offsets (representation.BlockReader), its
+cells and its faces: blocks are read off its own rows (window).
 """
 
 from __future__ import annotations
@@ -304,48 +306,50 @@ class Supertile:
         for (x, y), t in cells.items():
             key += hash(t) * xp[x] * yp[y]
         self.key = key % _KEY_MOD
-        self._seal(None, None)
+        self._faces_ts = self._faces = self.parents = None
 
     @classmethod
     def union(cls, a: Supertile, b: Supertile, offset, ts: TileSet):
         """The union of a and b with b translated by offset; no overlap.
 
-        The box, the key (from the parents' keys) and the rows (each
-        parent's rows shifted into place and ORed, which the parents'
-        disjointness makes exact) are computed here.  Cells, built on
-        first read, keep the order of Supertile(merged dict): a's, then
-        b's.  faces(ts) is derived on first use from the parents' faces
-        and rows when both parents hold their faces, which costs their
-        open faces rather than every cell; that is what pays on the large
-        supertiles of a compiled simulator.  Reading the cells of a union
-        whose parents are not built stores nothing on the unions under it
-        (see _gathered), so a chain of any length reads its cells without
+        The box, the key (from the parents' keys) and the rows (a's rows
+        shifted into place, then b's ORed in, exact as the parents are
+        disjoint; a zero shift is skipped, as it still copies a big int)
+        are computed here.  Cells, built on first read, keep the order of
+        Supertile(merged dict): a's, then b's.  faces(ts) derives from the
+        parents' faces, visiting their positive open faces where a row read
+        visits every open side: 39 ms against 1.8 s for the 4,350 unions
+        of a 4x4 weak1 simulator.  Reading the cells of a union whose
+        parents are not built stores nothing on the unions under it (see
+        _gathered), so a chain of any length reads its cells without
         recursion, in memory linear in its size; each union keeps only its
         rows, about 4 bytes per cell of its box.
         """
         ox, oy = offset
-        ax, ay = max(0, -ox), max(0, -oy)
+        ax = -ox if ox < 0 else 0
+        ay = -oy if oy < 0 else 0
         bx, by = ox + ax, oy + ay
         st = cls.__new__(cls)
         st.size = a.size + b.size
-        st.width = width = max(a.width + ax, b.width + bx)
-        st.height = height = max(a.height + ay, b.height + by)
-        xp, yp = _power_rows(width, height)
+        width, height = a.width + ax, a.height + ay
+        if b.width + bx > width:
+            width = b.width + bx
+        if b.height + by > height:
+            height = b.height + by
+        st.width, st.height = width, height
+        xp, yp = _XP, _YP
+        if len(xp) < width or len(yp) < height:
+            _power_rows(width, height)
         st.key = (a.key * xp[ax] * yp[ay] + b.key * xp[bx] * yp[by]) % _KEY_MOD
-        parents = ((a, ax, ay), (b, bx, by))
-        rows = [0] * height
-        for p, sx, sy in parents:
-            shift = sx << 5
-            for y, row in enumerate(p.rows, sy):
-                rows[y] |= row << shift
+        shift, rows = ax << 5, [0] * ay
+        rows += [r << shift for r in a.rows] if shift else a.rows
+        rows += [0] * (height - len(rows))
+        shift = bx << 5
+        for y, row in enumerate(b.rows, by):
+            rows[y] |= row << shift if shift else row
         st.rows = tuple(rows)
-        st._seal(ts, parents)
+        st._faces_ts, st._faces, st.parents = ts, None, ((a, ax, ay), (b, bx, by))
         return st
-
-    def _seal(self, faces_ts, parents):
-        self._faces_ts = faces_ts
-        self._faces = None
-        self.parents = parents
 
     def __getattr__(self, name):
         # only reached while the cells, rows or fingerprint slot is unset
@@ -378,11 +382,11 @@ class Supertile:
         return f"<Supertile {self.size} tiles {self.fingerprint[:10]}>"
 
     def faces(self, ts: TileSet) -> dict:
-        """Positive glues on open faces, per direction: glue -> coordinates.
-
-        A union whose parents both hold their faces derives its own from
-        theirs on the first call with the tile set it was built with;
-        any other union, and any other TileSet object, gets a scan.
+        """Positive glues on open sides, one flat table: (direction, glue)
+        -> sorted coordinates of the cells showing that glue there with no
+        cell beyond.  A union built with ts whose parents both hold their
+        faces derives its own from theirs; every other read, a supertile
+        built from cells first of all, takes its rows (_row_faces).
         """
         if self._faces_ts is ts:
             if self._faces is not None:
@@ -391,45 +395,50 @@ class Supertile:
             if a._faces is not None and b._faces is not None:
                 self._faces = self._union_faces(ts)
                 return self._faces
-        cells = self.cells
-        faces = {NORTH: {}, EAST: {}, SOUTH: {}, WEST: {}}
-        fn, fe, fs, fw = faces.values()
-        tiles = ts._by_id
-        for (x, y), tid in cells.items():
-            _, n, e, s, w = tiles[tid]
-            if n.strength > 0 and (x, y + 1) not in cells:
-                fn.setdefault(n, []).append((x, y))
-            if e.strength > 0 and (x + 1, y) not in cells:
-                fe.setdefault(e, []).append((x, y))
-            if s.strength > 0 and (x, y - 1) not in cells:
-                fs.setdefault(s, []).append((x, y))
-            if w.strength > 0 and (x - 1, y) not in cells:
-                fw.setdefault(w, []).append((x, y))
-        self._faces = {d: {g: tuple(sorted(cs)) for g, cs in by.items()}
-                       for d, by in faces.items()}
-        self._faces_ts = ts
+        self._faces_ts, self._faces = ts, _row_faces(self.rows, self.width, ts)
         return self._faces
 
     def _union_faces(self, ts: TileSet) -> dict:
-        # a parent's open face stays open unless the other parent covers
-        # it, which the top bit of the other's field there tells
+        # a parent's open face stays open unless the top bit of the other's
+        # field there is set; only a face both parents show is re-sorted
         (a, ax, ay), (b, bx, by) = self.parents
-        sides = ((a.faces(ts), ax, ay, b.rows, bx, by),
-                 (b.faces(ts), bx, by, a.rows, ax, ay))
         faces = {}
-        for d in DIRECTIONS:
-            dx, dy = OFFSET[d]
-            by_glue = {}
-            for pfaces, sx, sy, rows, qx, qy in sides:
-                cx, cy, h = sx + dx - qx, sy + dy - qy, len(rows)
-                for g, coords in pfaces[d].items():
-                    kept = [(x + sx, y + sy) for x, y in coords
-                            if not 0 <= y + cy < h or x + cx < 0
-                            or not rows[y + cy] >> ((x + cx) << 5 | 31) & 1]
-                    if kept:
-                        by_glue.setdefault(g, []).extend(kept)
-            faces[d] = {g: tuple(sorted(cs)) for g, cs in by_glue.items()}
+        for pfaces, sx, sy, rows, qx, qy in ((a.faces(ts), ax, ay, b.rows, bx, by),
+                                             (b.faces(ts), bx, by, a.rows, ax, ay)):
+            h = len(rows)
+            for dg, coords in pfaces.items():
+                dx, dy = OFFSET[dg[0]]
+                cx, cy = sx + dx - qx, sy + dy - qy
+                kept = tuple([(x + sx, y + sy) for x, y in coords
+                              if not 0 <= y + cy < h or x + cx < 0
+                              or not rows[y + cy] >> ((x + cx) << 5 | 31) & 1])
+                if kept:
+                    shown = faces.get(dg)
+                    faces[dg] = kept if shown is None else tuple(sorted(shown + kept))
         return faces
+
+
+def _row_faces(rows: tuple, width: int, ts: TileSet) -> dict:
+    """Supertile.faces off the rows.  o holds the top bits of row y, its
+    occupancy, so o & ~rows[y + 1], o & ~(o >> 32), o & ~rows[y - 1] and
+    o & ~(o << 32) are its cells open to the north, east, south and west.
+    Only open sides are read, through _IDS and the tile table, so an
+    unknown id with an open side raises UnknownTileId."""
+    size = width << 2
+    top = int.from_bytes(b"\0\0\0\x80" * width, "little")
+    unpack = struct.Struct(f"<{width}I").unpack
+    tiles, ids, pad = ts._by_id, _IDS, (0, *rows, 0)
+    faces = {}
+    for y, row in enumerate(rows):
+        o = row & top
+        codes = unpack(row.to_bytes(size, "little"))
+        sides = (o & ~pad[y + 2], o & ~(o >> 32), o & ~pad[y], o & ~(o << 32))
+        for d, side, m in zip(DIRECTIONS, (1, 2, 3, 4), sides):
+            for x in compress(range(width), m.to_bytes(size, "little")[3::4]):
+                g = tiles[ids[codes[x] & 0x7FFFFFFF]][side]
+                if g.strength:
+                    faces.setdefault((d, g), []).append((x, y))
+    return {dg: tuple(sorted(coords)) for dg, coords in faces.items()}
 
 
 _cells_slot = Supertile.cells.__get__
@@ -528,27 +537,18 @@ def interface_strength(a: Supertile, b: Supertile, ts: TileSet, offset) -> int:
     """Total interaction strength across the seam when b sits at offset.
 
     b must not overlap a.  This is the model's definition of the seam,
-    kept as the oracle for the pass in SeamIndex.seams; the library
-    itself never calls it.  An interaction pairs an open face of b with
-    an open face of a carrying the same positive glue, so the sum runs
-    over b's positive open faces whose glue a shows on an opposite open
-    face.
+    summed from cells alone over each side of b that abuts a cell of a:
+    the oracle for SeamIndex.seams, which reads faces.  The library never
+    calls it.
     """
     ox, oy = offset
-    acells = a.cells
-    afaces = a.faces(ts)
+    acells, tiles = a.cells, ts._by_id
     total = 0
-    for d, by_glue in b.faces(ts).items():
-        dx, dy = OFFSET[d]
-        opp = OPPOSITE[d]
-        facing = afaces[opp]
-        for g, coords in by_glue.items():
-            if g not in facing:
-                continue
-            for (bx, by) in coords:
-                atid = acells.get((bx + ox + dx, by + oy + dy))
-                if atid is not None and ts.tile(atid).glue(opp) == g:
-                    total += g.strength
+    for (x, y), tid in b.cells.items():
+        for d, (dx, dy) in OFFSET.items():
+            atid = acells.get((x + ox + dx, y + oy + dy))
+            if atid is not None:
+                total += interaction(tiles[tid].glue(d), tiles[atid].glue(OPPOSITE[d]))
     return total
 
 
@@ -572,8 +572,9 @@ def _disjoint_at(a: Supertile, b: Supertile, ox: int, oy: int) -> bool:
 
 
 class SeamIndex:
-    """Supertiles in insertion order, their open faces indexed by
-    (direction, glue) and then by size for the seam pass of seams().
+    """Supertiles in insertion order, and their flat face tables merged
+    into one index under the tables' own (direction, glue) keys, then by
+    size; seams() looks each face (d, g) up under (opposite(d), g).
     """
 
     __slots__ = ("ts", "members", "_faces")
@@ -586,10 +587,9 @@ class SeamIndex:
     def add(self, st: Supertile):
         position = len(self.members)
         self.members.append(st)
-        for d, by_glue in st.faces(self.ts).items():
-            for g, coords in by_glue.items():
-                self._faces.setdefault((d, g), {}).setdefault(
-                    st.size, []).append((position, coords))
+        for dg, coords in st.faces(self.ts).items():
+            self._faces.setdefault(dg, {}).setdefault(st.size, []).append(
+                (position, coords))
 
     def seams(self, a: Supertile, room: int) -> dict:
         """Seam strength keyed by (position, ox, oy) of a against every
@@ -602,23 +602,20 @@ class SeamIndex:
         seam = {}
         get = seam.get
         index = self._faces
-        for d, by_glue in a.faces(self.ts).items():
-            dx, dy = OFFSET[d]
-            opp = OPPOSITE[d]
-            for g, coords in by_glue.items():
-                by_size = index.get((opp, g))
-                if by_size is None:
+        for (d, g), coords in a.faces(self.ts).items():
+            by_size = index.get((OPPOSITE[d], g))
+            if by_size is None:
+                continue
+            s, (dx, dy) = g.strength, OFFSET[d]
+            facing = [(x + dx, y + dy) for x, y in coords]
+            for size, entries in by_size.items():
+                if size > room:
                     continue
-                s = g.strength
-                facing = [(x + dx, y + dy) for x, y in coords]
-                for size, entries in by_size.items():
-                    if size > room:
-                        continue
-                    for p, bcoords in entries:
-                        for ax, ay in facing:
-                            for bx, by in bcoords:
-                                k = (p, ax - bx, ay - by)
-                                seam[k] = get(k, 0) + s
+                for p, bcoords in entries:
+                    for ax, ay in facing:
+                        for bx, by in bcoords:
+                            k = (p, ax - bx, ay - by)
+                            seam[k] = get(k, 0) + s
         return seam
 
     def unions(self, a: Supertile, room: int, tau: int) -> list:
@@ -649,9 +646,10 @@ def combination_offsets(a: Supertile, b: Supertile, ts: TileSet, tau: int):
     check runs on the union.
 
     Seam lemma: with b at offset o and no overlap, the seam strength is
-    the sum of g.strength over every pair (open face of a in direction d
-    carrying g, open face of b in direction opp(d) carrying g) that abuts
-    at o.  A cell of a facing a cell of b is open in a, because b is
+    the sum of g.strength over every pair of a face of a under (d, g) and
+    a face of b under (opp(d), g) in their face tables that abuts at o.
+    A table lists every positive open side, whether it was read off rows
+    or derived.  A cell of a facing a cell of b is open in a, because b is
     there and a is not, and likewise for b; and abutting glues interact
     only when they are equal.  So the seam at every offset can be summed
     from the face pairs alone, an offset that no pair reaches has seam 0,

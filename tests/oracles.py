@@ -102,6 +102,24 @@ def oracle_combine(a_cells, b_cells, ts, tau):
     return out
 
 
+SIDES = (("N", "north", 0, 1), ("E", "east", 1, 0), ("S", "south", 0, -1),
+         ("W", "west", -1, 0))
+
+
+def oracle_faces(cells, ts):
+    """Open faces by a scan of every cell: (direction, glue) -> sorted
+    coordinates of the cells showing that positive glue on that side with
+    no cell beyond it.  Coordinates are the cells' own, not normalized."""
+    faces = {}
+    for (x, y), tid in cells.items():
+        t = ts.tile(tid)
+        for d, side, dx, dy in SIDES:
+            g = getattr(t, side)
+            if g.strength > 0 and (x + dx, y + dy) not in cells:
+                faces.setdefault((d, g), []).append((x, y))
+    return {k: tuple(sorted(v)) for k, v in faces.items()}
+
+
 def oracle_get_nth_tas(tas_num, tau):
     """Literal nested-loop trace of the indexed tile-set enumeration.
 

@@ -309,6 +309,28 @@ def test_negative_step_bound_is_rejected(capsys, tmp_path):
     assert out.startswith("producible supertiles: 2 within size bound 2")
 
 
+def test_verify_rejects_a_size_bound_below_one_before_compiling(capsys, tmp_path):
+    """A bound below 1 is refused with explore's message before the
+    compiled document is read: nothing is printed, and a missing
+    compiled file is not reached."""
+    tas = write_pair(tmp_path)
+    compiled = tmp_path / "pair.weak1.json"
+    run(capsys, "compile", "--tas", str(tas), "--method", "weak1",
+        "--out", str(compiled))
+    for path in (compiled, tmp_path / "missing.json"):
+        for bound in ("0", "-3"):
+            code, out, err = run(capsys, "verify", "--tas", str(tas),
+                                 "--compiled", str(path), "--size-bound", bound)
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1
+            error = json.loads(err)["error"]
+            assert error["type"] == "BoundTooSmall"
+            assert error["message"] == "size bound must be at least 1"
+    code, out, _ = run(capsys, "verify", "--tas", str(tas),
+                       "--compiled", str(compiled), "--size-bound", "1")
+    assert code == 0 and out.startswith("source: 2 tile types")
+
+
 def test_compile_accepts_every_method(capsys, tmp_path):
     tas = write_pair(tmp_path)
     for method in ("strong2", "strong1", "weak1", "weak2", "weak3"):

@@ -29,7 +29,8 @@ from twoham.dynamics import explore
 from twoham import model
 from twoham.model import DIRECTIONS, OFFSET, OPPOSITE, SeamIndex, _disjoint_at
 from twoham.serialize import parse_tas, serialize_tas
-from oracles import canon, oracle_combine, oracle_initial_state, oracle_stable
+from oracles import (canon, oracle_combine, oracle_faces, oracle_initial_state,
+                     oracle_stable)
 
 
 def tile(tid, n=None, e=None, s=None, w=None):
@@ -563,7 +564,7 @@ def _same_supertile(got, want, ts):
     assert list(got.cells.items()) == list(want.cells.items())
     assert (got.size, got.width, got.height, got.key, got.fingerprint) == (
         want.size, want.width, want.height, want.key, want.fingerprint)
-    assert got.rows == want.rows and got.faces(ts) == want.faces(ts)
+    assert got.rows == want.rows and got.faces(ts) == oracle_faces(want.cells, ts)
 
 
 def test_union_matches_merged_dict():
@@ -589,23 +590,111 @@ def test_union_matches_merged_dict():
                     for off2, grand in combination_offsets(child, a, ts, tau):
                         _same_supertile(grand, _merged(child, a, off2), ts)
                         nested += 1
-                    # another TileSet object, even an equal one, gets a full scan
+                    # another TileSet object, even an equal one, reads rows
                     other = TileSet(ts.tiles)
                     fresh = Supertile.union(a, b, offset, ts)
-                    assert fresh.faces(other) == _merged(a, b, offset).faces(other)
-                    assert fresh.faces(ts) == child.faces(ts)
+                    merged = _merged(a, b, offset).cells
+                    assert fresh.faces(other) == oracle_faces(merged, other)
+                    assert fresh.faces(ts) == oracle_faces(merged, ts)
     # the loop must check real unions at every temperature
     assert min(checked.values()) >= 30 and nested >= 200, (checked, nested)
 
 
+def _face_tileset(rng, tau):
+    """Four tiles whose sides draw the null glue, a labelled glue of
+    strength 0, or "a" or "b" at strengths 1 to tau, so faces of one
+    label at unequal strengths, and zero-strength sides, both occur."""
+    def side():
+        r = rng.random()
+        if r < 0.2:
+            return NULL_GLUE
+        if r < 0.35:
+            return Glue(rng.choice("ab"), 0)
+        return Glue(rng.choice("ab"), rng.randint(1, tau))
+
+    return TileSet([TileType(f"t{i}", side(), side(), side(), side())
+                    for i in range(4)])
+
+
+def _holed_cells(rng, ts):
+    """A random subset of a random box, so rows have gaps, some rows may
+    be empty and the box has holes, at a random offset."""
+    w, h = rng.randint(1, 6), rng.randint(1, 6)
+    dx, dy = rng.randint(-40, 40), rng.randint(-40, 40)
+    spots = [(x, y) for x in range(w) for y in range(h)]
+    keep = rng.sample(spots, rng.randint(1, len(spots)))
+    return {(x + dx, y + dy): rng.choice(ts.tiles).id for x, y in keep}
+
+
+def _disjoint_offset(rng, a, b):
+    """A random offset of b against a in the joint box with no overlap,
+    or None."""
+    for _ in range(20):
+        ox = rng.randint(-b.width, a.width)
+        oy = rng.randint(-b.height, a.height)
+        if not any((x + ox, y + oy) in a.cells for x, y in b.cells):
+            return ox, oy
+    return None
+
+
+def test_faces_match_cell_scan_oracle(monkeypatch):
+    """Supertile.faces against oracle_faces, tau 1 to 4, on random tile
+    sets with zero-strength sides: supertiles built from holed cells at
+    offset coordinates, read off their rows; unions of two such, whose
+    faces are derived from their parents' faces, and unions of such a
+    union with a third supertile, derived from derived faces; and a
+    union read against a second, equal TileSet object, which reads its
+    rows.  The path each read takes is asserted by counting row reads."""
+    row_reads = []
+    read_rows = model._row_faces
+    monkeypatch.setattr(model, "_row_faces",
+                        lambda *args: row_reads.append(1) or read_rows(*args))
+    rng = random.Random(8086)
+    seen = Counter()
+    for tau in (1, 2, 3, 4):
+        for _ in range(150):
+            ts = _face_tileset(rng, tau)
+            pieces = []
+            for _ in range(3):
+                cells = _holed_cells(rng, ts)
+                st = Supertile(cells)
+                del row_reads[:]
+                assert st.faces(ts) == oracle_faces(dict(canon(cells)), ts)
+                assert len(row_reads) == 1
+                pieces.append(st)
+                seen["cells"] += 1
+            a, b, c = pieces
+            offset = _disjoint_offset(rng, a, b)
+            if offset is None:
+                continue
+            merged = _merged(a, b, offset).cells
+            ab = Supertile.union(a, b, offset, ts)
+            del row_reads[:]
+            assert ab.faces(ts) == oracle_faces(merged, ts) and not row_reads
+            seen["union"] += 1
+            off2 = _disjoint_offset(rng, ab, c)
+            if off2 is not None:
+                abc = Supertile.union(ab, c, off2, ts)
+                want = oracle_faces(_merged(ab, c, off2).cells, ts)
+                assert abc.faces(ts) == want and not row_reads
+                seen["nested"] += 1
+            other = TileSet(ts.tiles)
+            fresh = Supertile.union(a, b, offset, ts)
+            assert fresh.faces(other) == oracle_faces(merged, other)
+            assert len(row_reads) == 1 and _cells_unbuilt(fresh)
+            seen["other"] += 1
+    assert min(seen.values()) >= 300, seen
+
+
 def _row_kernels_against_cells(seed):
     """The row kernels on random stable pairs at tau 1 to 4, each against
-    its cell-dict form: a fresh union's rows and derived faces against
-    Supertile(merged dict), built and scanned from cells; _disjoint_at
-    against cell-set intersection at every offset of the joint box; and
-    == against cell-dict equality over every pair of the pieces and
-    children seen, which under colliding keys includes many pairs of
-    equal key and size."""
+    its cell-dict form: a fresh union's rows against Supertile(merged
+    dict), built from cells, and its derived faces against the cell-scan
+    oracle on the merged cells; _disjoint_at against cell-set
+    intersection at every offset of the joint box; and == against
+    cell-dict equality over every pair of the pieces and children seen,
+    which under colliding keys includes many pairs of equal key and
+    size."""
     rng = random.Random(seed)
     seen = Counter()
     for tau in (1, 2, 3, 4):
@@ -627,7 +716,7 @@ def _row_kernels_against_cells(seed):
             for offset, child in combination_offsets(a, b, ts, tau):
                 merged = _merged(a, b, offset)
                 assert child.rows == merged.rows
-                assert child.faces(ts) == merged.faces(ts)
+                assert child.faces(ts) == oracle_faces(merged.cells, ts)
                 assert _cells_unbuilt(child)
                 pool += [child, merged]
                 seen["union"] += 1
@@ -778,10 +867,11 @@ def test_long_union_chain_reads_without_recursion():
     st = line()
     assert list(st.cells.items()) == list(want.cells.items())
     assert len(_unions_under(st)) == 1498 and _nothing_stored_under(st)
-    assert st.faces(ts) == want.faces(ts)
+    faces = oracle_faces(want.cells, ts)
+    assert st.faces(ts) == faces
     assert _nothing_stored_under(st)
     st = line()
-    assert st.faces(ts) == want.faces(ts) and _nothing_stored_under(st)
+    assert st.faces(ts) == faces and _nothing_stored_under(st)
     assert line() == want and want == line()
     assert {want: want}.get(line()) is want
 
@@ -809,9 +899,10 @@ def test_shared_parent_union_dag_reads_like_merged_cells():
     assert u.size == 2048 and len(_unions_under(u)) == 10
     assert list(u.cells.items()) == list(want.cells.items())
     assert _nothing_stored_under(u)
-    assert u.faces(ts) == want.faces(ts) and _nothing_stored_under(u)
+    faces = oracle_faces(want.cells, ts)
+    assert u.faces(ts) == faces and _nothing_stored_under(u)
     u = doubled()
-    assert u.faces(ts) == want.faces(ts) and _nothing_stored_under(u)
+    assert u.faces(ts) == faces and _nothing_stored_under(u)
 
 
 def test_combine_is_symmetric_and_sized():
