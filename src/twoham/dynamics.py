@@ -35,7 +35,7 @@ class ProducibleSet:
     """
 
     __slots__ = ("tas", "size_bound", "supertiles", "edges", "overflow",
-                 "steps", "complete", "_children")
+                 "steps", "complete")
 
     def __init__(self, tas, size_bound, supertiles, edges, overflow, steps,
                  complete):
@@ -46,7 +46,6 @@ class ProducibleSet:
         self.overflow = overflow
         self.steps = steps
         self.complete = complete
-        self._children = None
 
     def __contains__(self, s):
         return s in self.supertiles
@@ -56,16 +55,6 @@ class ProducibleSet:
 
     def members(self):
         return sorted(self.supertiles, key=lambda s: s.sort_key)
-
-    def children_of(self, s):
-        """The children of s, as a dict to None in edge order."""
-        if self._children is None:
-            by_parent = {}
-            for pa, pb, child in self.edges:
-                by_parent.setdefault(pa, {})[child] = None
-                by_parent.setdefault(pb, {})[child] = None
-            self._children = by_parent
-        return self._children.get(s, {})
 
 
 def _require_member(s, p: ProducibleSet):
@@ -178,4 +167,4 @@ def single_step_reachable(a, b, p: ProducibleSet) -> bool:
     """Whether one recorded combination turns a into b."""
     _require_member(a, p)
     _require_member(b, p)
-    return b in p.children_of(a)
+    return any(child == b and a in (pa, pb) for pa, pb, child in p.edges)

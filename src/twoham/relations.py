@@ -30,16 +30,15 @@ because both readings are in circulation.
 All four read the simulator through one representation map, the
 ImageMap that decode_producibles returns: each member, and each product
 strong builds beyond the exploration, decoded once, the members behind
-each image, and a memoized reach search.  verify builds it once and
-passes it to every check as decoded.
+each image, and what each member reaches, as bitsets.  verify builds it
+once and passes it to every check as decoded.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from functools import cached_property
 from itertools import product
 
-from .dynamics import single_step_reachable
 from .errors import AmbiguousAlignment
 from .model import INFINITE, combine
 # decode_supertile is not called here; perfbench's tracer looks it up in
@@ -121,18 +120,19 @@ class ImageMap:
     decoded once.  With an anchored representation a union's candidate
     offsets are its parents', shifted; every member but a seed, and
     every product strong builds, is a union of members.
+
+    ``bit[s]`` is 1 << s's discovery index and ``reach[s]`` ORs the bits
+    of every member s reaches by zero or more explored steps, both built
+    on first use, in about n * n / 8 bytes for n members.
     """
 
     def __init__(self, sim, rep):
         self.sim = sim
-        self.rep = rep
         self._read = BlockReader(rep).decode
         self.decoded = {}
         self.preimages = {}
-        self._position = {}
         self._ambiguous = []
-        for i, s in enumerate(sim.supertiles):
-            self._position[s] = i
+        for s in sim.supertiles:
             img = self.image_of(s)
             if img is not None:
                 self.preimages.setdefault(img, []).append(s)
@@ -141,7 +141,6 @@ class ImageMap:
             {"kind": "ambiguous-alignment", "supertile": s.fingerprint,
              "detail": detail}
             for s, detail in self._ambiguous]
-        self._reach = {}
 
     def image_of(self, s):
         """Image supertile of s, None for junk; each supertile is decoded
@@ -157,23 +156,20 @@ class ImageMap:
         img = self.decoded[s]
         return img.supertile if img else None
 
-    def reach(self, start, image):
-        """Members with this image reachable from start by zero or more
-        explored steps, in discovery order: the order steers only how
-        soon strong's search for a pair stops."""
-        key = start, image
-        if key not in self._reach:
-            seen = {start}
-            queue = deque(seen)
-            while queue:
-                for child in self.sim.children_of(queue.popleft()):
-                    if child not in seen:
-                        seen.add(child)
-                        queue.append(child)
-            self._reach[key] = sorted(
-                (s for s in seen if self.image_of(s) == image),
-                key=self._position.__getitem__)
-        return self._reach[key]
+    @cached_property
+    def bit(self):
+        return {s: 1 << i for i, s in enumerate(self.sim.supertiles)}
+
+    @cached_property
+    def reach(self):
+        """Order lemma: a child is strictly larger than either parent, so
+        taking the steps by decreasing parent size finds each child's set
+        complete, and every ``reach[parent] |= reach[child]`` is exact."""
+        reach = dict(self.bit)
+        for parent, child in sorted(_transitions(self.sim),
+                                    key=lambda step: -step[0].size):
+            reach[parent] |= reach[child]
+        return reach
 
 
 def _open(relation, sim, rep, decoded):
@@ -268,6 +264,7 @@ def check_follows(sim, target, rep, decoded=None):
     whose images exceed the target bound are boundary skips.
     """
     report, imap = _open("follows", sim, rep, decoded)
+    target_steps = set(_transitions(target))
     found = []
     for parent, child in _transitions(sim):
         a = imap.image_of(parent)
@@ -283,7 +280,7 @@ def check_follows(sim, target, rep, decoded=None):
             continue
         if a not in target or b not in target:
             kind = "image-not-producible"
-        elif not single_step_reachable(a, b, target):
+        elif (a, b) not in target_steps:
             kind = "unmatched-step"
         else:
             continue
@@ -309,18 +306,21 @@ def check_weakly_models(sim, target, rep, decoded=None, weak_def="standard"):
     if weak_def not in ("standard", "literal"):
         raise ValueError(f"unknown weak_def {weak_def!r}")
     report, imap = _open("weak", sim, rep, decoded)
+    # (parent image, child image) -> the bits of the parents of such steps
+    bit, steps = imap.bit, {}
+    for parent, child in _transitions(sim):
+        key = imap.image_of(parent), imap.image_of(child)
+        steps[key] = steps.get(key, 0) | bit[parent]
     found = []
     for a, b in _transitions(target):
         preimages = imap.preimages.get(a, [])
         if not preimages:
             report.skipped += 1
             continue
-        waypoint = a if weak_def == "standard" else b
+        realizing = steps.get((a if weak_def == "standard" else b, b), 0)
         for start in preimages:
             report.checked += 1
-            if not any(imap.image_of(c) == b
-                       for node in imap.reach(start, waypoint)
-                       for c in sim.children_of(node)):
+            if not imap.reach[start] & realizing:
                 found.append({
                     "kind": "unrealizable-step",
                     "target_parent": a.fingerprint,
@@ -348,13 +348,23 @@ def check_strongly_models(sim, target, rep, decoded=None):
     for pa, pb, child in target.edges:
         by_pair.setdefault((pa, pb), {})[child] = None
 
+    members = list(sim.supertiles)
+    image_bits = {a: sum(map(imap.bit.__getitem__, pre))
+                  for a, pre in imap.preimages.items()}
+
+    def reached(x0, a):
+        # a's preimages that x0 reaches: the set bits, lowest index first
+        found = imap.reach[x0] & image_bits[a]
+        while found:
+            yield members[(found & -found).bit_length() - 1]
+            found &= found - 1
+
     def candidate_pairs(x0, y0, a, b):
         # the start pair, then every other pair of same-image descendants
         yield x0, y0
-        for x in imap.reach(x0, a):
-            for y in imap.reach(y0, b):
-                if (x, y) != (x0, y0):
-                    yield x, y
+        for pair in product(reached(x0, a), reached(y0, b)):
+            if pair != (x0, y0):
+                yield pair
 
     found = []
     for (a, b), children in by_pair.items():

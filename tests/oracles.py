@@ -330,3 +330,26 @@ def oracle_wire_tiles(cells, faces, prefix, strength):
             sides[d] = (g.label, g.strength)
         tiles.append((uid,) + tuple(sides[d] for d in "NESW"))
     return tiles
+
+
+def oracle_reach(sim, start, image, image_of):
+    """Members with this image, as image_of reads them, reachable from
+    start by zero or more explored steps, in discovery order: a
+    breadth-first search over each member's children, read off
+    sim.edges.  explore stores each member once and its edges hold those
+    objects, so the search keys members by identity and never hashes a
+    supertile."""
+    children = {}
+    for pa, pb, child in sim.edges:
+        children.setdefault(id(pa), []).append(child)
+        children.setdefault(id(pb), []).append(child)
+    position = {id(s): i for i, s in enumerate(sim.supertiles)}
+    seen = {id(start): start}
+    queue = deque(seen.values())
+    while queue:
+        for child in children.get(id(queue.popleft()), []):
+            if id(child) not in seen:
+                seen[id(child)] = child
+                queue.append(child)
+    return sorted((s for s in seen.values() if image_of(s) == image),
+                  key=lambda s: position[id(s)])

@@ -4,9 +4,13 @@ Every rig here is a small system of rigid 2x2 macroblocks (plus gadget
 tiles) over a two- or three-tile target, with a lookup-table decoder.
 The rigs are tuned so each checker outcome has a witness: boundary
 skips, junk rules, unmatched steps, gadget-assisted growth that weakly
-but not strongly models, and the two-families system that passes every
-check except the strong one.
+but not strongly models, the two-families system that passes every
+check except the strong one, and its variant with a block that never
+grows, which fails weak too.  The image map's reach bitsets are pinned
+to a breadth-first search on random and compiled explorations.
 """
+
+import random
 
 import pytest
 
@@ -26,10 +30,16 @@ from twoham import (
     decode_producibles,
     explore,
 )
+from twoham.dynamics import ProducibleSet
 from twoham.strong import STRONG2, compile_strong
+from twoham.strong import VARIANTS as STRONG_VARIANTS
 from twoham.weak import WEAK1, WEAK2, WEAK3, compile_weak
+from twoham.weak import VARIANTS as WEAK_VARIANTS
 
+from oracles import oracle_reach
 from test_acceptance import suite
+from test_compiled import rescaled
+from test_dynamics import _random_system, _seeded_system
 from test_model import _cells_unbuilt
 
 BLOCK = {(0, 0), (1, 0), (0, 1), (1, 1)}
@@ -77,12 +87,15 @@ def fp(cells):
     return Supertile(cells).fingerprint
 
 
-def two_tile_target(bound=2):
-    ts = TileSet((
+def two_tile_tas():
+    return TAS(TileSet((
         TileType("A", east=Glue("g", 2)),
         TileType("B", west=Glue("g", 2)),
-    ))
-    return explore(TAS(ts, 2), bound)
+    )), 2)
+
+
+def two_tile_target(bound=2):
+    return explore(two_tile_tas(), bound)
 
 
 def doubled_two_tile(count=INFINITE):
@@ -295,9 +308,11 @@ def test_strong_check_combines_past_the_exploration_bound():
     assert [v["preimages"] for v in report.violations] == [[fp(amw), fp(full_b)]]
 
 
-def test_two_families_separate_weak_from_strong():
-    # two disjoint red vocabularies: each A copy binds only its own B
-    # copy, so every cross pair of preimages is stuck
+def families_rig(stuck=False):
+    """Two disjoint red vocabularies: each A copy binds only its own B
+    copy, so every cross pair of preimages is stuck.  With stuck, a third
+    A block shows no red glue at all, so it is a preimage of A that never
+    grows.  The simulator system and its representation."""
     seeds, tiles, table = [], [], {}
     for name, image, arm in (("xa", "A", "east"), ("ya", "A", "east"),
                              ("xb", "B", "west"), ("yb", "B", "west")):
@@ -310,9 +325,19 @@ def test_two_families_separate_weak_from_strong():
         tiles += t
         seeds.append((cells, INFINITE))
         table[entry(cells)] = image
-    sim = explore(TAS(TileSet(tuple(tiles)), 2, seeds), 8)
+    if stuck:
+        t, cells = rigid("za", BLOCK)
+        tiles += t
+        seeds.append((cells, INFINITE))
+        table[entry(cells)] = "A"
+    return (TAS(TileSet(tuple(tiles)), 2, seeds),
+            BlockRepresentation.from_table(2, table))
+
+
+def test_two_families_separate_weak_from_strong():
+    tas, rep = families_rig()
+    sim = explore(tas, 8)
     assert len(sim) == 6
-    rep = BlockRepresentation.from_table(2, table)
     target = two_tile_target()
     assert check_equivalent_productions(sim, target, rep).passed
     assert check_follows(sim, target, rep).passed
@@ -324,6 +349,33 @@ def test_two_families_separate_weak_from_strong():
     a_x, a_y = fp(dict_for("xa")), fp(dict_for("ya"))
     b_x, b_y = fp(dict_for("xb")), fp(dict_for("yb"))
     assert jammed == {(a_x, b_y), (a_y, b_x)}
+
+
+def test_a_preimage_that_never_grows_fails_standard_weak():
+    """The stuck A block decodes to A, yet reaches no member that steps
+    into AB, so the standard reading fails on it alone; strong fails on
+    both of its pairs as well as on the two cross pairs."""
+    tas, rep = families_rig(stuck=True)
+    sim = explore(tas, 8)
+    assert len(sim) == 7
+    target = two_tile_target()
+    assert check_equivalent_productions(sim, target, rep).passed
+    assert check_follows(sim, target, rep).passed
+    weak = check_weakly_models(sim, target, rep)
+    assert weak.checked == 5
+    assert weak.violations == [{
+        "kind": "unrealizable-step",
+        "target_parent": fp({(0, 0): "A"}),
+        "target_child": fp({(0, 0): "A", (1, 0): "B"}),
+        "preimage": fp(dict_for("za")),
+    }]
+    strong = check_strongly_models(sim, target, rep)
+    assert strong.checked == 6
+    a_x, a_y, a_z = (fp(dict_for(name)) for name in ("xa", "ya", "za"))
+    b_x, b_y = fp(dict_for("xb")), fp(dict_for("yb"))
+    assert {tuple(v["preimages"]) for v in strong.violations} == {
+        (a_x, b_y), (a_y, b_x), (a_z, b_x), (a_z, b_y)}
+    assert len(strong.violations) == 4
 
 
 def dict_for(prefix):
@@ -439,6 +491,11 @@ def follows_case():
     return sim_tas, 16, three_tile_tas(), 3, rep
 
 
+def stuck_family_case():
+    sim_tas, rep = families_rig(stuck=True)
+    return sim_tas, 8, two_tile_tas(), 2, rep
+
+
 ORDER_CASES = {
     "pair-weak1": lambda: compiled_case("pair", WEAK1),
     "seeded-chain-weak1": lambda: compiled_case("seeded-chain", WEAK1),
@@ -447,6 +504,8 @@ ORDER_CASES = {
     # the compilations break no productions or follows clause; these two do
     "null-decoder": null_decoder_case,
     "follows-rig": follows_case,
+    # nor standard weak; this rig does
+    "stuck-family": stuck_family_case,
 }
 
 
@@ -483,3 +542,116 @@ def test_claimed_checks_build_no_member_cells(name, compile_, variant):
         assert CHECKS[claim](sim, target, comp.rep, decoded=decoded).passed
     unions = [s for s in sim.supertiles if s.parents is not None]
     assert unions and all(_cells_unbuilt(s) for s in unions)
+
+
+# test_dynamics' random systems have tiles t0, t1 and t2; reading the
+# first two as one tile makes members share images
+COARSE = BlockRepresentation(
+    1, lambda block: {"t0": "A", "t1": "A", "t2": "B"}[block[0, 0]])
+
+
+def image_target(sim, imap):
+    """The simulator's steps between defined images, read through the
+    image map, as an explored target set."""
+    edges = {}
+    for step in sim.edges:
+        images = tuple(map(imap.image_of, step))
+        if None not in images:
+            edges[images] = None
+    return ProducibleSet(sim.tas, sim.size_bound,
+                         {img: img for img in imap.preimages}, edges, 0, 0,
+                         True)
+
+
+def reach_matches_oracle(sim, rep, target=None):
+    """Pin the image map's bitsets to oracle_reach for every member and
+    image, and weak's records under both readings to the same search over
+    the reached members' children.  target defaults to image_target.
+    Returns the number of weak records."""
+    imap = decode_producibles(sim, rep)
+    reach, bit = imap.reach, imap.bit
+    reached = {}
+    for start in sim.supertiles:
+        for image, preimages in imap.preimages.items():
+            want = oracle_reach(sim, start, image, imap.image_of)
+            assert [x for x in preimages if reach[start] & bit[x]] == want
+            reached[start, image] = want
+    if target is None:
+        target = image_target(sim, imap)
+    children = {}
+    for pa, pb, child in sim.edges:
+        children.setdefault(pa, []).append(child)
+        children.setdefault(pb, []).append(child)
+    records = 0
+    for weak_def in ("standard", "literal"):
+        want = set()
+        for pa, pb, b in target.edges:
+            for a in (pa, pb):
+                waypoint = a if weak_def == "standard" else b
+                for start in imap.preimages.get(a, []):
+                    if not any(imap.image_of(c) == b
+                               for node in reached.get((start, waypoint), [])
+                               for c in children.get(node, [])):
+                        want.add((a.fingerprint, b.fingerprint,
+                                  start.fingerprint))
+        report = check_weakly_models(sim, target, rep, decoded=imap,
+                                     weak_def=weak_def)
+        got = [(v["target_parent"], v["target_child"], v["preimage"])
+               for v in report.violations if v["kind"] == "unrealizable-step"]
+        assert len(got) == len(want) and set(got) == want, weak_def
+        records += len(got)
+    return records
+
+
+def random_explorations(seed):
+    """test_dynamics' random systems that grow, tau 1 to 4, explored
+    plainly and under a shuffle."""
+    rng = random.Random(seed)
+    for tau in (1, 2, 3, 4):
+        grown = 0
+        for _ in range(1000):
+            if grown >= 6:
+                break
+            tas = (_seeded_system if rng.random() < 0.5 else _random_system)(
+                rng, tau)
+            bound = rng.randint(3, 6)
+            p = explore(tas, bound)
+            if len(p) > 60 or len(p) == len(tas.initial_state):
+                continue  # keep the oracle cheap, and skip inert systems
+            grown += 1
+            yield p
+            yield explore(tas, bound, shuffle_seed=rng.randint(0, 999))
+        assert grown >= 6, tau
+
+
+def compiled_explorations(taus, shuffle_seeds):
+    """(sim, rep, target) for the suite compiled by all five methods at
+    each tau, the simulator explored at 3 * budget and the target at 3."""
+    for tau in taus:
+        for _, tas in suite():
+            tas = rescaled(tas, tau)
+            for compile_, variants in ((compile_strong, STRONG_VARIANTS),
+                                       (compile_weak, WEAK_VARIANTS)):
+                for variant in variants:
+                    comp = compile_(tas, variant)
+                    for k in shuffle_seeds:
+                        yield (explore(comp.simulator_tas(), 3 * comp.budget,
+                                       shuffle_seed=k),
+                               comp.rep, explore(tas, 3, shuffle_seed=k))
+
+
+def test_reach_bitsets_match_the_search_oracle():
+    records = sum(reach_matches_oracle(sim, COARSE)
+                  for sim in random_explorations(4321))
+    assert records >= 10, records
+    for sim, rep, target in compiled_explorations((2, 3, 4), (None, 7)):
+        reach_matches_oracle(sim, rep, target)
+
+
+def test_reach_bitsets_match_the_search_oracle_under_colliding_keys(
+        colliding_keys):
+    records = sum(reach_matches_oracle(sim, COARSE)
+                  for sim in random_explorations(8765))
+    assert records >= 10, records
+    for sim, rep, target in compiled_explorations((2, 3, 4), (3,)):
+        reach_matches_oracle(sim, rep, target)
