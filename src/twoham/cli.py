@@ -28,6 +28,7 @@ from .model import INFINITE, TAS
 from .relations import CHECKS, decode_producibles
 from .render import render_svg
 from .serialize import (
+    compiled_chunks,
     compiled_document,
     parse_compiled,
     parse_tas,
@@ -140,7 +141,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_compile(args) -> int:
     tas = parse_tas(_read(args.tas))
     comp = METHODS[args.method](tas)
-    Path(args.out).write_text(serialize_compiled(comp))
+    # written as it renders, so an interrupted run leaves a partial file
+    with Path(args.out).open("w") as f:
+        f.writelines(compiled_chunks(comp))
     print(f"{args.method}: scale {comp.m}, {len(comp.universal_tiles)} tile "
           f"types, {len(comp.input_supertiles)} input supertiles -> {args.out}")
     return 0
@@ -151,15 +154,21 @@ def _cmd_verify(args) -> int:
     if args.size_bound < 1:  # explore's check, before any work
         raise BoundTooSmall("size bound must be at least 1")
     tas = parse_tas(_read(args.tas))
-    doc = parse_compiled(_read(args.compiled))
-    method = doc["method"]
+    text = _read(args.compiled)
+    # the parsed tree is a shape check and the method's source only, and
+    # is freed here, before the compiler runs
+    method = parse_compiled(text)["method"]
     if method not in METHODS:
         raise SchemaError(f"method: unknown compiler variant {method!r}")
     comp = METHODS[method](tas)
-    if compiled_document(comp) != doc:
+    # the canonical bytes are compared first; a copy in another layout
+    # costs a second parse and the JSON-value comparison
+    if not (text == serialize_compiled(comp)
+            or compiled_document(comp) == parse_compiled(text)):
         raise SchemaError(
             f"compiled document does not match a fresh {method} compilation "
             f"of the source system")
+    del text  # a strong document's text runs to hundreds of megabytes
 
     print(f"source: {len(tas.tile_set)} tile types, temperature {tas.tau}; "
           f"compiled with {method} at scale {comp.m}")

@@ -6,9 +6,12 @@ object twice yields identical bytes, so documents and reports diff
 cleanly.  Validation errors name the offending field by path.
 
 System documents go through json.dumps.  Compiled documents are
-written directly from the compiler output, because with an indent
+rendered directly from the compiler output, because with an indent
 json.dumps runs its pure-Python encoder; tests/test_serialize.py pins
-that text to json.dumps of compiled_document byte for byte.
+that text to json.dumps of compiled_document byte for byte.  The text
+comes in chunks (compiled_chunks), so compile writes it without holding
+it whole, and verify compares a file with it byte for byte before it
+falls back on comparing JSON values.
 """
 
 from __future__ import annotations
@@ -220,49 +223,72 @@ def compiled_document(comp) -> dict:
     }
 
 
-def _array(items, pad) -> str:
-    """A JSON array whose items are rendered one indent level below pad."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+def _end(sep, pad) -> str:
+    """The end of a JSON array whose items are rendered one indent level
+    below pad; sep is still "[\\n" if no item was written."""
+    return "[]" if sep == "[\n" else f"\n{pad}]"
 
 
-def serialize_compiled(comp) -> str:
-    """The text of compiled_document(comp), written without building it.
+def compiled_chunks(comp):
+    """The text of compiled_document(comp), written without building it,
+    as non-empty chunks: one per anchor, placement cell and universal
+    tile, each led by the "[\\n" or ",\\n" before it, and a few joints.
 
     A compiled document runs to megabytes, and json.dumps with an indent
     encodes it in pure Python, so the text is put together here from
-    fixed templates instead.  It is byte-identical to
+    fixed templates instead.  Joined, the chunks are byte-identical to
     _dumps(compiled_document(comp)): keys in sorted order, strings
-    escaped by the C function json.dumps itself uses.
+    escaped by the C function json.dumps itself uses.  A caller that
+    writes or compares them as they come never holds the whole text.
+    The loops are written out flat, since each generator a chunk passes
+    through costs more than its f-string.
     """
+    yield '{\n  "decoder": {\n    "anchors": '
+    sep = "[\n"
+    for uid, tid in sorted(comp.anchors.items()):
+        yield f'{sep}      [\n        {_escape(uid)},\n        {_escape(tid)}\n      ]'
+        sep = ",\n"
+    yield _end(sep, "    ")
+    yield (',\n    "kind": "block-anchor"\n  },\n'
+           '  "format": "twoham-compiled",\n  "input_supertiles": ')
+    sep = "[\n"
+    for st, count in comp.input_supertiles:
+        count = '"inf"' if count == INFINITE else count
+        yield f'{sep}    {{\n      "count": {count},\n      "placement": '
+        cell_sep = "[\n"
+        for (x, y), tid in sorted(st.cells.items()):
+            yield (f'{cell_sep}        {{\n          "tile": {_escape(tid)},\n'
+                   f'          "x": {x},\n          "y": {y}\n        }}')
+            cell_sep = ",\n"
+        yield _end(cell_sep, "      ") + "\n    }"
+        sep = ",\n"
+    yield _end(sep, "  ")
+    yield (f',\n  "method": {_escape(comp.variant)},\n'
+           f'  "scale": {comp.m},\n  "temperature": {comp.tau},\n'
+           f'  "universal_tiles": ')
     glue = _Memo(lambda g: (f'{{\n        "label": {_escape(g.label)},\n'
                             f'        "strength": {g.strength}\n      }}'))
-    tiles = [
-        f'    {{\n      "east": {glue[east]},\n'
-        f'      "id": {_escape(tid)},\n'
-        f'      "north": {glue[north]},\n'
-        f'      "south": {glue[south]},\n'
-        f'      "west": {glue[west]}\n    }}'
-        for tid, north, east, south, west in comp.universal_tiles]
-    states = []
-    for st, count in comp.input_supertiles:
-        cells = [f'        {{\n          "tile": {_escape(tid)},\n'
-                 f'          "x": {x},\n          "y": {y}\n        }}'
-                 for (x, y), tid in sorted(st.cells.items())]
-        count = '"inf"' if count == INFINITE else count
-        states.append(f'    {{\n      "count": {count},\n'
-                      f'      "placement": {_array(cells, "      ")}\n    }}')
-    anchors = [f'      [\n        {_escape(uid)},\n        {_escape(tid)}\n      ]'
-               for uid, tid in sorted(comp.anchors.items())]
-    return (f'{{\n  "decoder": {{\n    "anchors": {_array(anchors, "    ")},\n'
-            f'    "kind": "block-anchor"\n  }},\n'
-            f'  "format": "twoham-compiled",\n'
-            f'  "input_supertiles": {_array(states, "  ")},\n'
-            f'  "method": {_escape(comp.variant)},\n'
-            f'  "scale": {comp.m},\n'
-            f'  "temperature": {comp.tau},\n'
-            f'  "universal_tiles": {_array(tiles, "  ")}\n}}\n')
+    sep = "[\n"
+    for tid, north, east, south, west in comp.universal_tiles:
+        yield (f'{sep}    {{\n      "east": {glue[east]},\n'
+               f'      "id": {_escape(tid)},\n'
+               f'      "north": {glue[north]},\n'
+               f'      "south": {glue[south]},\n'
+               f'      "west": {glue[west]}\n    }}')
+        sep = ",\n"
+    yield _end(sep, "  ") + "\n}\n"
+
+
+def serialize_compiled(comp) -> str:
+    """The text of compiled_document(comp); see compiled_chunks.
+
+    Lemma: this text equals _dumps(compiled_document(comp)) byte for byte
+    (pinned in tests/test_serialize.py), and json.loads of it gives back
+    compiled_document(comp).  So a text equal to it has the same JSON
+    value, and a byte comparison accepts only what the value comparison
+    accepts; a copy in another layout still needs the latter.
+    """
+    return "".join(compiled_chunks(comp))
 
 
 def parse_compiled(text: str) -> dict:

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import weakref
 from collections import Counter
 
 import pytest
@@ -10,7 +11,12 @@ from twoham import cli, ladders
 from twoham.cli import main
 from twoham.dynamics import explore
 from twoham.weak import WEAK1, compile_weak
-from twoham.serialize import parse_tas, serialize_tas
+from twoham.serialize import (
+    compiled_document,
+    parse_tas,
+    serialize_compiled,
+    serialize_tas,
+)
 
 from test_acceptance import TARGET_BOUND, suite
 
@@ -107,7 +113,8 @@ def test_verify_rejects_a_tampered_document(capsys, tmp_path):
     run(capsys, "compile", "--tas", str(tas), "--method", "weak1",
         "--out", str(compiled))
     doc = json.loads(compiled.read_text())
-    # verify compares JSON values, not bytes: a compact copy still passes
+    # verify compares bytes first and then JSON values: a compact copy
+    # still passes
     compiled.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", "--tas", str(tas),
                        "--compiled", str(compiled), "--size-bound", "2")
@@ -120,6 +127,90 @@ def test_verify_rejects_a_tampered_document(capsys, tmp_path):
     payload = json.loads(err)
     assert payload["error"]["type"] == "SchemaError"
     assert "fresh weak1 compilation" in payload["error"]["message"]
+
+
+def reordered(obj):
+    """obj with the keys of every object in reverse order."""
+    if isinstance(obj, dict):
+        return {k: reordered(obj[k]) for k in reversed(obj)}
+    if isinstance(obj, list):
+        return [reordered(v) for v in obj]
+    return obj
+
+
+def test_verify_accepts_what_the_value_comparison_accepts(capsys, tmp_path):
+    """Where the bytes differ from the canonical text, verify's exit code
+    and error type are those of the JSON-value comparison."""
+    tas = write_pair(tmp_path)
+    compiled = tmp_path / "pair.weak1.json"
+    run(capsys, "compile", "--tas", str(tas), "--method", "weak1",
+        "--out", str(compiled))
+    text = compiled.read_text()
+    doc = json.loads(text)
+    tampered = json.loads(text)
+    tampered["scale"] += 1
+    swapped = json.loads(text)
+    anchors = swapped["decoder"]["anchors"]
+    anchors[0], anchors[1] = anchors[1], anchors[0]
+    copies = {
+        "canonical": text,
+        "compact": json.dumps(doc),
+        "re-indented": json.dumps(doc, sort_keys=True, indent=4),
+        "key-reordered": json.dumps(reordered(doc), indent=2) + "\n",
+        "trailing space": text + " ",
+        "tampered scale": json.dumps(tampered, sort_keys=True, indent=2) + "\n",
+        "reordered anchors": json.dumps(swapped),
+    }
+    fresh = compiled_document(compile_weak(parse_tas(tas.read_text()), WEAK1))
+    for label, copy in copies.items():
+        compiled.write_text(copy)
+        code, out, err = run(capsys, "verify", "--tas", str(tas),
+                             "--compiled", str(compiled), "--size-bound", "2")
+        if json.loads(copy) == fresh:
+            assert (code, err) == (0, ""), label
+            assert out.endswith("result: PASS\n"), label
+        else:
+            assert code == 2, label
+            assert json.loads(err)["error"]["type"] == "SchemaError", label
+    assert sum(json.loads(copy) == fresh for copy in copies.values()) == 5
+
+
+class _Tree(dict):
+    """A parsed document that can be watched by weak reference."""
+
+    __slots__ = ("__weakref__",)
+
+
+def test_verify_frees_the_parsed_document_before_compiling(
+        capsys, monkeypatch, tmp_path):
+    """The parsed tree is dead by the time the compiler runs; reference
+    counting alone frees it, since verify runs with the collector off."""
+    parse_compiled_ = cli.parse_compiled
+    compile_ = cli.METHODS[WEAK1]
+    trees, alive = [], []
+
+    def parse(text):
+        tree = _Tree(parse_compiled_(text))
+        trees.append(weakref.ref(tree))
+        return tree
+
+    def compile_watched(tas):
+        alive.append(trees[-1]() is not None)
+        return compile_(tas)
+
+    monkeypatch.setattr(cli, "parse_compiled", parse)
+    monkeypatch.setitem(cli.METHODS, WEAK1, compile_watched)
+    tas = write_pair(tmp_path)
+    compiled = tmp_path / "pair.weak1.json"
+    compiled.write_text(serialize_compiled(compile_(parse_tas(tas.read_text()))))
+    argv = ("verify", "--tas", str(tas), "--compiled", str(compiled),
+            "--size-bound", "2")
+    assert run(capsys, *argv)[0] == 0
+    assert (len(trees), alive) == (1, [False])
+    compiled.write_text(json.dumps(json.loads(compiled.read_text())))
+    assert run(capsys, *argv)[0] == 0
+    # a compact copy is parsed a second time, after the compiler
+    assert (len(trees), alive) == (3, [False, False])
 
 
 def test_finite_counts_are_read_as_infinite_and_noted(capsys, tmp_path):

@@ -9,6 +9,7 @@ from twoham.cli import METHODS
 from twoham.compiled import CompiledSimulator
 from twoham.errors import DanglingTileId, NegativeStrength, SchemaError
 from twoham.serialize import (
+    compiled_chunks,
     compiled_document,
     parse_compiled,
     parse_tas,
@@ -18,7 +19,7 @@ from twoham.serialize import (
 from twoham.strong import rescale_temperature
 
 from test_acceptance import suite
-from test_cli import square_tas
+from test_cli import cooperative_square_t3, square_tas
 
 
 def one_tile_tas():
@@ -280,12 +281,17 @@ def canonical(comp):
 
 def compilations():
     """(name, tau, method, system): the suite under every method at
-    temperatures 2 and 4, and a uniquely glued square.  The 3 x 3 square's
+    temperatures 2 and 4, a temperature-3 cooperative square, and a
+    uniquely glued square at each of the three.  The 3 x 3 square's
     strong documents run to 50 MB each, so the strong methods get 2 x 2."""
-    for tau in (2, 4):
-        for name, tas in suite():
-            if tau != tas.tau:
-                tas = rescale_temperature(tas, tau // tas.tau)
+    for tau in (2, 3, 4):
+        if tau == 3:
+            systems = [("coop-square", cooperative_square_t3())]
+        else:
+            systems = [(name, tas if tau == tas.tau
+                        else rescale_temperature(tas, tau // tas.tau))
+                       for name, tas in suite()]
+        for name, tas in systems:
             for method in METHODS:
                 yield name, tau, method, tas
         for method in METHODS:
@@ -295,13 +301,21 @@ def compilations():
 
 COMPILATIONS = list(compilations())
 
-
 @pytest.mark.parametrize(
     "tas, method", [(tas, method) for _, _, method, tas in COMPILATIONS],
     ids=[f"{name}-t{tau}-{method}" for name, tau, method, _ in COMPILATIONS])
 def test_compiled_text_is_json_canonical_form(tas, method):
+    """serialize_compiled and the joined chunks give
+    _dumps(compiled_document(comp)) byte for byte, and there is one
+    non-empty chunk per anchor, cell and tile, plus a few joints."""
     comp = METHODS[method](tas)
-    assert serialize_compiled(comp) == canonical(comp)
+    text = canonical(comp)
+    assert serialize_compiled(comp) == text
+    chunks = list(compiled_chunks(comp))
+    assert "".join(chunks) == text and all(chunks)
+    items = (len(comp.anchors) + len(comp.universal_tiles)
+             + sum(st.size for st, _ in comp.input_supertiles))
+    assert items < len(chunks) < items + 10 + 2 * len(comp.input_supertiles)
 
 
 ODD = 'q"b\\s\x01c\u00e9\u2603\U0001F600'
@@ -325,6 +339,7 @@ def test_empty_lists_render_as_json_does():
                               comp.rep, comp.meta, comp.claims, comp.budget)
     text = serialize_compiled(empty)
     assert text == canonical(empty)
+    assert "".join(compiled_chunks(empty)) == text
     assert '"anchors": []' in text
     assert '"input_supertiles": []' in text
     assert '"universal_tiles": []' in text
