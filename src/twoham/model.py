@@ -491,44 +491,13 @@ def binding_graph(cells: dict, ts: TileSet) -> dict:
 def is_tau_stable(cells: dict, ts: TileSet, tau: int) -> bool:
     """Connected binding graph whose every cut weighs at least tau.
 
-    Singletons are stable for every tau.  An edge of weight >= tau never
-    crosses a cut lighter than tau, so when the heavy edges, read straight
-    off the cells, already join every cell, every cut weighs at least
-    tau; only otherwise is the binding graph built for the cut check.
+    Singletons are stable for every tau; any larger assembly is the cut
+    check over its binding graph, which merges the cells joined by edges
+    of weight >= tau before it cuts anything.
     """
     if not cells:
         raise EmptyAssembly("stability of an empty assembly is undefined")
     if len(cells) == 1:
-        return True
-    tiles = ts._by_id
-    start = next(iter(cells))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x, y = v = stack.pop()
-        _, n, e, s, w = tiles[cells[v]]
-        # equal glues of strength >= tau >= 1 interact at full strength
-        if n.strength >= tau:
-            u = (x, y + 1)
-            if u not in seen and u in cells and tiles[cells[u]].south == n:
-                seen.add(u)
-                stack.append(u)
-        if e.strength >= tau:
-            u = (x + 1, y)
-            if u not in seen and u in cells and tiles[cells[u]].west == e:
-                seen.add(u)
-                stack.append(u)
-        if s.strength >= tau:
-            u = (x, y - 1)
-            if u not in seen and u in cells and tiles[cells[u]].north == s:
-                seen.add(u)
-                stack.append(u)
-        if w.strength >= tau:
-            u = (x - 1, y)
-            if u not in seen and u in cells and tiles[cells[u]].east == w:
-                seen.add(u)
-                stack.append(u)
-    if len(seen) == len(cells):
         return True
     return mincut.stability_cut_ok(binding_graph(cells, ts), tau)
 
@@ -691,10 +660,12 @@ class TAS:
 
     The initial state is a multiset of stable supertiles with positive
     (possibly infinite) counts; by default it holds infinitely many copies
-    of each singleton tile.  The constructor checks the tile ids and the
-    tau-stability of every initial supertile.  Only simulator_tas skips
-    both, through _of_stable, for seeds the block lemma of compiled.py
-    proves; every other caller, parse_tas included, is checked.
+    of each singleton tile.  The constructor checks the tile ids of every
+    initial supertile in cell order, so the first unknown id is the one
+    reported, and then its tau-stability with is_tau_stable.  Only
+    simulator_tas skips both, through _of_stable, for seeds the block
+    lemma of compiled.py proves; every other caller, parse_tas included,
+    is checked.
 
     ``initial_state`` merges equal supertiles, found by Supertile
     equality as explore finds them, and lists them by size, breaking a

@@ -206,18 +206,6 @@ WeakMeta = namedtuple("WeakMeta", ("geo", "glues", "megas", "gadgets",
                                    "completions"))
 
 
-def _check_body(block, tid, meta: WeakMeta):
-    """tid, once every cell of the complete body is tile tid's own."""
-    geo = meta.geo
-    expect = meta.megas[tid].cells
-    for x in range(geo.d, geo.d + geo.k):
-        for y in range(geo.d, geo.d + geo.k):
-            if block[(x, y)] != expect[(x, y)]:
-                raise CorruptMacrotile(
-                    f"body mixes {tid!r} with foreign cells at {(x, y)}")
-    return tid
-
-
 def _loaded_union(st, meta: WeakMeta, ts) -> Supertile:
     """A seed assembly rebuilt at block scale with its joins pre-assembled.
 
@@ -291,13 +279,22 @@ def compile_weak(tas, variant=WEAK1) -> CompiledSimulator:
             tiles.extend(_wire_piece(clay, f"c{side}{gidx[g]}", geo.tau))
     universal = TileSet(tiles)
     meta = WeakMeta(geo, tuple(glue_order), megas, gadgets, completions)
-    # one itemgetter call reads a block's whole body; only a mismatch is
-    # walked cell by cell, to name the first foreign cell
+    # one itemgetter call reads a block's whole body, column by column;
+    # a mismatch names its first foreign cell from the same two readings
     span = range(geo.d, geo.d + geo.k)
-    body = itemgetter(*[(x, y) for x in span for y in span])
+    coords = [(x, y) for x in span for y in span]
+    body = itemgetter(*coords)
     own = {tid: body(lay.cells) for tid, lay in megas.items()}
-    rep = anchored_rep(geo.m, geo.k, geo.d, anchors, lambda block, tid: (
-        tid if body(block) == own[tid] else _check_body(block, tid, meta)))
+
+    def check(block, tid):
+        got = body(block)
+        if got != own[tid]:
+            xy = next(xy for xy, g, w in zip(coords, got, own[tid]) if g != w)
+            raise CorruptMacrotile(
+                f"body mixes {tid!r} with foreign cells at {xy}")
+        return tid
+
+    rep = anchored_rep(geo.m, geo.k, geo.d, anchors, check)
     inputs = [(_loaded_union(st, meta, ts), count)
               for st, count in tas.initial_state]
     for lay in gadgets.values():

@@ -178,8 +178,8 @@ def rescaled(tas, tau):
 def seeded_systems():
     """The suite at tau 2 plus two systems with multi-tile seeds: the
     mismatch square preformed as one 4-tile seed, and a 2 x 2 cycle held
-    only by strength-1 glues, whose compiled seed the heavy-glue flood
-    cannot cover."""
+    only by strength-1 glues, whose compiled seed no full-strength bond
+    holds together, so its light cuts are weighed."""
     systems = dict(suite())
     square = systems["mismatch-square"]
     whole = Supertile({(0, 0): "A", (1, 0): "B", (1, 1): "C", (0, 1): "D"})

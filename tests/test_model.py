@@ -336,32 +336,59 @@ def glued_shape(rng, tau):
     return {xy: f"c{i}" for i, xy in enumerate(shape)}, TileSet(tiles)
 
 
-def test_heavy_edge_stability_matches_the_cut_check(monkeypatch):
-    """is_tau_stable follows the edges of weight >= tau off the cells and
-    runs the cut check only when they leave several components; against
-    the cut check over the full binding graph, tau 1 to 4, with glues
-    that share a label but not a strength."""
-    cuts = []
-    cut_ok = mincut.stability_cut_ok
-    monkeypatch.setattr(mincut, "stability_cut_ok",
-                        lambda adj, tau: cuts.append(1) or cut_ok(adj, tau))
+def test_stability_matches_the_oracle_on_label_equal_glues():
+    """is_tau_stable against the try-every-bipartition reference, tau 1
+    to 4, with glues that share a label but not a strength: such a pair
+    does not bind, however strong either side is."""
     rng = random.Random(3131)
     verdicts = Counter()
     for i in range(1600):
         tau = 1 + i % 4
         cells, ts = glued_shape(rng, tau)
-        want = cut_ok(binding_graph(cells, ts), tau)
-        del cuts[:]
+        want = oracle_stable(cells, ts, tau)
         assert is_tau_stable(cells, ts, tau) == want, (tau, cells)
-        verdicts[("cut" if cuts else "heavy", want)] += 1
-    # the shortcut, and the cut check on both verdicts
-    assert verdicts[("heavy", False)] == 0
-    assert min(verdicts[("heavy", True)], verdicts[("cut", True)],
-               verdicts[("cut", False)]) >= 50, verdicts
+        verdicts[want] += 1
+    assert min(verdicts[True], verdicts[False]) >= 100, verdicts
     ts = TileSet([tile("a", e=("g", 2))])
     for cells in ({(0, 0): "a", (1, 0): "zzz"}, {(0, 0): "zzz", (1, 0): "a"}):
         with pytest.raises(UnknownTileId):
             is_tau_stable(cells, ts, 2)
+
+
+def bonded(width, height, strength, missing=()):
+    """A width x height rectangle, one tile type per cell, each abutment
+    but the (cell, neighbour) pairs in missing bound by a glue of its own
+    at the given strength."""
+    sides = {(x, y): {} for x in range(width) for y in range(height)}
+    for x, y in sides:
+        for nb, mine, theirs in (((x + 1, y), "east", "west"),
+                                 ((x, y + 1), "north", "south")):
+            if nb in sides and ((x, y), nb) not in missing:
+                sides[(x, y)][mine] = sides[nb][theirs] = Glue(
+                    f"{x}.{y}.{mine}", strength)
+    tiles = [TileType(f"c{i}", **sides[xy]) for i, xy in enumerate(sides)]
+    return {xy: f"c{i}" for i, xy in enumerate(sides)}, TileSet(tiles)
+
+
+def test_stability_of_seeds_past_the_oracle(monkeypatch):
+    """Seeds of 100 cells, far past the exhaustive oracle, whose answer
+    at tau 2 is known by construction: every cut of a ladder of
+    strength-1 rungs and rails crosses two bonds until a corner loses one,
+    a line of strength-1 bonds falls apart at any of them, and a line of
+    strength-2 bonds is one heavy component, proved with no cut at all."""
+    cuts = []
+    sw = mincut.stoer_wagner
+    monkeypatch.setattr(mincut, "stoer_wagner",
+                        lambda adj: cuts.append(len(adj)) or sw(adj))
+    for (cells, ts), stable, cut in (
+            (bonded(2, 50, 1), True, True),
+            (bonded(2, 50, 1, missing={((0, 0), (1, 0))}), False, True),
+            (bonded(100, 1, 1), False, True),
+            (bonded(100, 1, 2), True, False)):
+        assert len(cells) == 100
+        del cuts[:]
+        assert is_tau_stable(cells, ts, 2) is stable
+        assert bool(cuts) is cut, cuts
 
 
 def test_canonicalize_translation_invariance():
