@@ -194,8 +194,7 @@ def _cmd_verify(args) -> int:
         if name == "weak":
             kwargs["weak_def"] = args.weak_def
             label = f"weak[{args.weak_def}]"
-        report = CHECKS[name](sim, target, comp.rep, decoded=decoded,
-                              **kwargs)
+        report = CHECKS[name](decoded, target, **kwargs)
         verdict = "PASS" if report.passed else "FAIL"
         print(f"{label}: {verdict} (checked {report.checked}, boundary "
               f"{report.boundary}, skipped {report.skipped})")

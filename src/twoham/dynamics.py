@@ -23,11 +23,11 @@ class ProducibleSet:
 
     ``supertiles`` maps each member to itself in discovery order; it is
     the one member map, looked up by Supertile equality (key, size, then
-    packed rows), and what combine's members argument takes.  ``edges``
-    holds each (parentA, parentB, child) member triple once, as a dict to
-    None in the order explore found them, with the parents in the order
-    explore processed them; it records every combination discovered
-    among members whose union stayed within the bound.  ``overflow``
+    packed rows).  ``edges`` holds each (parentA, parentB, child) member
+    triple once, as a dict to None in the order explore found them, with
+    the parents in the order explore processed them; it records every
+    combination discovered among members whose union stayed within the
+    bound.  ``overflow``
     counts the member pairs that were set aside unevaluated because their
     union would have exceeded the bound, so callers can tell a true fixed
     point from a clipped one.  Only members() and a printed listing read

@@ -631,22 +631,15 @@ def combination_offsets(a: Supertile, b: Supertile, ts: TileSet, tau: int):
     return [(offset, child) for _, offset, child in seams.unions(a, b.size, tau)]
 
 
-def combine(a: Supertile, b: Supertile, ts: TileSet, tau: int,
-            members=None) -> list:
+def combine(a: Supertile, b: Supertile, ts: TileSet, tau: int) -> list:
     """The combination set of a and b: deduplicated, in the sorted order
     of the first offset that yields each child.
 
     Both inputs must be tau-stable (see combination_offsets); every
-    producible supertile is.  members, if given, maps each known
-    supertile to itself, as ProducibleSet.supertiles does; it is only
-    read.
-    A child equal to a member comes back as that member, found by the
-    dict lookup without building the child's cells.  No fingerprint is
-    computed.
+    producible supertile is.  No fingerprint is computed.
     """
-    known = {} if members is None else members
     return list(dict.fromkeys(
-        known.get(c, c) for _, c in combination_offsets(a, b, ts, tau)))
+        c for _, c in combination_offsets(a, b, ts, tau)))
 
 
 def _valid_count(c) -> bool:

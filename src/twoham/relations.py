@@ -27,11 +27,12 @@ the step's input, "literal" asks for one with the image of the step's
 output.  The first is the default; the second is kept selectable
 because both readings are in circulation.
 
-All four read the simulator through one representation map, the
-ImageMap that decode_producibles returns: each member, and each product
-strong builds beyond the exploration, decoded once, the members behind
-each image, and what each member reaches, as bitsets.  verify builds it
-once and passes it to every check as decoded.
+Every check takes the simulator only as the ImageMap that
+decode_producibles(sim, rep) returns.  It holds the simulator and
+``rep``, each member and each product strong builds decoded once, the
+members behind each image, the distinct steps, and what each member
+reaches, so a check cannot read a decode of another simulator or scale.
+verify builds the map once and passes it to every check.
 """
 
 from __future__ import annotations
@@ -99,12 +100,13 @@ class Report:
 
 def decode_producibles(sim, rep):
     """Decode every explored simulator supertile once: the ImageMap that
-    all four checks take as decoded."""
+    all four checks take first."""
     return ImageMap(sim, rep)
 
 
 class ImageMap:
-    """The simulator's members seen through the representation.
+    """The explored simulator ``sim`` seen through the representation
+    ``rep``: the one simulator-side input of every check.
 
     ``decoded`` maps each supertile read so far, the members and the
     products strong builds beyond the exploration alike, to its
@@ -121,13 +123,16 @@ class ImageMap:
     offsets are its parents', shifted; every member but a seed, and
     every product strong builds, is a union of members.
 
-    ``bit[s]`` is 1 << s's discovery index and ``reach[s]`` ORs the bits
-    of every member s reaches by zero or more explored steps, both built
-    on first use, in about n * n / 8 bytes for n members.
+    ``steps`` lists the simulator's distinct (parent, child) member pairs
+    of one-step growth, in edge order; ``bit[s]`` is 1 << s's discovery
+    index and ``reach[s]`` ORs the bits of every member s reaches by zero
+    or more explored steps, in about n * n / 8 bytes for n members.  All
+    three are built on first use.
     """
 
     def __init__(self, sim, rep):
         self.sim = sim
+        self.rep = rep
         self._read = BlockReader(rep).decode
         self.decoded = {}
         self.preimages = {}
@@ -157,6 +162,10 @@ class ImageMap:
         return img.supertile if img else None
 
     @cached_property
+    def steps(self):
+        return _transitions(self.sim)
+
+    @cached_property
     def bit(self):
         return {s: 1 << i for i, s in enumerate(self.sim.supertiles)}
 
@@ -166,16 +175,10 @@ class ImageMap:
         taking the steps by decreasing parent size finds each child's set
         complete, and every ``reach[parent] |= reach[child]`` is exact."""
         reach = dict(self.bit)
-        for parent, child in sorted(_transitions(self.sim),
+        for parent, child in sorted(self.steps,
                                     key=lambda step: -step[0].size):
             reach[parent] |= reach[child]
         return reach
-
-
-def _open(relation, sim, rep, decoded):
-    """A Report headed by the ambiguous decodes, and the image map."""
-    imap = decoded if decoded is not None else decode_producibles(sim, rep)
-    return Report(relation, violations=list(imap.ambiguities)), imap
 
 
 def _bound_notes(report, sim, target):
@@ -205,7 +208,7 @@ def _transitions(prod):
         (parent, child) for pa, pb, child in prod.edges for parent in (pa, pb)))
 
 
-def check_equivalent_productions(sim, target, rep, decoded=None):
+def check_equivalent_productions(decoded, target):
     """Images of simulator producibles == target producibles, plus junk rules.
 
     Supertiles with no image must fit inside a single block.  Supertiles
@@ -213,14 +216,14 @@ def check_equivalent_productions(sim, target, rep, decoded=None):
     bound must be target-producible, larger ones are boundary skips.
     Every target producible must be hit by some image.
     """
-    report, imap = _open("productions", sim, rep, decoded)
+    report = Report("productions", violations=list(decoded.ambiguities))
     covered = set()
     found = []
-    for s in sim.supertiles:
-        img = imap.decoded[s]
+    for s in decoded.sim.supertiles:
+        img = decoded.decoded[s]
         report.checked += 1
         if img is None:
-            if not fits_single_block(s, rep.m):
+            if not fits_single_block(s, decoded.rep.m):
                 found.append({
                     "kind": "oversized-junk",
                     "supertile": s.fingerprint,
@@ -252,10 +255,10 @@ def check_equivalent_productions(sim, target, rep, decoded=None):
                 "kind": "missing-image",
                 "image": t.fingerprint,
             })
-    return _bound_notes(report, sim, target)
+    return _bound_notes(report, decoded.sim, target)
 
 
-def check_follows(sim, target, rep, decoded=None):
+def check_follows(decoded, target):
     """Every simulator step maps to at most one target step.
 
     A step whose endpoint images are equal maps to zero steps and
@@ -263,12 +266,12 @@ def check_follows(sim, target, rep, decoded=None):
     explored target edge.  Steps into or out of junk are skipped; steps
     whose images exceed the target bound are boundary skips.
     """
-    report, imap = _open("follows", sim, rep, decoded)
+    report = Report("follows", violations=list(decoded.ambiguities))
     target_steps = set(_transitions(target))
     found = []
-    for parent, child in _transitions(sim):
-        a = imap.image_of(parent)
-        b = imap.image_of(child)
+    for parent, child in decoded.steps:
+        a = decoded.image_of(parent)
+        b = decoded.image_of(child)
         if a is None or b is None:
             report.skipped += 1
             continue
@@ -292,10 +295,10 @@ def check_follows(sim, target, rep, decoded=None):
             "child_image": b.fingerprint,
         })
     report.violations += _by_fields(found, "parent", "child")
-    return _bound_notes(report, sim, target)
+    return _bound_notes(report, decoded.sim, target)
 
 
-def check_weakly_models(sim, target, rep, decoded=None, weak_def="standard"):
+def check_weakly_models(decoded, target, weak_def="standard"):
     """Every target step is realizable from every preimage of its input.
 
     For a target step a -> b and a simulator supertile decoding to a,
@@ -305,22 +308,22 @@ def check_weakly_models(sim, target, rep, decoded=None, weak_def="standard"):
     """
     if weak_def not in ("standard", "literal"):
         raise ValueError(f"unknown weak_def {weak_def!r}")
-    report, imap = _open("weak", sim, rep, decoded)
+    report = Report("weak", violations=list(decoded.ambiguities))
     # (parent image, child image) -> the bits of the parents of such steps
-    bit, steps = imap.bit, {}
-    for parent, child in _transitions(sim):
-        key = imap.image_of(parent), imap.image_of(child)
+    bit, steps = decoded.bit, {}
+    for parent, child in decoded.steps:
+        key = decoded.image_of(parent), decoded.image_of(child)
         steps[key] = steps.get(key, 0) | bit[parent]
     found = []
     for a, b in _transitions(target):
-        preimages = imap.preimages.get(a, [])
+        preimages = decoded.preimages.get(a, [])
         if not preimages:
             report.skipped += 1
             continue
         realizing = steps.get((a if weak_def == "standard" else b, b), 0)
         for start in preimages:
             report.checked += 1
-            if not imap.reach[start] & realizing:
+            if not decoded.reach[start] & realizing:
                 found.append({
                     "kind": "unrealizable-step",
                     "target_parent": a.fingerprint,
@@ -329,10 +332,10 @@ def check_weakly_models(sim, target, rep, decoded=None, weak_def="standard"):
                 })
     report.violations += _by_fields(
         found, "target_parent", "target_child", "preimage")
-    return _bound_notes(report, sim, target)
+    return _bound_notes(report, decoded.sim, target)
 
 
-def check_strongly_models(sim, target, rep, decoded=None):
+def check_strongly_models(decoded, target):
     """Every target combination is realizable from every preimage pair.
 
     For target producibles a, b and each explored product c of theirs:
@@ -343,18 +346,19 @@ def check_strongly_models(sim, target, rep, decoded=None):
     directly, so products beyond the simulator's exploration bound still
     count.
     """
-    report, imap = _open("strong", sim, rep, decoded)
+    report = Report("strong", violations=list(decoded.ambiguities))
     by_pair = {}
     for pa, pb, child in target.edges:
         by_pair.setdefault((pa, pb), {})[child] = None
 
+    sim = decoded.sim
     members = list(sim.supertiles)
-    image_bits = {a: sum(map(imap.bit.__getitem__, pre))
-                  for a, pre in imap.preimages.items()}
+    image_bits = {a: sum(map(decoded.bit.__getitem__, pre))
+                  for a, pre in decoded.preimages.items()}
 
     def reached(x0, a):
         # a's preimages that x0 reaches: the set bits, lowest index first
-        found = imap.reach[x0] & image_bits[a]
+        found = decoded.reach[x0] & image_bits[a]
         while found:
             yield members[(found & -found).bit_length() - 1]
             found &= found - 1
@@ -368,8 +372,8 @@ def check_strongly_models(sim, target, rep, decoded=None):
 
     found = []
     for (a, b), children in by_pair.items():
-        pre_a = imap.preimages.get(a, [])
-        pre_b = imap.preimages.get(b, [])
+        pre_a = decoded.preimages.get(a, [])
+        pre_b = decoded.preimages.get(b, [])
         if not pre_a or not pre_b:
             report.skipped += 1
             continue
@@ -382,8 +386,8 @@ def check_strongly_models(sim, target, rep, decoded=None):
             report.checked += 1
             achievable = set()
             for x, y in candidate_pairs(x0, y0, a, b):
-                achievable.update(map(imap.image_of, combine(
-                    x, y, sim.tas.tile_set, sim.tas.tau, sim.supertiles)))
+                achievable.update(map(decoded.image_of, combine(
+                    x, y, sim.tas.tile_set, sim.tas.tau)))
                 if achievable.issuperset(children):
                     break
             for c in children:

@@ -204,8 +204,9 @@ def test_criterion_03_mirror_mismatch_dichotomy():
 def _relation_failures(runs, checks):
     failures = []
     for name, variant, comp, target, sim in runs:
+        decoded = decode_producibles(sim, comp.rep)
         for check in checks:
-            report = check(sim, target, comp.rep)
+            report = check(decoded, target)
             if not (report.passed and not report.violations):
                 failures.append(f"{name}/{variant}/{check.__name__}:"
                                 f"{len(report.violations)}")
@@ -397,7 +398,7 @@ def test_criterion_10_under_temperature_probe():
     bound = 2 * max(st.size for st, _ in comp.input_supertiles) + 1
     weakened = explore(
         TAS(comp.universal_tiles, 1, list(comp.input_supertiles)), bound)
-    report = check_follows(weakened, target, comp.rep)
+    report = check_follows(decode_producibles(weakened, comp.rep), target)
     kinds = sorted({v["kind"] for v in report.violations})
     elapsed = time.perf_counter() - t0
     verdict(10, not report.passed and report.violations and elapsed < 120,

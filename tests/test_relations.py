@@ -118,25 +118,27 @@ def test_faithful_simulator_passes_every_check():
     sim, rep, _, _ = doubled_two_tile()
     target = two_tile_target()
     assert len(sim) == 3
-    prod = check_equivalent_productions(sim, target, rep)
+    decoded = decode_producibles(sim, rep)
+    prod = check_equivalent_productions(decoded, target)
     assert prod.passed and prod.checked == 6 and not prod.boundary
-    fol = check_follows(sim, target, rep)
+    fol = check_follows(decoded, target)
     assert fol.passed and fol.checked == 2
-    weak = check_weakly_models(sim, target, rep)
+    weak = check_weakly_models(decoded, target)
     assert weak.passed and weak.checked == 2
-    strong = check_strongly_models(sim, target, rep)
+    strong = check_strongly_models(decoded, target)
     assert strong.passed and strong.checked == 1
 
 
 def test_images_past_the_target_bound_are_boundary_skips():
     sim, rep, _, _ = doubled_two_tile()
     target = two_tile_target(bound=1)
-    prod = check_equivalent_productions(sim, target, rep)
+    decoded = decode_producibles(sim, rep)
+    prod = check_equivalent_productions(decoded, target)
     assert prod.passed and prod.boundary == 1
-    fol = check_follows(sim, target, rep)
+    fol = check_follows(decoded, target)
     assert fol.passed and fol.boundary == 2 and fol.checked == 0
-    assert check_weakly_models(sim, target, rep).passed
-    assert check_strongly_models(sim, target, rep).passed
+    assert check_weakly_models(decoded, target).passed
+    assert check_strongly_models(decoded, target).passed
     assert any("target" in note for note in prod.notes)
 
 
@@ -144,9 +146,11 @@ def test_finite_counts_are_read_as_infinite_and_noted():
     sim, rep, _, _ = doubled_two_tile(count=1)
     ts = two_tile_target().tas.tile_set
     target = explore(TAS(ts, 2, [(Supertile({(0, 0): t.id}), 1) for t in ts]), 2)
-    finite = check_equivalent_productions(sim, target, rep)
+    finite = check_equivalent_productions(decode_producibles(sim, rep),
+                                          target)
     sim, rep, _, _ = doubled_two_tile()
-    infinite = check_equivalent_productions(sim, two_tile_target(), rep)
+    infinite = check_equivalent_productions(decode_producibles(sim, rep),
+                                            two_tile_target())
     read = ["simulator exploration read finite counts as infinite",
             "target exploration read finite counts as infinite"]
     assert [n for n in finite.notes if n in read] == read
@@ -158,7 +162,8 @@ def test_finite_counts_are_read_as_infinite_and_noted():
 
 def test_report_to_dict_round_trip():
     sim, rep, _, _ = doubled_two_tile()
-    d = check_equivalent_productions(sim, two_tile_target(), rep).to_dict()
+    d = check_equivalent_productions(decode_producibles(sim, rep),
+                                     two_tile_target()).to_dict()
     assert d["relation"] == "productions"
     assert d["passed"] is True
     assert set(d) == {"relation", "passed", "checked", "boundary",
@@ -182,7 +187,8 @@ def test_production_violation_kinds():
     sim = explore(TAS(ts, 2, [
         (am, INFINITE), (bm, INFINITE), (cm, INFINITE), (jk, INFINITE)]), 8)
     rep = BlockRepresentation.from_table(2, {entry(am): "A", entry(cm): "C"})
-    report = check_equivalent_productions(sim, two_tile_target(), rep)
+    report = check_equivalent_productions(decode_producibles(sim, rep),
+                                          two_tile_target())
     assert not report.passed
     kinds = sorted(v["kind"] for v in report.violations)
     assert kinds == ["extra-image", "missing-image", "missing-image",
@@ -222,7 +228,8 @@ def test_follows_flags_steps_the_target_cannot_mirror():
     tas, rep = follows_rig()
     sim = explore(tas, 16)
     assert len(sim) == 3 and len(sim.edges) == 1
-    report = check_follows(sim, explore(three_tile_tas(), 3), rep)
+    report = check_follows(decode_producibles(sim, rep),
+                           explore(three_tile_tas(), 3))
     assert not report.passed
     kinds = sorted(v["kind"] for v in report.violations)
     assert kinds == ["image-not-producible", "unmatched-step"]
@@ -262,18 +269,19 @@ def test_gadget_growth_weakly_models():
     sim = explore(tas, 8)
     assert len(sim) == 6 and len(sim.edges) == 4
     target = two_tile_target()
-    assert check_equivalent_productions(sim, target, rep).passed
-    fol = check_follows(sim, target, rep)
+    decoded = decode_producibles(sim, rep)
+    assert check_equivalent_productions(decoded, target).passed
+    fol = check_follows(decoded, target)
     assert fol.passed and fol.skipped == 2
-    weak = check_weakly_models(sim, target, rep)
+    weak = check_weakly_models(decoded, target)
     assert weak.passed and weak.checked == 4
 
 
 def test_literal_weak_reading_rejects_the_gadget_rig():
     tas, rep, _, _, _ = gadget_simulator()
     sim = explore(tas, 8)
-    report = check_weakly_models(sim, two_tile_target(), rep,
-                                 weak_def="literal")
+    report = check_weakly_models(decode_producibles(sim, rep),
+                                 two_tile_target(), weak_def="literal")
     assert not report.passed
     assert len(report.violations) == 4
     assert {v["kind"] for v in report.violations} == {"unrealizable-step"}
@@ -283,7 +291,8 @@ def test_weak_def_must_be_known():
     tas, rep, _, _, _ = gadget_simulator()
     sim = explore(tas, 8)
     with pytest.raises(ValueError):
-        check_weakly_models(sim, two_tile_target(), rep, weak_def="bogus")
+        check_weakly_models(decode_producibles(sim, rep), two_tile_target(),
+                            weak_def="bogus")
 
 
 def test_gadget_rig_fails_strongly_on_the_jammed_pair():
@@ -291,7 +300,8 @@ def test_gadget_rig_fails_strongly_on_the_jammed_pair():
     # own w collide, and no same-image growth can clear the jam
     tas, rep, _, amw, full_b = gadget_simulator()
     sim = explore(tas, 8)
-    report = check_strongly_models(sim, two_tile_target(), rep)
+    report = check_strongly_models(decode_producibles(sim, rep),
+                                   two_tile_target())
     assert not report.passed and report.checked == 4
     assert len(report.violations) == 1
     assert report.violations[0]["preimages"] == [fp(amw), fp(full_b)]
@@ -303,7 +313,8 @@ def test_strong_check_combines_past_the_exploration_bound():
     tas, rep, _, amw, full_b = gadget_simulator()
     sim5 = explore(tas, 5)
     assert sim5.overflow > 0
-    report = check_strongly_models(sim5, two_tile_target(), rep)
+    report = check_strongly_models(decode_producibles(sim5, rep),
+                                   two_tile_target())
     assert report.checked == 4
     assert [v["preimages"] for v in report.violations] == [[fp(amw), fp(full_b)]]
 
@@ -339,10 +350,11 @@ def test_two_families_separate_weak_from_strong():
     sim = explore(tas, 8)
     assert len(sim) == 6
     target = two_tile_target()
-    assert check_equivalent_productions(sim, target, rep).passed
-    assert check_follows(sim, target, rep).passed
-    assert check_weakly_models(sim, target, rep).passed
-    strong = check_strongly_models(sim, target, rep)
+    decoded = decode_producibles(sim, rep)
+    assert check_equivalent_productions(decoded, target).passed
+    assert check_follows(decoded, target).passed
+    assert check_weakly_models(decoded, target).passed
+    strong = check_strongly_models(decoded, target)
     assert not strong.passed and strong.checked == 4
     assert len(strong.violations) == 2
     jammed = {tuple(v["preimages"]) for v in strong.violations}
@@ -359,9 +371,10 @@ def test_a_preimage_that_never_grows_fails_standard_weak():
     sim = explore(tas, 8)
     assert len(sim) == 7
     target = two_tile_target()
-    assert check_equivalent_productions(sim, target, rep).passed
-    assert check_follows(sim, target, rep).passed
-    weak = check_weakly_models(sim, target, rep)
+    decoded = decode_producibles(sim, rep)
+    assert check_equivalent_productions(decoded, target).passed
+    assert check_follows(decoded, target).passed
+    weak = check_weakly_models(decoded, target)
     assert weak.checked == 5
     assert weak.violations == [{
         "kind": "unrealizable-step",
@@ -369,7 +382,7 @@ def test_a_preimage_that_never_grows_fails_standard_weak():
         "target_child": fp({(0, 0): "A", (1, 0): "B"}),
         "preimage": fp(dict_for("za")),
     }]
-    strong = check_strongly_models(sim, target, rep)
+    strong = check_strongly_models(decoded, target)
     assert strong.checked == 6
     a_x, a_y, a_z = (fp(dict_for(name)) for name in ("xa", "ya", "za"))
     b_x, b_y = fp(dict_for("xb")), fp(dict_for("yb"))
@@ -382,31 +395,38 @@ def dict_for(prefix):
     return {(x, y): f"{prefix}.{x}.{y}" for x, y in BLOCK}
 
 
-def test_ambiguous_members_surface_as_violations():
+def ambiguous_case():
+    """A p-q duple whose table reads it at two grid alignments, over a
+    one-tile target."""
     ts = TileSet((
         TileType("p", east=Glue("e", 1)),
         TileType("q", west=Glue("e", 1)),
     ))
     seed = {(0, 0): "p", (1, 0): "q"}
-    sim = explore(TAS(ts, 1, [(seed, INFINITE)]), 4)
     rep = BlockRepresentation.from_table(2, {
         ((0, 0, "p"), (1, 0, "q")): "X",
         ((1, 0, "p"),): "Y",
     })
-    target = explore(TAS(TileSet((TileType("X"),)), 1), 1)
-    report = check_equivalent_productions(sim, target, rep)
+    return (TAS(ts, 1, [(seed, INFINITE)]), 4,
+            TAS(TileSet((TileType("X"),)), 1), 1, rep)
+
+
+def test_ambiguous_members_surface_as_violations():
+    sim_tas, sim_bound, tas, bound, rep = ambiguous_case()
+    sim = explore(sim_tas, sim_bound)
+    target = explore(tas, bound)
+    decoded = decode_producibles(sim, rep)
+    report = check_equivalent_productions(decoded, target)
     assert not report.passed
     assert {v["kind"] for v in report.violations} == {
         "ambiguous-alignment", "missing-image"}
     # a shared decode, as verify passes it, still reports the ambiguity
     # in every check, at the head of its violations
-    decoded = decode_producibles(sim, rep)
     for check in (check_equivalent_productions, check_follows,
                   check_weakly_models, check_strongly_models):
-        for report in (check(sim, target, rep),
-                       check(sim, target, rep, decoded=decoded)):
-            assert not report.passed, check.__name__
-            assert report.violations[0]["kind"] == "ambiguous-alignment"
+        report = check(decoded, target)
+        assert not report.passed, check.__name__
+        assert report.violations[0]["kind"] == "ambiguous-alignment"
 
 
 def test_unclean_image_is_a_violation():
@@ -415,7 +435,8 @@ def test_unclean_image_is_a_violation():
     sim = explore(TAS(TileSet(tuple(tiles)), 1, [(cells, INFINITE)]), 6)
     rep = BlockRepresentation.from_table(2, {block_entry(cells, 0, 0): "A"})
     target = explore(TAS(TileSet((TileType("A"),)), 1), 1)
-    report = check_equivalent_productions(sim, target, rep)
+    report = check_equivalent_productions(decode_producibles(sim, rep),
+                                          target)
     assert not report.passed
     assert [v["kind"] for v in report.violations] == ["unclean-image"]
 
@@ -435,7 +456,7 @@ def pair_reports():
         sim = explore(comp.simulator_tas(), 2 * comp.budget)
         decoded = decode_producibles(sim, comp.rep)
         reports[variant] = {
-            name: check(sim, target, comp.rep, decoded=decoded).to_dict()
+            name: check(decoded, target).to_dict()
             for name, check in CHECKS.items()}
         shared += len(sim) - len({s.key for s in sim.members()})
     return reports, shared
@@ -463,17 +484,18 @@ def test_reports_hold_under_colliding_keys(real_key_reports,
 def every_report(sim, target, rep):
     """Report.to_dict() of all four checks, weak under both readings."""
     decoded = decode_producibles(sim, rep)
-    reports = {name: check(sim, target, rep, decoded=decoded).to_dict()
+    reports = {name: check(decoded, target).to_dict()
                for name, check in CHECKS.items() if name != "weak"}
     for weak_def in ("standard", "literal"):
         reports[f"weak[{weak_def}]"] = check_weakly_models(
-            sim, target, rep, decoded=decoded, weak_def=weak_def).to_dict()
+            decoded, target, weak_def=weak_def).to_dict()
     return reports
 
 
 def compiled_case(name, variant):
     tas = dict(suite())[name]
-    comp = compile_weak(tas, variant)
+    compile_ = compile_weak if variant in WEAK_VARIANTS else compile_strong
+    comp = compile_(tas, variant)
     return comp.simulator_tas(), 3 * comp.budget, tas, 3, comp.rep
 
 
@@ -526,6 +548,44 @@ def test_report_order_comes_from_sorting(case):
         assert every_report(sim, target, rep) == want, k
 
 
+def gadget_bound_5_case():
+    """The compilations and rigs above are explored far enough that
+    strong builds no product outside them; at bound 5 it builds the
+    gadget rig's 8-cell one."""
+    tas, rep, _, _, _ = gadget_simulator()
+    return tas, 5, two_tile_tas(), 2, rep
+
+
+SHARED_CASES = {
+    f"{name}-{variant}": (lambda name=name, variant=variant:
+                          compiled_case(name, variant))
+    for name, _ in suite() for variant in STRONG_VARIANTS + WEAK_VARIANTS}
+SHARED_CASES["stuck-family"] = stuck_family_case
+SHARED_CASES["ambiguous"] = ambiguous_case
+SHARED_CASES["gadget-bound-5"] = gadget_bound_5_case
+
+
+@pytest.mark.parametrize("case", SHARED_CASES)
+def test_one_map_serves_every_check(case):
+    """verify runs every check on one image map.  Run in reverse CHECKS
+    order, weak under both readings, strong goes first and leaves its
+    products decoded in the map; every report still equals the same
+    check's on a map of its own."""
+    sim_tas, sim_bound, tas, bound, rep = SHARED_CASES[case]()
+    sim, target = explore(sim_tas, sim_bound), explore(tas, bound)
+    shared = decode_producibles(sim, rep)
+    for name in reversed(CHECKS):
+        for kwargs in ([{"weak_def": weak_def}
+                        for weak_def in ("standard", "literal")]
+                       if name == "weak" else [{}]):
+            got = CHECKS[name](shared, target, **kwargs)
+            alone = CHECKS[name](decode_producibles(sim, rep), target,
+                                 **kwargs)
+            assert got.to_dict() == alone.to_dict(), (name, kwargs)
+    if case == "gadget-bound-5":
+        assert len(shared.decoded) > len(sim)
+
+
 @pytest.mark.parametrize("name, compile_, variant", [
     ("pair", compile_weak, WEAK1), ("seeded-chain", compile_strong, STRONG2)])
 def test_claimed_checks_build_no_member_cells(name, compile_, variant):
@@ -539,7 +599,7 @@ def test_claimed_checks_build_no_member_cells(name, compile_, variant):
     target = explore(tas, 3)
     decoded = decode_producibles(sim, comp.rep)
     for claim in comp.claims:
-        assert CHECKS[claim](sim, target, comp.rep, decoded=decoded).passed
+        assert CHECKS[claim](decoded, target).passed
     unions = [s for s in sim.supertiles if s.parents is not None]
     assert unions and all(_cells_unbuilt(s) for s in unions)
 
@@ -594,8 +654,7 @@ def reach_matches_oracle(sim, rep, target=None):
                                for c in children.get(node, [])):
                         want.add((a.fingerprint, b.fingerprint,
                                   start.fingerprint))
-        report = check_weakly_models(sim, target, rep, decoded=imap,
-                                     weak_def=weak_def)
+        report = check_weakly_models(imap, target, weak_def=weak_def)
         got = [(v["target_parent"], v["target_child"], v["preimage"])
                for v in report.violations if v["kind"] == "unrealizable-step"]
         assert len(got) == len(want) and set(got) == want, weak_def

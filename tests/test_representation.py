@@ -393,7 +393,7 @@ def reader_matches_the_oracle_on_random_explorations():
         products = set()
         for x in members:
             for y in members:
-                for c in combine(x, y, ts, comp.tau, sim.supertiles):
+                for c in combine(x, y, ts, comp.tau):
                     if c not in sim and c not in products:
                         products.add(c)
                         kind = read_alike(reader, calls, c)

@@ -22,6 +22,7 @@ from twoham import (
     check_strongly_models,
     check_weakly_models,
     combine,
+    decode_producibles,
     decode_supertile,
     explore,
     is_tau_stable,
@@ -169,9 +170,10 @@ def test_two_tile_system_passes_all_four_checks(variant):
     assert {img.supertile.fingerprint
             for img in (decode_supertile(s, comp.rep) for s in sim.members())
             if img is not None} == {t.fingerprint for t in target.members()}
+    decoded = decode_producibles(sim, comp.rep)
     for check in (check_equivalent_productions, check_follows,
                   check_weakly_models, check_strongly_models):
-        report = check(sim, target, comp.rep)
+        report = check(decoded, target)
         assert report.passed, (check.__name__, report.violations)
         assert not report.violations
 
@@ -332,7 +334,7 @@ def test_lowering_the_simulator_temperature_breaks_follows():
     weakened = explore(
         TAS(comp.universal_tiles, 1, list(comp.input_supertiles)), bound)
     assert len(weakened.supertiles) == 3
-    report = check_follows(weakened, target, comp.rep)
+    report = check_follows(decode_producibles(weakened, comp.rep), target)
     assert not report.passed
     assert report.violations
 

@@ -199,7 +199,7 @@ def test_equal_strength_glues_keep_their_lanes_apart(variant):
     decoded = decode_producibles(sim, comp.rep)
     for check in (check_equivalent_productions, check_follows,
                   check_weakly_models):
-        report = check(sim, target, comp.rep, decoded=decoded)
+        report = check(decoded, target)
         assert report.passed, (check.__name__, report.violations)
     if variant != WEAK1:
         parked = only(combine(right, gadget(comp, "M", WEST), uts, 2))
@@ -309,9 +309,10 @@ def test_two_tile_system_passes_the_weak_suite(variant):
               for img in (decode_supertile(s, comp.rep) for s in sim.members())
               if img is not None}
     assert images == {t.fingerprint for t in target.members()}
+    decoded = decode_producibles(sim, comp.rep)
     for check in (check_equivalent_productions, check_follows,
                   check_weakly_models):
-        report = check(sim, target, comp.rep)
+        report = check(decoded, target)
         assert report.passed, (check.__name__, report.violations)
         assert not report.violations
 
@@ -339,12 +340,12 @@ def test_mismatch_rig_is_weak_but_not_strong():
     decoded = decode_producibles(sim, comp.rep)
     for check in (check_equivalent_productions, check_follows,
                   check_weakly_models):
-        report = check(sim, target, comp.rep, decoded=decoded)
+        report = check(decoded, target)
         assert report.passed, (check.__name__, report.violations)
     # a preimage pair that pre-attached gadgets on the mismatched lane
     # can never join: attachment is irreversible, so the strong check
     # must report it
-    report = check_strongly_models(sim, target, comp.rep, decoded=decoded)
+    report = check_strongly_models(decoded, target)
     assert not report.passed
     assert {v["kind"] for v in report.violations} == {"unrealizable-combination"}
 
