@@ -9,9 +9,8 @@ fields.
 
 Both compilers read blocks the same way: every macrotile has a solid k x k
 body whose lower-left cell carries a tile type used nowhere else, its
-anchor.  anchored_rep builds the block representation from that table, so
-the anchors are the one alignment key, and each compiler adds only its
-own consistency check on a block that already has a complete body.
+anchor, and anchored_rep's one check reads the cells each compiler names
+against the anchored tile's own macrotile.
 
 Block lemma: every seed a compiler builds is tau-stable over universal
 tile ids, so simulator_tas does not re-check it.  Each piece (a strong
@@ -90,22 +89,29 @@ class Piece(namedtuple("Piece", ("cells", "faces"))):
     __slots__ = ()
 
 
-def anchored_rep(m, k, corner, anchors, check) -> BlockRepresentation:
+def anchored_rep(m, k, corner, pieces, coords) -> BlockRepresentation:
     """Block representation that reads a block at its body anchor cell.
 
-    A block decodes only when its k x k body, lower-left at (corner,
-    corner), is complete; the cell there must then be an anchor, or the
-    block is a CorruptMacrotile.  check(block, tile_id) runs the
-    compiler's own consistency test and returns the tile id.  Only
-    alignments that put an anchor cell on the body corner can decode,
-    so those, and no others, are the candidate offsets.  The anchors
-    are data, so a BlockReader takes a union's offsets from its
-    parents': a union's anchor cells are its parents' anchor cells,
-    shifted, and no pass over its cells looks for them.  The block
-    itself is cut from the union's rows.
+    pieces maps each source tile id to its macrotile in the block frame,
+    whose cell at (corner, corner) is its anchor.  A block decodes only
+    when its k x k body, lower-left there, is complete; the cell there
+    must then be an anchor, and the block must hold at every cell of
+    coords what the anchored tile's own piece holds (a cell or none).
+    Otherwise it is a CorruptMacrotile, naming the first differing cell.
+
+    Lemma: the check never fires on a simulator member.  The block lemma
+    places pieces whole and never overlapping, so a complete anchored
+    body brings its whole piece, and no other piece reaches coords (the
+    megatile body for weak; for strong, strong._read_cells).
+
+    Only alignments that put an anchor cell on the body corner can
+    decode, so those are the candidate offsets; a BlockReader takes a
+    union's from its parents', whose anchor cells, shifted, are its own.
     """
     body = {(x, y) for x in range(corner, corner + k)
             for y in range(corner, corner + k)}
+    anchors = {lay.cells[(corner, corner)]: tid for tid, lay in pieces.items()}
+    own = {tid: tuple(map(lay.cells.get, coords)) for tid, lay in pieces.items()}
 
     def decode(block):
         if not block.keys() >= body:
@@ -113,7 +119,13 @@ def anchored_rep(m, k, corner, anchors, check) -> BlockRepresentation:
         tid = anchors.get(block[(corner, corner)])
         if tid is None:
             raise CorruptMacrotile("body anchor cell is no macrotile anchor")
-        return check(block, tid)
+        want = own[tid]
+        got = tuple(map(block.get, coords))
+        if got != want:
+            xy = next(xy for xy, g, w in zip(coords, got, want) if g != w)
+            raise CorruptMacrotile(
+                f"block mixes {tid!r} with foreign cells at {xy}")
+        return tid
 
     return BlockRepresentation(m, decode, anchors, corner)
 

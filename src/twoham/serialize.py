@@ -137,6 +137,11 @@ def _parse_placement(entries, path, ts) -> Supertile:
         if (x, y) in cells:
             _fail(where, f"duplicate cell ({x}, {y})")
         cells[(x, y)] = tid
+    # n connected cells fit an n x n box; refuse a sparser placement,
+    # never stable, before a Supertile builds rows as wide as its box
+    xs, ys = {x for x, _ in cells}, {y for _, y in cells}
+    if cells and max(max(xs) - min(xs), max(ys) - min(ys)) >= len(cells):
+        _fail(path, f"{len(cells)} cells too far apart to connect: not stable")
     try:
         return Supertile(cells)
     except EmptyAssembly:

@@ -41,10 +41,10 @@ temperature on every interior adjacency, so each macrotile is rigid and
 none of its labels can ever bind across distinct blocks.
 
 Blocks are read at their body anchor cell (compiled.anchored_rep),
-which names the simulated tile.  The arms must agree with it: each
-side's backbone base cell (its lane gives j) and base tag (its distance
-gives i) spell a glue, and a glue 4-tuple that does not belong to the
-anchor's tile is reported as a corrupt macrotile.
+which names the simulated tile.  The one check then reads the four
+lines just outside the body, where backbones meet it on their lanes,
+and every base tag cell: a block that differs there from the anchored
+tile's own macrotile is a corrupt macrotile.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ from collections import namedtuple
 
 from .compiled import (CompiledSimulator, Piece, anchored_rep, framed_code,
                        place_piece, tooth_offsets, wire_tiles)
-from .errors import BodyTooSmall, CorruptMacrotile
-from .model import (DIRECTIONS, EAST, NORTH, NULL_GLUE, SOUTH, WEST, Glue,
+from .errors import BodyTooSmall
+from .model import (DIRECTIONS, EAST, NORTH, SOUTH, WEST, Glue,
                     Supertile, TAS, TileSet, TileType)
 
 STRONG2 = "strong2"
@@ -191,69 +191,23 @@ def _build_layout(t, tidx, geo, gidx) -> Piece:
     return Piece(named, faces)
 
 
-# signatures: tile id -> normalized glue 4-tuple; layouts: tile id -> Piece
-StrongMeta = namedtuple("StrongMeta", ("geo", "glues", "signatures",
-                                       "layouts"))
+# layouts: tile id -> Piece
+StrongMeta = namedtuple("StrongMeta", ("geo", "glues", "layouts"))
 
 
-def _signature(t):
-    return tuple(g if g.strength > 0 else NULL_GLUE
-                 for g in map(t.glue, DIRECTIONS))
-
-
-def _read_arm(block, meta, side, bases):
-    if not bases:
-        return NULL_GLUE
-    if len(bases) > 1:
-        raise CorruptMacrotile(
-            f"{side}: {len(bases)} arm backbones meet the body")
-    geo = meta.geo
-    swap, ell = _ARMS[side][0], geo.ell
-    step, edge, near = _arm_frame(geo, side, 0)
-    pos = bases[0]
-    j, rem = divmod(pos - step - near, 6)
-    tags = [i for i in range(ell)
-            if _xy(swap, edge - step * (1 + i), pos + step) in block]
-    if rem or not 0 <= j < ell:
-        raise CorruptMacrotile(
-            f"{side}: backbone base at {pos} matches no lane")
-    if len(tags) != 1:
-        raise CorruptMacrotile(
-            f"{side}: expected one base tag, found {len(tags)}")
-    index = tags[0] * ell + j
-    if index >= geo.n_glues:
-        raise CorruptMacrotile(
-            f"{side}: pad slot {tags[0]} on lane {j} is past the glue count")
-    return meta.glues[index]
-
-
-def _check_arms(block, tid, meta):
-    """tid when the block's arms spell the glues of tile tid.
-
-    Runs on a block whose body is complete and anchored at tid; raises
-    CorruptMacrotile when the arms do not add up or belong to another
-    tile.
-    """
-    h, k = meta.geo.h, meta.geo.k
-    west, east, north, south = [], [], [], []
-    for (x, y) in block:
-        if x == h - 1:
-            west.append(y)
-        elif x == h + k:
-            east.append(y)
-        if y == h + k:
-            north.append(x)
-        elif y == h - 1:
-            south.append(x)
-    sig = (_read_arm(block, meta, NORTH, north),
-           _read_arm(block, meta, EAST, east),
-           _read_arm(block, meta, SOUTH, south),
-           _read_arm(block, meta, WEST, west))
-    if sig != meta.signatures[tid]:
-        raise CorruptMacrotile(
-            f"arms decode to {[g.label for g in sig]} which does not "
-            f"match the body of {tid!r}")
-    return tid
+def _read_cells(geo):
+    """Where the block check reads, in order: the four lines just outside
+    the body, across the block, then the base tag cell of every side,
+    lane and slot.  No other macrotile on the grid reaches them."""
+    lines, span = (geo.h - 1, geo.h + geo.k), range(geo.m)
+    cells = [(x, y) for x in lines for y in span]
+    cells += [(x, y) for y in lines for x in span]
+    for side, (swap, *_) in _ARMS.items():
+        for j in range(geo.ell):
+            step, edge, near = _arm_frame(geo, side, j)
+            cells += [_xy(swap, edge - step * (1 + i), near + 2 * step)
+                      for i in range(geo.ell)]
+    return cells
 
 
 def compile_strong(tas, variant=STRONG2) -> CompiledSimulator:
@@ -273,18 +227,14 @@ def compile_strong(tas, variant=STRONG2) -> CompiledSimulator:
     geo = _geometry(len(glue_order), tas.tau, variant)
     layouts = {}
     tiles = []
-    anchors = {}
     glues = {}
     for tidx, t in enumerate(ts):
         lay = _build_layout(t, tidx, geo, gidx)
         layouts[t.id] = lay
-        anchors[lay.cells[(geo.h, geo.h)]] = t.id
         tiles.extend(wire_tiles(lay.cells, lay.faces, "i", tas.tau, glues))
     universal = TileSet(tiles)
-    signatures = {t.id: _signature(t) for t in ts}
-    meta = StrongMeta(geo, tuple(glue_order), signatures, layouts)
-    rep = anchored_rep(geo.m, geo.k, geo.h, anchors,
-                       lambda block, tid: _check_arms(block, tid, meta))
+    meta = StrongMeta(geo, tuple(glue_order), layouts)
+    rep = anchored_rep(geo.m, geo.k, geo.h, layouts, _read_cells(geo))
     inputs = []
     for st, count in tas.initial_state:
         union = {}
@@ -293,7 +243,7 @@ def compile_strong(tas, variant=STRONG2) -> CompiledSimulator:
         inputs.append((Supertile(union), count))
     budget = max(len(lay.cells) for lay in layouts.values())
     return CompiledSimulator(variant, tas.tau, universal, inputs, geo.m,
-                             anchors, rep, meta,
+                             rep.anchors, rep, meta,
                              ("productions", "follows", "weak", "strong"),
                              budget)
 

@@ -27,8 +27,9 @@ its own, forms a harmless strip that later completes the same join.
 
 Megatiles with and without attached side pieces decode to the same
 tile: decoding reads the block at its body anchor cell
-(compiled.anchored_rep), checks that the rest of the body belongs to the
-same megatile, and treats everything in the inter-block gap as fuzz.
+(compiled.anchored_rep), whose one check reads the megatile body
+against the anchored tile's own megatile, and treats everything in the
+inter-block gap as fuzz.
 That freedom of preimage is the point; the output models the original
 system but does not track it step for step.
 """
@@ -36,11 +37,9 @@ system but does not track it step for step.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import itemgetter
 
 from .compiled import (CompiledSimulator, Piece, anchored_rep, framed_code,
                        place_piece, tooth_offsets, wire_tiles)
-from .errors import CorruptMacrotile
 from .model import (DIRECTIONS, EAST, INFINITE, NORTH, OFFSET, OPPOSITE,
                     SOUTH, WEST, Glue, Supertile, TileSet, interaction)
 
@@ -206,12 +205,13 @@ WeakMeta = namedtuple("WeakMeta", ("geo", "glues", "megas", "gadgets",
                                    "completions"))
 
 
-def _loaded_union(st, meta: WeakMeta, ts) -> Supertile:
+def _loaded_union(st, meta: WeakMeta, ts, gidx) -> Supertile:
     """A seed assembly rebuilt at block scale with its joins pre-assembled.
 
     Interfaces whose glues actually bind get the full gadget stack on
     both sides; mismatched and exposed faces stay bare, so the union is
     exactly as stable as the original and nothing in it is blocked.
+    gidx maps each glue to its index in meta.glues.
     """
     m = meta.geo.m
     union = {}
@@ -226,9 +226,9 @@ def _loaded_union(st, meta: WeakMeta, ts) -> Supertile:
             g = ts.tile(tid).glue(side)
             if interaction(g, ts.tile(other).glue(OPPOSITE[side])) <= 0:
                 continue
-            gi = meta.glues.index(g)
             place_piece(union, meta.gadgets[(tid, side)].cells, m, bx, by)
-            place_piece(union, meta.completions[(side, gi)].cells, m, bx, by)
+            place_piece(union, meta.completions[(side, gidx[g])].cells,
+                        m, bx, by)
             place_piece(union, meta.gadgets[(other, OPPOSITE[side])].cells,
                         m, bx + dx, by + dy)
     return Supertile(union)
@@ -252,13 +252,11 @@ def compile_weak(tas, variant=WEAK1) -> CompiledSimulator:
     geo = _geometry(len(ts.tiles), len(glue_order), tas.tau, variant)
     megas = {}
     gadgets = {}
-    anchors = {}
     tiles = []
     used = {side: set() for side in COMPLETION_SIDES}
     for ti, t in enumerate(ts):
         lay = _mega_layout(t, ti, geo)
         megas[t.id] = lay
-        anchors[lay.cells[(geo.d, geo.d)]] = t.id
         tiles.extend(_wire_piece(lay, f"w{ti}", geo.tau))
         for side in DIRECTIONS:
             g = t.glue(side)
@@ -279,23 +277,11 @@ def compile_weak(tas, variant=WEAK1) -> CompiledSimulator:
             tiles.extend(_wire_piece(clay, f"c{side}{gidx[g]}", geo.tau))
     universal = TileSet(tiles)
     meta = WeakMeta(geo, tuple(glue_order), megas, gadgets, completions)
-    # one itemgetter call reads a block's whole body, column by column;
-    # a mismatch names its first foreign cell from the same two readings
+    # the body, column by column
     span = range(geo.d, geo.d + geo.k)
-    coords = [(x, y) for x in span for y in span]
-    body = itemgetter(*coords)
-    own = {tid: body(lay.cells) for tid, lay in megas.items()}
-
-    def check(block, tid):
-        got = body(block)
-        if got != own[tid]:
-            xy = next(xy for xy, g, w in zip(coords, got, own[tid]) if g != w)
-            raise CorruptMacrotile(
-                f"body mixes {tid!r} with foreign cells at {xy}")
-        return tid
-
-    rep = anchored_rep(geo.m, geo.k, geo.d, anchors, check)
-    inputs = [(_loaded_union(st, meta, ts), count)
+    rep = anchored_rep(geo.m, geo.k, geo.d, megas,
+                       [(x, y) for x in span for y in span])
+    inputs = [(_loaded_union(st, meta, ts, gidx), count)
               for st, count in tas.initial_state]
     for lay in gadgets.values():
         inputs.append((Supertile(lay.cells), INFINITE))
@@ -306,7 +292,7 @@ def compile_weak(tas, variant=WEAK1) -> CompiledSimulator:
     gad = max((len(lay.cells) for lay in gadgets.values()), default=0)
     fill = max((len(lay.cells) for lay in completions.values()), default=0)
     return CompiledSimulator(variant, tas.tau, universal, inputs, geo.m,
-                             anchors, rep, meta,
+                             rep.anchors, rep, meta,
                              ("productions", "follows", "weak"),
                              mega + 4 * (2 * gad + fill))
 

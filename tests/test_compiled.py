@@ -2,12 +2,14 @@
 wiring and placement, and the block lemma behind simulator_tas."""
 
 import random
+import re
 
 import pytest
 
-from twoham import (INFINITE, TAS, BodyTooSmall, Glue, NegativeStrength,
-                    Supertile, TileSet, TileType, UnknownTileId,
-                    decode_supertile, explore, is_tau_stable, mincut)
+from twoham import (INFINITE, TAS, BodyTooSmall, CorruptMacrotile, Glue,
+                    NegativeStrength, Supertile, TileSet, TileType,
+                    UnknownTileId, decode_supertile, explore, is_tau_stable,
+                    mincut)
 from twoham.compiled import place_piece, wire_tiles
 from twoham.model import DIRECTIONS, OFFSET, OPPOSITE
 from twoham.representation import BlockReader
@@ -247,3 +249,97 @@ def test_block_lemma_against_the_checking_path(compiler, variant, monkeypatch):
             for (st, count), (want, want_count) in zip(trusted, checked):
                 assert st is want and count == want_count, (name, tau)
     assert seeds >= 15 and cuts, (seeds, cuts)
+
+
+# -- the one block check --------------------------------------------------
+
+# A shows a north and an east arm, C a south and an east one, so A has no
+# west arm; the three glues put a tile's glue b on lane 1 and slot 0, and
+# (lane 1, slot 1) would be glue 3, past the glue count
+A_TO_D = TAS(TileSet((
+    TileType("A", north=Glue("a", 2), east=Glue("b", 2)),
+    TileType("B", west=Glue("b", 2)),
+    TileType("C", south=Glue("a", 2), east=Glue("c", 2)),
+    TileType("D", west=Glue("c", 2)))), 2)
+
+
+def own_blocks(comp):
+    """Each tile's own macrotile cut to its m x m block, by tile id."""
+    m = comp.m
+    lays = comp.meta.layouts if comp.variant in STRONG_VARIANTS else comp.meta.megas
+    return {tid: {(x, y): uid for (x, y), uid in lay.cells.items()
+                  if 0 <= x < m and 0 <= y < m}
+            for tid, lay in lays.items()}
+
+
+def strong_corruptions(comp, blocks):
+    """(class, block, cell) for A's block corrupted each way the arm
+    geometry allows, with the cell the check must name: the first one,
+    in its reading order (the lines outside the body, then the tags),
+    that differs from A's own.  Coordinates follow the strong module
+    docstring."""
+    geo = comp.meta.geo
+    assert comp.meta.glues == (Glue("a", 2), Glue("b", 2), Glue("c", 2))
+    h, k = geo.h, geo.k
+    lane = geo.lane_row
+    a, b = blocks["A"], blocks["B"]
+    east_base, east_tag = (h + k, lane(1) - 2), (h + k + 1, lane(1) - 3)
+    north_tag = (lane(0) - 3, h + k + 1)
+    assert a[east_base] and a[east_tag] and a[north_tag]
+    cases = []
+
+    def corrupt(name, at, put=(), drop=()):
+        block = dict(a)
+        block.update(put)
+        for xy in drop:
+            del block[xy]
+        cases.append((name, block, at))
+
+    # B's anchor: the block reads as B, whose west backbone base is the
+    # first cell of the west line that A lacks
+    west_base = (h - 1, lane(1) + 1)
+    corrupt("foreign body cell", west_base, put=[((h, h), b[(h, h)])])
+    corrupt("extra backbone on a side without an arm", (h - 1, lane(0) + 1),
+            put=[((h - 1, lane(0) + 1), b[west_base])])
+    corrupt("base off every lane", (h + k, h),
+            put=[((h + k, h), a[east_base])], drop=[east_base])
+    corrupt("missing tag", east_tag, drop=[east_tag])
+    corrupt("doubled tag", (north_tag[0], north_tag[1] + 1),
+            put=[((north_tag[0], north_tag[1] + 1), a[north_tag])])
+    # moved to slot 1 on lane 1: the empty slot 0 reads first
+    corrupt("tag past the glue count", east_tag,
+            put=[((east_tag[0] + 1, east_tag[1]), a[east_tag])], drop=[east_tag])
+    return cases
+
+
+def weak_corruptions(comp, blocks):
+    """(class, block, cell) for A's block with foreign body cells; the
+    check reads the body column by column."""
+    d = comp.meta.geo.d
+    a, b = blocks["A"], blocks["B"]
+    anchor = dict(a)
+    anchor[(d, d)] = b[(d, d)]
+    inner = dict(a)
+    inner[(d + 2, d + 1)] = b[(d + 2, d + 1)]
+    return [("foreign body cell", anchor, (d, d + 1)),
+            ("foreign body cell", inner, (d + 2, d + 1))]
+
+
+@pytest.mark.parametrize("compiler, variant",
+                         [(compile_strong, v) for v in STRONG_VARIANTS]
+                         + [(compile_weak, v) for v in WEAK_VARIANTS])
+def test_the_block_check_names_the_cell_each_corruption_differs_at(compiler, variant):
+    """Each tile's own macrotile decodes to its tile, and each corruption
+    of A's raises CorruptMacrotile naming the cell where it differs."""
+    comp = compiler(A_TO_D, variant)
+    blocks = own_blocks(comp)
+    assert sorted(blocks) == list("ABCD")
+    for tid, block in blocks.items():
+        assert comp.rep.decode_block(block) == tid
+    strong = compiler is compile_strong
+    cases = (strong_corruptions if strong else weak_corruptions)(comp, blocks)
+    assert len(cases) == (6 if strong else 2)
+    for _, block, xy in cases:
+        with pytest.raises(CorruptMacrotile,
+                           match=re.escape(f"foreign cells at {xy}") + "$"):
+            comp.rep.decode_block(block)

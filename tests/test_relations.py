@@ -31,12 +31,13 @@ from twoham import (
     explore,
 )
 from twoham.dynamics import ProducibleSet
+from twoham.representation import BlockReader
 from twoham.strong import STRONG2, compile_strong
 from twoham.strong import VARIANTS as STRONG_VARIANTS
 from twoham.weak import WEAK1, WEAK2, WEAK3, compile_weak
 from twoham.weak import VARIANTS as WEAK_VARIANTS
 
-from oracles import oracle_reach
+from oracles import oracle_decode, oracle_reach
 from test_acceptance import suite
 from test_compiled import rescaled
 from test_dynamics import _random_system, _seeded_system
@@ -697,6 +698,22 @@ def compiled_explorations(taus, shuffle_seeds):
                         yield (explore(comp.simulator_tas(), 3 * comp.budget,
                                        shuffle_seed=k),
                                comp.rep, explore(tas, 3, shuffle_seed=k))
+
+
+def test_no_compiled_simulator_member_is_a_corrupt_macrotile():
+    """The lemma of compiled.anchored_rep: on every member of the suite's
+    explorations under all five compilers at tau 2 and 4, the one block
+    check never fires, and the reader's images are the oracle's."""
+    decoded = 0
+    for sim, rep, _ in compiled_explorations((2, 4), (None,)):
+        reader = BlockReader(rep)
+        for s in sim.members():
+            img = reader.decode(s)
+            got = None if img is None else (img.offset, img.image, img.clean)
+            assert got == oracle_decode(s.cells, rep.m, rep.decode_block,
+                                        rep.offsets_for(s)), s.fingerprint
+            decoded += img is not None
+    assert decoded >= 700, decoded
 
 
 def test_reach_bitsets_match_the_search_oracle():

@@ -19,7 +19,7 @@ from twoham import (
     fits_single_block,
 )
 from twoham import model
-from twoham.compiled import anchored_rep
+from twoham.compiled import Piece, anchored_rep
 from twoham.model import OFFSET, window, window_block
 from twoham.representation import BlockReader
 from twoham.strong import STRONG1, STRONG2, compile_strong
@@ -457,13 +457,19 @@ def test_reader_reads_a_from_table_system_like_the_oracle():
         "image", "junk", "AmbiguousAlignment")) >= 5, seen
 
 
+def one_cell_pieces(ids):
+    """Each id as a one-cell piece that anchors itself: read with no
+    cells to check, a block with a complete 1 x 1 body decodes to the
+    id at its corner."""
+    return {t: Piece({(0, 0): t}, {}) for t in ids}
+
+
 def test_union_gains_an_ambiguous_alignment_from_one_parent():
     """A alone decodes at offset (0, 0) only; the union with B beside it
     gets (1, 0) from B's anchor, where B reads as a different image.  The
     reader raises AmbiguousAlignment as the oracle does, and still reads
     each parent alone."""
-    rep = anchored_rep(2, 1, 0, {"A": "A", "B": "B"},
-                       lambda block, tid: tid)
+    rep = anchored_rep(2, 1, 0, one_cell_pieces("AB"), ())
     ts = TileSet([TileType("A"), TileType("B")])
     a, b = Supertile({(0, 0): "A"}), Supertile({(0, 0): "B"})
     u = Supertile.union(a, b, (1, 0), ts)
@@ -520,7 +526,7 @@ def test_reader_does_not_decode_a_seam_arm_early():
 def test_reader_reads_a_long_chain_of_unions():
     """A line of 3,000 tiles built one tile at a time is read without
     recursion, at the offset its anchors give."""
-    rep = anchored_rep(2, 1, 0, {"A": "A"}, lambda block, tid: tid)
+    rep = anchored_rep(2, 1, 0, one_cell_pieces("A"), ())
     ts = TileSet([TileType("A"), TileType("f")])
     tiles = {t: Supertile({(0, 0): t}) for t in "Af"}
     line = tiles["A"]
@@ -537,7 +543,7 @@ def test_reader_decodes_each_distinct_window_of_a_shared_parent_dag_once():
     2,049 non-empty windows at its two offsets only three are distinct:
     a whole block, and the half blocks at either end.  decode_block runs
     once on each, and a second read decodes nothing."""
-    rep = anchored_rep(2, 1, 0, {"A": "A"}, lambda block, tid: tid)
+    rep = anchored_rep(2, 1, 0, one_cell_pieces("A"), ())
     ts = TileSet([TileType("A")])
     line = Supertile({(0, 0): "A"})
     for _ in range(11):

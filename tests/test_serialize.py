@@ -4,7 +4,7 @@ import json
 import pytest
 
 from twoham import INFINITE, TAS, Glue, Supertile, TileSet, TileType
-from twoham import ladders, weak
+from twoham import ladders, serialize, weak
 from twoham.cli import METHODS
 from twoham.compiled import CompiledSimulator
 from twoham.errors import DanglingTileId, NegativeStrength, SchemaError
@@ -164,6 +164,23 @@ def test_placement_errors_carry_paths():
     doc["initial_state"][0]["placement"] = [
         {"x": 0, "y": 0, "tile": "a"}, {"x": 5, "y": 5, "tile": "a"}]
     with pytest.raises(SchemaError, match="stable"):
+        parse_tas(json.dumps(doc))
+
+
+@pytest.mark.parametrize("far", [(10 ** 12, 0), (0, -10 ** 12), (2, 0)])
+def test_sparse_placement_is_refused_before_a_supertile_is_built(far, monkeypatch):
+    """Two cells a trillion apart would make a Supertile build rows that
+    wide; a placement wider or taller than its cell count cannot be
+    connected, so the parser refuses it as unstable first."""
+    def no_supertile(cells):
+        raise AssertionError("a Supertile was built")
+
+    monkeypatch.setattr(serialize, "Supertile", no_supertile)
+    doc = state_doc()
+    x, y = far
+    doc["initial_state"][0]["placement"].append({"x": x, "y": y, "tile": "a"})
+    with pytest.raises(SchemaError,
+                       match=r"^initial_state\[0\]\.placement: .*not stable"):
         parse_tas(json.dumps(doc))
 
 

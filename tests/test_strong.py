@@ -7,6 +7,8 @@ six-block rig at the end exercises two simulated mismatches inside one
 assembled rectangle.
 """
 
+import re
+
 import pytest
 
 from twoham import (
@@ -253,15 +255,19 @@ def test_seven_glues_use_every_lane_and_slot_on_every_side():
             if t.glue(side) != glues[4]:
                 continue
             checked.append(side)
+            # the check names the first cell, in its reading order, that
+            # differs from the tile's own: slot 1 reads before slot 2
             cells = dict(comp.meta.layouts[t.id].cells)
             uid = cells.pop(at(1))
             past = dict(cells)
             past[at(2)] = uid            # slot 2 on lane 1 is glue 7
-            with pytest.raises(CorruptMacrotile, match="past the glue count"):
+            with pytest.raises(CorruptMacrotile,
+                               match=re.escape(f"foreign cells at {at(1)}")):
                 decode_supertile(Supertile(past), comp.rep)
             doubled = dict(cells)
             doubled[at(1)] = doubled[at(0)] = uid
-            with pytest.raises(CorruptMacrotile, match="found 2"):
+            with pytest.raises(CorruptMacrotile,
+                               match=re.escape(f"foreign cells at {at(0)}")):
                 decode_supertile(Supertile(doubled), comp.rep)
     assert sorted(checked) == sorted(tag)
 
