@@ -35,7 +35,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import BodyTooSmall, CorruptMacrotile
-from .model import DIRECTIONS, NULL_GLUE, TAS, Glue, TileType
+from .model import (DIRECTIONS, NULL_GLUE, TAS, Glue, TileType, packed_rows,
+                    row_masks, window_block, window_id)
 from .representation import BlockRepresentation
 
 
@@ -99,6 +100,17 @@ def anchored_rep(m, k, corner, pieces, coords) -> BlockRepresentation:
     coords what the anchored tile's own piece holds (a cell or none).
     Otherwise it is a CorruptMacrotile, naming the first differing cell.
 
+    The block is read as its window (model.window), row by row: the body
+    is complete when each body row, masked to the top bits of its k body
+    fields, equals that mask; the anchor is the corner field; and each
+    row that coords touches, masked to the fields of coords, must equal
+    the anchored piece's row masked the same way, which is packed once
+    per tile.  Row-mask lemma: codes are nonzero and injective and an
+    empty field is 0 (model's row lemma), so those masked rows are equal
+    exactly when the block and the piece agree at every cell of coords,
+    and the check skips no cell.  Only a mismatch turns the window into
+    a dict, to name the first differing cell in coords order.
+
     Lemma: the check never fires on a simulator member.  The block lemma
     places pieces whole and never overlapping, so a complete anchored
     body brings its whole piece, and no other piece reaches coords (the
@@ -108,21 +120,26 @@ def anchored_rep(m, k, corner, pieces, coords) -> BlockRepresentation:
     decode, so those are the candidate offsets; a BlockReader takes a
     union's from its parents', whose anchor cells, shifted, are its own.
     """
-    body = {(x, y) for x in range(corner, corner + k)
-            for y in range(corner, corner + k)}
+    span = range(corner, corner + k)
+    body = row_masks(((x, y) for x in span for y in span), occupancy=True)
+    read = row_masks(coords)
     anchors = {lay.cells[(corner, corner)]: tid for tid, lay in pieces.items()}
-    own = {tid: tuple(map(lay.cells.get, coords)) for tid, lay in pieces.items()}
+    want = {}
+    for tid, lay in pieces.items():
+        rows = packed_rows({xy: lay.cells[xy] for xy in coords
+                            if xy in lay.cells}, m)
+        want[tid] = tuple(rows[y] for y, _ in read)
 
-    def decode(block):
-        if not block.keys() >= body:
-            return None
-        tid = anchors.get(block[(corner, corner)])
+    def decode(win):
+        for y, mask in body:
+            if win[y] & mask != mask:
+                return None
+        tid = anchors.get(window_id(win, corner, corner))
         if tid is None:
             raise CorruptMacrotile("body anchor cell is no macrotile anchor")
-        want = own[tid]
-        got = tuple(map(block.get, coords))
-        if got != want:
-            xy = next(xy for xy, g, w in zip(coords, got, want) if g != w)
+        if tuple(win[y] & mask for y, mask in read) != want[tid]:
+            block, own = window_block(win), pieces[tid].cells
+            xy = next(xy for xy in coords if block.get(xy) != own.get(xy))
             raise CorruptMacrotile(
                 f"block mixes {tid!r} with foreign cells at {xy}")
         return tid

@@ -200,17 +200,25 @@ def _power_rows(width: int, height: int):
 # field per cell at bit 32 * x, the code of the cell's tile id in _CODES:
 # id -> n | 1 << 31, n counting the ids interned before it, and _IDS[n]
 # maps the code back.  Both tables are process-wide, never cleared, and
-# grow by each distinct tile id seen.  Row lemma: codes are nonzero and
-# injective (for fewer than 2**31 ids) and cells are normalized, so equal
-# row tuples hold exactly when the cells are equal, whatever the keys and
-# tile sets; the same holds for the windows cut from rows (window), so a
-# window is an exact memo key for its block; and the top bit of every
-# occupied field makes the rows occupancy masks too.
+# grow by each distinct tile id seen.  packed_rows interns them, for a
+# supertile's rows and for decode too: it packs a dict block into its
+# window (rep.decode_block) and, when an anchored representation is
+# built, the cells it checks of each piece.
+# Row lemma: codes are nonzero and injective (for fewer than 2**31 ids)
+# and cells are normalized, so equal row tuples hold exactly when the
+# cells are equal, whatever the keys and tile sets; the same holds for
+# the windows cut from rows (window), so a window is an exact memo key
+# for its block; and the top bit of every occupied field makes the rows
+# occupancy masks too.
 _CODES = {}
 _IDS = []
 
 
-def _packed(cells: dict, height: int) -> tuple:
+def packed_rows(cells: dict, height: int) -> tuple:
+    """The height rows that hold cells, (x, y) -> tile id with x, y >= 0,
+    interning each new id: a supertile's rows, and for a block inside
+    the m x m square with height m, its window (window_block's
+    inverse)."""
     rows = [0] * height
     codes = _CODES
     for (x, y), t in cells.items():
@@ -238,6 +246,23 @@ def window(st, x0: int, y0: int, m: int) -> tuple:
     else:
         band = map(cut, map((-x0 << 5).__rlshift__, band))
     return (0,) * (lo - y0) + tuple(band) + (0,) * (y0 + m - hi)
+
+
+def row_masks(cells, occupancy: bool = False) -> list:
+    """(y, mask) for each window row y that cells touch, in order, the
+    mask covering their fields there: win[y] & mask keeps those cells'
+    codes, or, with occupancy, only their top bits, which equal the mask
+    exactly when all of them are occupied (row lemma)."""
+    bits = 1 << 31 if occupancy else 0xFFFFFFFF
+    masks = {}
+    for x, y in cells:
+        masks[y] = masks.get(y, 0) | bits << (x << 5)
+    return sorted(masks.items())
+
+
+def window_id(win: tuple, x: int, y: int):
+    """The tile id at the occupied cell (x, y) of win."""
+    return _IDS[win[y] >> (x << 5) & 0x7FFFFFFF]
 
 
 def window_block(win: tuple) -> dict:
@@ -357,7 +382,7 @@ class Supertile:
             self.cells = cells = _gathered(self)
             return cells
         if name == "rows":
-            self.rows = rows = _packed(self.cells, self.height)
+            self.rows = rows = packed_rows(self.cells, self.height)
             return rows
         if name == "fingerprint":
             self.fingerprint = fp = _fingerprint(self.cells)

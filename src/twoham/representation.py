@@ -1,11 +1,13 @@
 """Block representation functions: reading scaled assemblies as tile images.
 
 A representation carries a scale m and a decoder from m x m blocks of
-simulator tiles to simulated tile ids.  Decoding a supertile tries block
-grids at every offset, or, for a representation with anchors, only at
-the offsets that put an anchor cell on the in-block corner (the
-compilers read blocks at anchor cells; see compiled.anchored_rep), and
-succeeds when exactly one grid alignment produces a non-empty image.
+simulator tiles to simulated tile ids, each block given as its window:
+the tuple of m packed rows that model.window cuts.  Decoding a supertile
+tries block grids at every offset, or, for a representation with
+anchors, only at the offsets that put an anchor cell on the in-block
+corner (the compilers read blocks at anchor cells; see
+compiled.anchored_rep), and succeeds when exactly one grid alignment
+produces a non-empty image.
 Each alignment's blocks give both the image and, through their keys, the
 fuzz rule.  Distinct non-empty images at two alignments mean the
 supertile cannot be read at all, which is reported loudly rather than
@@ -19,7 +21,7 @@ once.  decode_supertile is a fresh BlockReader's decode.
 from __future__ import annotations
 
 from .errors import AmbiguousAlignment
-from .model import Supertile, window, window_block
+from .model import Supertile, packed_rows, window, window_block
 
 __all__ = [
     "BlockReader",
@@ -33,9 +35,14 @@ __all__ = [
 class BlockRepresentation:
     """Scale plus block decoder, with optional anchors.
 
-    decode_block takes one non-empty block (dict of in-block coordinate to
-    simulator tile id) and returns a simulated tile id or None.  The empty
-    block always decodes to None and is never passed in.
+    decode_window takes the window of one non-empty block (model.window:
+    m packed rows, a 32-bit code per cell) and returns a simulated tile
+    id or None.  The empty window always decodes to None and is never
+    passed in.  By the row lemma (model) a decoder may read the window
+    with row masks: codes are nonzero and injective and an empty field
+    is 0, so two windows agree on a set of cells exactly when their rows,
+    masked to those cells' fields, are equal.  decode_block is the
+    adapter for a block held as a dict of in-block coordinate to tile id.
 
     anchors, when given, holds the simulator tile ids one of which a block
     must show at in-block (corner, corner) to decode, so the only offsets
@@ -44,13 +51,13 @@ class BlockRepresentation:
     anchors all m * m offsets are tried.
     """
 
-    __slots__ = ("m", "decode_block", "anchors", "corner", "_every_offset")
+    __slots__ = ("m", "decode_window", "anchors", "corner", "_every_offset")
 
-    def __init__(self, m, decode_block, anchors=None, corner=0):
+    def __init__(self, m, decode_window, anchors=None, corner=0):
         if m < 1:
             raise ValueError(f"scale must be positive, got {m}")
         self.m = m
-        self.decode_block = decode_block
+        self.decode_window = decode_window
         self.anchors = anchors
         self.corner = corner
         if anchors is None:
@@ -68,11 +75,17 @@ class BlockRepresentation:
         for key, out in table.items():
             frozen[tuple(sorted(key))] = out
 
-        def decode(block):
-            key = tuple(sorted((i, j, t) for (i, j), t in block.items()))
+        def decode(win):
+            key = tuple(sorted((i, j, t)
+                               for (i, j), t in window_block(win).items()))
             return frozen.get(key)
 
         return cls(m, decode)
+
+    def decode_block(self, block):
+        """decode_window of the window that holds block, a dict of
+        in-block (i, j) -> tile id inside the m x m block."""
+        return self.decode_window(packed_rows(block, self.m))
 
     def offsets_for(self, s: Supertile):
         """The grid offsets worth trying on s, in sorted order."""
@@ -176,7 +189,7 @@ class BlockReader:
         """The DecodedImage of s at its lowest offset with a non-empty
         image, or None; AmbiguousAlignment when two offsets give distinct
         images."""
-        m, decode_block = self.rep.m, self.rep.decode_block
+        m, decode_window = self.rep.m, self.rep.decode_window
         memo = self._decoded
         found = None
         for ox, oy in self.offsets(s):
@@ -189,7 +202,7 @@ class BlockReader:
                     occupied.append((bx, by))
                     tid = memo.get(win, memo)
                     if tid is memo:  # not decoded yet
-                        tid = memo[win] = decode_block(window_block(win))
+                        tid = memo[win] = decode_window(win)
                     if tid is not None:
                         image[(bx, by)] = tid
             if not image:

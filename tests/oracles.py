@@ -299,6 +299,34 @@ def oracle_decode(cells, m, decode_block, offsets=None):
     return found
 
 
+def oracle_anchored_decode(k, corner, pieces, coords):
+    """compiled.anchored_rep's block check read off a dict block: None
+    unless the k x k body at (corner, corner) is all there, then the
+    corner cell's piece, which must hold at every cell of coords what the
+    block holds (a cell or none), else CorruptMacrotile naming the first
+    cell of coords that differs."""
+    from twoham.errors import CorruptMacrotile
+
+    body = {(x, y) for x in range(corner, corner + k)
+            for y in range(corner, corner + k)}
+    anchors = {lay.cells[(corner, corner)]: tid for tid, lay in pieces.items()}
+
+    def decode(block):
+        if not block.keys() >= body:
+            return None
+        tid = anchors.get(block[(corner, corner)])
+        if tid is None:
+            raise CorruptMacrotile("body anchor cell is no macrotile anchor")
+        own = pieces[tid].cells
+        for xy in coords:
+            if block.get(xy) != own.get(xy):
+                raise CorruptMacrotile(
+                    f"block mixes {tid!r} with foreign cells at {xy}")
+        return tid
+
+    return decode
+
+
 def oracle_blocks_at(cells, m, ox, oy):
     """The m-block partition at grid offset (ox, oy), cell by cell: (x, y)
     lies in block ((x - ox) // m, (y - oy) // m) at in-block coordinate

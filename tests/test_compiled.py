@@ -1,6 +1,7 @@
 """Shared compiler building blocks: the anchored block reader, the piece
 wiring and placement, and the block lemma behind simulator_tas."""
 
+import itertools
 import random
 import re
 
@@ -10,15 +11,16 @@ from twoham import (INFINITE, TAS, BodyTooSmall, CorruptMacrotile, Glue,
                     NegativeStrength, Supertile, TileSet, TileType,
                     UnknownTileId, decode_supertile, explore, is_tau_stable,
                     mincut)
+from twoham import model
 from twoham.compiled import place_piece, wire_tiles
-from twoham.model import DIRECTIONS, OFFSET, OPPOSITE
+from twoham.model import DIRECTIONS, OFFSET, OPPOSITE, packed_rows
 from twoham.representation import BlockReader
-from twoham.strong import STRONG2, compile_strong
+from twoham.strong import STRONG1, STRONG2, _read_cells, compile_strong
 from twoham.strong import VARIANTS as STRONG_VARIANTS
-from twoham.weak import WEAK1, compile_weak
+from twoham.weak import WEAK1, WEAK2, compile_weak
 from twoham.weak import VARIANTS as WEAK_VARIANTS
 
-from oracles import oracle_blocks_at, oracle_wire_tiles
+from oracles import oracle_anchored_decode, oracle_blocks_at, oracle_wire_tiles
 from test_acceptance import TARGET_BOUND, suite
 
 
@@ -343,3 +345,104 @@ def test_the_block_check_names_the_cell_each_corruption_differs_at(compiler, var
         with pytest.raises(CorruptMacrotile,
                            match=re.escape(f"foreign cells at {xy}") + "$"):
             comp.rep.decode_block(block)
+
+
+def block_check(comp):
+    """(k, corner, pieces, coords) of comp's block check, read off the
+    compiler's geometry: strong reads strong._read_cells, weak its
+    megatile body column by column."""
+    geo = comp.meta.geo
+    if comp.variant in STRONG_VARIANTS:
+        return geo.k, geo.h, comp.meta.layouts, _read_cells(geo)
+    span = range(geo.d, geo.d + geo.k)
+    return geo.k, geo.d, comp.meta.megas, [(x, y) for x in span for y in span]
+
+
+def block_outcome(decode, block):
+    """decode(block), or the message of the CorruptMacrotile it raises."""
+    try:
+        return decode(block)
+    except CorruptMacrotile as exc:
+        return ("CorruptMacrotile", str(exc))
+
+
+FRESH_IDS = (f"never-interned-{n}" for n in itertools.count())
+
+
+def with_cell(win, xy, uid):
+    """The window win with cell xy emptied, then holding uid unless uid
+    is None."""
+    x, y = xy
+    rows = list(win)
+    rows[y] &= ~(0xFFFFFFFF << (x << 5))
+    if uid is not None:
+        rows[y] |= packed_rows({(x, 0): uid}, 1)[0]
+    return tuple(rows)
+
+
+def every_read_cell_is_checked(compiler, variant):
+    """A's own block, changed at each cell the check reads to another
+    piece's id, to an id never interned, and to no cell; each body cell
+    removed; a non-anchor id at the corner.  The window decoder reads
+    each changed window as the dict oracle reads the changed block, and
+    a changed cell outside the body, or in it off the corner, is the
+    cell it names."""
+    comp = compiler(A_TO_D, variant)
+    k, corner, pieces, coords = block_check(comp)
+    oracle = oracle_anchored_decode(k, corner, pieces, coords)
+    a, b = (own_blocks(comp)[t] for t in "AB")
+    base = packed_rows(a, comp.m)
+    body = {(x, y) for x in range(corner, corner + k)
+            for y in range(corner, corner + k)}
+
+    def expect(xy, uid, want):
+        block = dict(a)
+        block.pop(xy, None)
+        if uid is not None:
+            block[xy] = uid
+        got = block_outcome(comp.rep.decode_window, with_cell(base, xy, uid))
+        assert got == block_outcome(oracle, block) == want, (variant, xy, got)
+
+    assert comp.rep.decode_window(base) == oracle(a) == "A"
+    cases = 0
+    for xy in dict.fromkeys(coords):
+        fresh = next(FRESH_IDS)
+        assert fresh not in model._CODES
+        other = b.get(xy, b[(corner, corner)])
+        assert other != a.get(xy)
+        for uid in [other, fresh] + ([None] if xy in a else []):
+            if uid is None and xy in body:
+                want = None
+            elif xy != (corner, corner):
+                want = ("CorruptMacrotile",
+                        f"block mixes 'A' with foreign cells at {xy}")
+            elif uid is fresh:
+                want = ("CorruptMacrotile",
+                        "body anchor cell is no macrotile anchor")
+            else:
+                # B's anchor: the block reads as B, and differs from B's
+                # own piece where the oracle says
+                want = block_outcome(oracle, {**a, xy: uid})
+                assert want[0] == "CorruptMacrotile", want
+            expect(xy, uid, want)
+            cases += 1
+    for xy in body:
+        expect(xy, None, None)
+    expect((corner, corner), a[(corner + 1, corner)],
+           ("CorruptMacrotile", "body anchor cell is no macrotile anchor"))
+    assert cases >= 2 * len(set(coords)), cases
+
+
+READ_CELL_METHODS = [(compile_strong, STRONG2), (compile_strong, STRONG1),
+                     (compile_weak, WEAK2)]
+
+
+@pytest.mark.parametrize("compiler, variant", READ_CELL_METHODS)
+def test_every_cell_the_block_check_reads_is_checked(compiler, variant):
+    every_read_cell_is_checked(compiler, variant)
+
+
+@pytest.mark.parametrize("compiler, variant", READ_CELL_METHODS)
+def test_every_read_cell_is_checked_under_colliding_keys(compiler, variant,
+                                                         colliding_keys):
+    every_read_cell_is_checked(compiler, variant)

@@ -7,7 +7,8 @@ skips, junk rules, unmatched steps, gadget-assisted growth that weakly
 but not strongly models, the two-families system that passes every
 check except the strong one, and its variant with a block that never
 grows, which fails weak too.  The image map's reach bitsets are pinned
-to a breadth-first search on random and compiled explorations.
+to a breadth-first search on random and compiled explorations, and the
+compilers' window decoder to the dict-level block check.
 """
 
 import random
@@ -31,15 +32,16 @@ from twoham import (
     explore,
 )
 from twoham.dynamics import ProducibleSet
+from twoham.model import window, window_block
 from twoham.representation import BlockReader
 from twoham.strong import STRONG2, compile_strong
 from twoham.strong import VARIANTS as STRONG_VARIANTS
 from twoham.weak import WEAK1, WEAK2, WEAK3, compile_weak
 from twoham.weak import VARIANTS as WEAK_VARIANTS
 
-from oracles import oracle_decode, oracle_reach
+from oracles import oracle_anchored_decode, oracle_decode, oracle_reach
 from test_acceptance import suite
-from test_compiled import rescaled
+from test_compiled import block_check, block_outcome, rescaled
 from test_dynamics import _random_system, _seeded_system
 from test_model import _cells_unbuilt
 
@@ -505,7 +507,7 @@ def null_decoder_case():
     that every member wider than a block is oversized junk."""
     sim_tas, sim_bound, tas, bound, rep = compiled_case("seeded-chain", WEAK1)
     return (sim_tas, sim_bound, tas, bound,
-            BlockRepresentation(rep.m, lambda block: None, rep.anchors,
+            BlockRepresentation(rep.m, lambda win: None, rep.anchors,
                                 rep.corner))
 
 
@@ -608,7 +610,7 @@ def test_claimed_checks_build_no_member_cells(name, compile_, variant):
 # test_dynamics' random systems have tiles t0, t1 and t2; reading the
 # first two as one tile makes members share images
 COARSE = BlockRepresentation(
-    1, lambda block: {"t0": "A", "t1": "A", "t2": "B"}[block[0, 0]])
+    1, lambda win: {"t0": "A", "t1": "A", "t2": "B"}[window_block(win)[0, 0]])
 
 
 def image_target(sim, imap):
@@ -685,7 +687,7 @@ def random_explorations(seed):
 
 
 def compiled_explorations(taus, shuffle_seeds):
-    """(sim, rep, target) for the suite compiled by all five methods at
+    """(sim, comp, target) for the suite compiled by all five methods at
     each tau, the simulator explored at 3 * budget and the target at 3."""
     for tau in taus:
         for _, tas in suite():
@@ -697,31 +699,58 @@ def compiled_explorations(taus, shuffle_seeds):
                     for k in shuffle_seeds:
                         yield (explore(comp.simulator_tas(), 3 * comp.budget,
                                        shuffle_seed=k),
-                               comp.rep, explore(tas, 3, shuffle_seed=k))
+                               comp, explore(tas, 3, shuffle_seed=k))
 
 
 def test_no_compiled_simulator_member_is_a_corrupt_macrotile():
     """The lemma of compiled.anchored_rep: on every member of the suite's
     explorations under all five compilers at tau 2 and 4, the one block
-    check never fires, and the reader's images are the oracle's."""
+    check never fires, and the reader's images are the oracle's, read
+    through the dict-level check (oracles.oracle_anchored_decode)."""
     decoded = 0
-    for sim, rep, _ in compiled_explorations((2, 4), (None,)):
+    for sim, comp, _ in compiled_explorations((2, 4), (None,)):
+        rep = comp.rep
+        check = oracle_anchored_decode(*block_check(comp))
         reader = BlockReader(rep)
         for s in sim.members():
             img = reader.decode(s)
             got = None if img is None else (img.offset, img.image, img.clean)
-            assert got == oracle_decode(s.cells, rep.m, rep.decode_block,
+            assert got == oracle_decode(s.cells, rep.m, check,
                                         rep.offsets_for(s)), s.fingerprint
             decoded += img is not None
     assert decoded >= 700, decoded
+
+
+def test_window_decoder_matches_the_dict_check_on_every_window():
+    """compiled.anchored_rep's row-mask check against the dict-level
+    oracle on every distinct window the reader cuts from the suite's
+    explorations under all five compilers at tau 2, 3 and 4, plain and
+    shuffled: the same None, tile id or CorruptMacrotile message."""
+    seen = {}
+    for sim, comp, _ in compiled_explorations((2, 3, 4), (None, 7)):
+        rep, m = comp.rep, comp.m
+        check = oracle_anchored_decode(*block_check(comp))
+        windows = set()
+        for s in sim.members():
+            for ox, oy in rep.offsets_for(s):
+                for by in range(-oy // m, (s.height - 1 - oy) // m + 1):
+                    for bx in range(-ox // m, (s.width - 1 - ox) // m + 1):
+                        windows.add(window(s, ox + m * bx, oy + m * by, m))
+        windows.discard((0,) * m)
+        for win in windows:
+            got = block_outcome(rep.decode_window, win)
+            assert got == block_outcome(check, window_block(win)), win
+            kind = "tile" if isinstance(got, str) else repr(got)
+            seen[kind] = seen.get(kind, 0) + 1
+    assert seen.get("tile", 0) >= 1000 and seen.get("None", 0) >= 400, seen
 
 
 def test_reach_bitsets_match_the_search_oracle():
     records = sum(reach_matches_oracle(sim, COARSE)
                   for sim in random_explorations(4321))
     assert records >= 10, records
-    for sim, rep, target in compiled_explorations((2, 3, 4), (None, 7)):
-        reach_matches_oracle(sim, rep, target)
+    for sim, comp, target in compiled_explorations((2, 3, 4), (None, 7)):
+        reach_matches_oracle(sim, comp.rep, target)
 
 
 def test_reach_bitsets_match_the_search_oracle_under_colliding_keys(
@@ -729,5 +758,5 @@ def test_reach_bitsets_match_the_search_oracle_under_colliding_keys(
     records = sum(reach_matches_oracle(sim, COARSE)
                   for sim in random_explorations(8765))
     assert records >= 10, records
-    for sim, rep, target in compiled_explorations((2, 3, 4), (3,)):
-        reach_matches_oracle(sim, rep, target)
+    for sim, comp, target in compiled_explorations((2, 3, 4), (3,)):
+        reach_matches_oracle(sim, comp.rep, target)

@@ -196,7 +196,7 @@ def test_diagonal_fuzz_is_unclean():
 def test_single_block_supertile_is_always_clean():
     # a decoder that tolerates extra cells: in-block fuzz is not fuzz
     rep = BlockRepresentation(
-        2, lambda block: "A" if "p" in block.values() else None)
+        2, lambda win: "A" if "p" in window_block(win).values() else None)
     img = decode_supertile(Supertile({(0, 0): "p", (1, 1): "q"}), rep)
     assert img.image == {(0, 0): "A"}
     assert img.clean
@@ -212,7 +212,7 @@ def test_fits_single_block():
 
 def test_scale_must_be_positive():
     with pytest.raises(ValueError):
-        BlockRepresentation(0, lambda block: None)
+        BlockRepresentation(0, lambda win: None)
 
 
 def random_decodes(seed, m, count):
@@ -284,13 +284,14 @@ def test_one_pass_decode_matches_the_oracle_under_colliding_keys(
 
 
 def recording_reader(rep):
-    """A BlockReader over rep whose decoder logs every block it is given,
-    and that log; the oracle run on reader.rep logs into it too."""
+    """A BlockReader over rep whose decoder logs the block of every window
+    it is given, and that log; the oracle run on reader.rep logs into it
+    too."""
     calls = []
 
-    def decode(block):
-        calls.append(tuple(sorted(block.items())))
-        return rep.decode_block(block)
+    def decode(win):
+        calls.append(tuple(sorted(window_block(win).items())))
+        return rep.decode_window(win)
 
     return BlockReader(BlockRepresentation(rep.m, decode, rep.anchors,
                                            rep.corner)), calls
@@ -541,7 +542,7 @@ def test_reader_decodes_each_distinct_window_of_a_shared_parent_dag_once():
     """A 2,048-tile line built by 11 rounds of doubling, each union taking
     one supertile as both parents, reads as the oracle reads it.  Of the
     2,049 non-empty windows at its two offsets only three are distinct:
-    a whole block, and the half blocks at either end.  decode_block runs
+    a whole block, and the half blocks at either end.  The decoder runs
     once on each, and a second read decodes nothing."""
     rep = anchored_rep(2, 1, 0, one_cell_pieces("A"), ())
     ts = TileSet([TileType("A")])
@@ -569,11 +570,11 @@ def test_a_decode_that_raises_runs_again_on_the_next_read():
     failures = [CorruptMacrotile("first read"), CorruptMacrotile("second")]
     calls = []
 
-    def decode(block):
-        calls.append(block)
+    def decode(win):
+        calls.append(win)
         if failures:
             raise failures.pop(0)
-        return "A" if len(block) == 2 else None
+        return "A" if len(window_block(win)) == 2 else None
 
     reader = BlockReader(BlockRepresentation(2, decode))
     s = Supertile({(0, 0): "p", (1, 0): "q"})

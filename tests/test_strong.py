@@ -286,7 +286,7 @@ def test_partial_body_decodes_to_nothing():
 
 def test_offset_hint_matches_full_scan():
     comp = compile_strong(two_tile())
-    full = BlockRepresentation(comp.m, comp.rep.decode_block)
+    full = BlockRepresentation(comp.m, comp.rep.decode_window)
     a, b = macro(comp, "A"), macro(comp, "B")
     child = combine(a, b, comp.universal_tiles, 2)[0]
     for st in (a, b, child):

@@ -355,7 +355,7 @@ def test_offset_hint_matches_full_scan():
 
     comp = compile_weak(vertical_pair(), WEAK1)
     full = grown(comp, "A", NORTH, Glue("g", 2))
-    scan = BlockRepresentation(comp.m, comp.rep.decode_block)
+    scan = BlockRepresentation(comp.m, comp.rep.decode_window)
     hinted = decode_supertile(full, comp.rep)
     brute = decode_supertile(full, scan)
     assert comp.rep.offsets_for(full) == [hinted.offset]
