@@ -16,8 +16,9 @@ Block lemma: every seed a compiler builds is tau-stable over universal
 tile ids, so simulator_tas does not re-check it.  Each piece (a strong
 macrotile; a weak megatile, gadget or completion) is 4-connected and
 shows faces only outward, so wire_tiles joins every adjacency inside it
-with equal strength-tau glues, and place_piece puts it in its seed
-whole.  A cut that splits a piece severs at least tau, and bonds between
+with equal strength-tau glues, and seed_of puts it in its seed whole,
+refusing one that lands on a placed cell.  A cut that splits a piece
+severs at least tau, and bonds between
 pieces only add weight.  A strong seed has one macrotile per source
 cell, and the arms of interacting neighbours bind pad to pad at min(s,
 tau).  In a weak seed (weak._loaded_union) each gadget binds its
@@ -28,6 +29,16 @@ Any other cut splits the source seed, which its TAS proved tau-stable,
 and weighs at least that cut capped at tau.  Weak's gadget and
 completion seeds are single pieces.  tests/test_compiled.py checks the
 lemma against the validating path.
+
+Declared-faces lemma: a piece's open faces under the universal tile set
+are exactly its faces entries of positive strength, so piece_supertile
+declares its face table from them and reads no row.  wire_tiles gives
+a positive glue only to an interior adjacency, whose side is closed, or
+to a faces entry, and every face points out of its piece, so its side
+is open.  A seed of several pieces is a union of them, whose faces the
+union code derives; a parsed seed, the target and any read under
+another tile set still read their faces off rows (model._row_faces),
+which tests/test_compiled.py uses as the oracle for the declared tables.
 """
 
 from __future__ import annotations
@@ -35,8 +46,9 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import BodyTooSmall, CorruptMacrotile
-from .model import (DIRECTIONS, NULL_GLUE, TAS, Glue, TileType, packed_rows,
-                    row_masks, window_block, window_id)
+from .model import (DIRECTIONS, NULL_GLUE, TAS, Glue, Supertile, TileSet,
+                    TileType, _disjoint_at, packed_rows, row_masks,
+                    window_block, window_id)
 from .representation import BlockRepresentation
 
 
@@ -165,14 +177,41 @@ def tooth_offsets(start, code, flip):
     return [start + 4 * p + 2 * (bit ^ flip) for p, bit in enumerate(code)]
 
 
-def place_piece(union, cells, m, bx, by):
-    """Copy a piece's cells into union at block (bx, by) of scale m; a
-    piece that lands on a placed cell is a BodyTooSmall (block lemma)."""
-    size, dx, dy = len(union), m * bx, m * by
-    for (x, y), uid in cells.items():
-        union[(x + dx, y + dy)] = uid
-    if len(union) - size < len(cells):
-        raise BodyTooSmall(f"a piece placed at block {(bx, by)} lands on a placed cell")
+def piece_supertile(piece: Piece, ts: TileSet):
+    """(st, x0, y0): the piece as a supertile whose cell (0, 0) is cell
+    (x0, y0) of its block frame, its face table under ts declared from
+    piece.faces (declared-faces lemma): positive glues only, coordinates
+    normalized and sorted.  Its rows are packed on first read."""
+    x0 = min(x for x, _ in piece.cells)
+    y0 = min(y for _, y in piece.cells)
+    faces = {}
+    for (x, y), shown in piece.faces.items():
+        for dg in shown:
+            if dg[1].strength:
+                faces.setdefault(dg, []).append((x - x0, y - y0))
+    faces = {dg: tuple(sorted(coords)) for dg, coords in faces.items()}
+    return Supertile.declared(piece.cells, faces, ts), x0, y0
+
+
+def seed_of(placements, m, ts: TileSet) -> Supertile:
+    """The seed that places whole pieces on the block grid of scale m, in
+    order: placements lists ((st, x0, y0), bx, by), a piece as
+    piece_supertile gives it and its block.  One piece is its own seed;
+    more are folded with Supertile.union under ts, each partial seed's
+    faces derived before the next union, so the seed's key, rows, faces
+    and anchor offsets all come from its pieces.  A piece that lands on a
+    placed cell is a BodyTooSmall naming its block (block lemma)."""
+    (seed, x, y), bx, by = placements[0]
+    x, y = x + m * bx, y + m * by  # where the seed's cell (0, 0) sits
+    for (st, px, py), bx, by in placements[1:]:
+        ox, oy = px + m * bx - x, py + m * by - y
+        if not _disjoint_at(seed, st, ox, oy):
+            raise BodyTooSmall(
+                f"a piece placed at block {(bx, by)} lands on a placed cell")
+        seed.faces(ts)
+        seed = Supertile.union(seed, st, (ox, oy), ts)
+        x, y = min(x, x + ox), min(y, y + oy)
+    return seed
 
 
 def wire_tiles(cells, faces, prefix, strength, glues):

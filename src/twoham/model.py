@@ -23,8 +23,9 @@ equal exactly when the cells are.  A union packs its rows from its
 parents' rows in O(height) big-int operations, and overlap tests read
 rows too, so a union builds no cell dict, nor a SHA-1 fingerprint, until
 one is read.  Open faces are one flat (direction, glue) table, which a
-seed reads off its rows, visiting open sides only, and a union derives
-from its parents' faces and rows.  A union keeps its parents for good,
+compiled piece declares (Supertile.declared), a parsed seed reads off
+its rows, visiting open sides only, and a union derives from its
+parents' faces and rows.  A union keeps its parents for good,
 but they feed only its block offsets (representation.BlockReader), its
 cells and its faces: blocks are read off its own rows (window).
 """
@@ -334,6 +335,16 @@ class Supertile:
         self._faces_ts = self._faces = self.parents = None
 
     @classmethod
+    def declared(cls, cells: dict, faces: dict, ts: TileSet) -> Supertile:
+        """Supertile(cells) whose faces(ts) is faces, in normalized
+        coordinates, taken on trust: the caller proves it is the table
+        _row_faces would read off the rows (the declared-faces lemma of
+        compiled.py), so no row is read for it."""
+        st = cls(cells)
+        st._faces_ts, st._faces = ts, faces
+        return st
+
+    @classmethod
     def union(cls, a: Supertile, b: Supertile, offset, ts: TileSet):
         """The union of a and b with b translated by offset; no overlap.
 
@@ -409,7 +420,8 @@ class Supertile:
     def faces(self, ts: TileSet) -> dict:
         """Positive glues on open sides, one flat table: (direction, glue)
         -> sorted coordinates of the cells showing that glue there with no
-        cell beyond.  A union built with ts whose parents both hold their
+        cell beyond.  A supertile declared under ts holds its table from
+        the start, and a union built with ts whose parents both hold their
         faces derives its own from theirs; every other read, a supertile
         built from cells first of all, takes its rows (_row_faces).
         """

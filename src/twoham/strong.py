@@ -53,10 +53,10 @@ import math
 from collections import namedtuple
 
 from .compiled import (CompiledSimulator, Piece, anchored_rep, framed_code,
-                       place_piece, tooth_offsets, wire_tiles)
+                       piece_supertile, seed_of, tooth_offsets, wire_tiles)
 from .errors import BodyTooSmall
-from .model import (DIRECTIONS, EAST, NORTH, SOUTH, WEST, Glue,
-                    Supertile, TAS, TileSet, TileType)
+from .model import (DIRECTIONS, EAST, NORTH, SOUTH, WEST, Glue, TAS,
+                    TileSet, TileType)
 
 STRONG2 = "strong2"
 STRONG1 = "strong1"
@@ -235,12 +235,10 @@ def compile_strong(tas, variant=STRONG2) -> CompiledSimulator:
     universal = TileSet(tiles)
     meta = StrongMeta(geo, tuple(glue_order), layouts)
     rep = anchored_rep(geo.m, geo.k, geo.h, layouts, _read_cells(geo))
-    inputs = []
-    for st, count in tas.initial_state:
-        union = {}
-        for (bx, by), tid in st.cells.items():
-            place_piece(union, layouts[tid].cells, geo.m, bx, by)
-        inputs.append((Supertile(union), count))
+    placed = {tid: piece_supertile(lay, universal) for tid, lay in layouts.items()}
+    inputs = [(seed_of([(placed[tid], bx, by) for (bx, by), tid in st.cells.items()],
+                       geo.m, universal), count)
+              for st, count in tas.initial_state]
     budget = max(len(lay.cells) for lay in layouts.values())
     return CompiledSimulator(variant, tas.tau, universal, inputs, geo.m,
                              rep.anchors, rep, meta,

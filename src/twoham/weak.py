@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .compiled import (CompiledSimulator, Piece, anchored_rep, framed_code,
-                       place_piece, tooth_offsets, wire_tiles)
+                       piece_supertile, seed_of, tooth_offsets, wire_tiles)
 from .model import (DIRECTIONS, EAST, INFINITE, NORTH, OFFSET, OPPOSITE,
                     SOUTH, WEST, Glue, Supertile, TileSet, interaction)
 
@@ -205,18 +205,19 @@ WeakMeta = namedtuple("WeakMeta", ("geo", "glues", "megas", "gadgets",
                                    "completions"))
 
 
-def _loaded_union(st, meta: WeakMeta, ts, gidx) -> Supertile:
-    """A seed assembly rebuilt at block scale with its joins pre-assembled.
+def _loaded_union(st, placed, m, ts, gidx, universal) -> Supertile:
+    """A seed assembly rebuilt at block scale m with its joins
+    pre-assembled.
 
     Interfaces whose glues actually bind get the full gadget stack on
     both sides; mismatched and exposed faces stay bare, so the union is
     exactly as stable as the original and nothing in it is blocked.
-    gidx maps each glue to its index in meta.glues.
+    placed holds the megatiles, gadgets and completions as
+    piece_supertile gives them under universal, keyed as in WeakMeta,
+    and gidx maps each glue to its index in the glue order.
     """
-    m = meta.geo.m
-    union = {}
-    for (bx, by), tid in st.cells.items():
-        place_piece(union, meta.megas[tid].cells, m, bx, by)
+    megas, gadgets, completions = placed
+    pieces = [(megas[tid], bx, by) for (bx, by), tid in st.cells.items()]
     for (bx, by), tid in st.cells.items():
         for side in COMPLETION_SIDES:
             dx, dy = OFFSET[side]
@@ -226,12 +227,10 @@ def _loaded_union(st, meta: WeakMeta, ts, gidx) -> Supertile:
             g = ts.tile(tid).glue(side)
             if interaction(g, ts.tile(other).glue(OPPOSITE[side])) <= 0:
                 continue
-            place_piece(union, meta.gadgets[(tid, side)].cells, m, bx, by)
-            place_piece(union, meta.completions[(side, gidx[g])].cells,
-                        m, bx, by)
-            place_piece(union, meta.gadgets[(other, OPPOSITE[side])].cells,
-                        m, bx + dx, by + dy)
-    return Supertile(union)
+            pieces += ((gadgets[(tid, side)], bx, by),
+                       (completions[(side, gidx[g])], bx, by),
+                       (gadgets[(other, OPPOSITE[side])], bx + dx, by + dy))
+    return seed_of(pieces, m, universal)
 
 
 def compile_weak(tas, variant=WEAK1) -> CompiledSimulator:
@@ -281,12 +280,12 @@ def compile_weak(tas, variant=WEAK1) -> CompiledSimulator:
     span = range(geo.d, geo.d + geo.k)
     rep = anchored_rep(geo.m, geo.k, geo.d, megas,
                        [(x, y) for x in span for y in span])
-    inputs = [(_loaded_union(st, meta, ts, gidx), count)
+    placed = tuple({key: piece_supertile(lay, universal) for key, lay in table.items()}
+                   for table in (megas, gadgets, completions))
+    inputs = [(_loaded_union(st, placed, geo.m, ts, gidx, universal), count)
               for st, count in tas.initial_state]
-    for lay in gadgets.values():
-        inputs.append((Supertile(lay.cells), INFINITE))
-    for lay in completions.values():
-        inputs.append((Supertile(lay.cells), INFINITE))
+    for table in placed[1:]:
+        inputs += [(seed, INFINITE) for seed, _, _ in table.values()]
     # budget: a megatile plus, on each side, two gadgets and a completion
     mega = max(len(lay.cells) for lay in megas.values())
     gad = max((len(lay.cells) for lay in gadgets.values()), default=0)

@@ -360,6 +360,53 @@ def oracle_wire_tiles(cells, faces, prefix, strength):
     return tiles
 
 
+def oracle_seed(placements, m):
+    """The seed that places pieces on the block grid of scale m, as one
+    merged cell dict through Supertile(cells): placements lists (piece,
+    bx, by), each piece's cells copied in at block (bx, by), in order."""
+    from twoham.model import Supertile
+
+    cells = {}
+    for piece, bx, by in placements:
+        for (x, y), uid in piece.cells.items():
+            cells[(x + m * bx, y + m * by)] = uid
+    return Supertile(cells)
+
+
+def oracle_seeds(comp, tas):
+    """comp's input supertiles with their counts, each an oracle_seed in
+    the compilers' placement order.  A strong seed places each cell's
+    macrotile; a weak seed places each cell's megatile, then for every
+    binding north or east interface the gadget, the completion and the
+    facing gadget, and every gadget and completion follows as a seed of
+    its own."""
+    from twoham.model import INFINITE, OFFSET, OPPOSITE, Supertile, interaction
+
+    m, meta, ts = comp.m, comp.meta, tas.tile_set
+    if comp.variant.startswith("strong"):
+        return [(oracle_seed([(meta.layouts[tid], bx, by)
+                              for (bx, by), tid in st.cells.items()], m), count)
+                for st, count in tas.initial_state]
+    gidx = {g: i for i, g in enumerate(meta.glues)}
+    seeds = []
+    for st, count in tas.initial_state:
+        placed = [(meta.megas[tid], bx, by) for (bx, by), tid in st.cells.items()]
+        for (bx, by), tid in st.cells.items():
+            for side in "NE":
+                dx, dy = OFFSET[side]
+                other = st.cells.get((bx + dx, by + dy))
+                g = ts.tile(tid).glue(side)
+                if other is None or not interaction(g, ts.tile(other).glue(OPPOSITE[side])):
+                    continue
+                placed += [(meta.gadgets[(tid, side)], bx, by),
+                           (meta.completions[(side, gidx[g])], bx, by),
+                           (meta.gadgets[(other, OPPOSITE[side])], bx + dx, by + dy)]
+        seeds.append((oracle_seed(placed, m), count))
+    for piece in [*meta.gadgets.values(), *meta.completions.values()]:
+        seeds.append((Supertile(piece.cells), INFINITE))
+    return seeds
+
+
 def oracle_reach(sim, start, image, image_of):
     """Members with this image, as image_of reads them, reachable from
     start by zero or more explored steps, in discovery order: a

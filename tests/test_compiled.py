@@ -12,7 +12,7 @@ from twoham import (INFINITE, TAS, BodyTooSmall, CorruptMacrotile, Glue,
                     UnknownTileId, decode_supertile, explore, is_tau_stable,
                     mincut)
 from twoham import model
-from twoham.compiled import place_piece, wire_tiles
+from twoham.compiled import Piece, piece_supertile, seed_of, wire_tiles
 from twoham.model import DIRECTIONS, OFFSET, OPPOSITE, packed_rows
 from twoham.representation import BlockReader
 from twoham.strong import STRONG1, STRONG2, _read_cells, compile_strong
@@ -20,7 +20,8 @@ from twoham.strong import VARIANTS as STRONG_VARIANTS
 from twoham.weak import WEAK1, WEAK2, compile_weak
 from twoham.weak import VARIANTS as WEAK_VARIANTS
 
-from oracles import oracle_anchored_decode, oracle_blocks_at, oracle_wire_tiles
+from oracles import (oracle_anchored_decode, oracle_blocks_at, oracle_seeds,
+                     oracle_wire_tiles)
 from test_acceptance import TARGET_BOUND, suite
 
 
@@ -159,13 +160,24 @@ def test_wire_tiles_reject_a_bad_strength_once_per_call(strength):
             wire_tiles(cells, {}, "i", strength, {})
 
 
-def test_place_piece_refuses_a_piece_landing_on_a_placed_cell():
-    union = {}
-    place_piece(union, {(0, 0): "a", (1, 0): "b"}, 4, 0, 0)
-    place_piece(union, {(0, 0): "c", (-1, 3): "d"}, 4, 1, 0)
-    assert union == {(0, 0): "a", (1, 0): "b", (4, 0): "c", (3, 3): "d"}
-    with pytest.raises(BodyTooSmall, match=r"block \(0, 1\)"):
-        place_piece(union, {(2, -4): "e", (1, -4): "f"}, 4, 0, 1)
+def test_seed_of_refuses_a_piece_landing_on_a_placed_cell():
+    """seed_of places each piece at its block, a piece left of or below
+    the first one too, and refuses one that lands on a placed cell,
+    naming its block."""
+    ts = TileSet(TileType(t) for t in "abcdef")
+
+    def piece(cells):
+        return piece_supertile(Piece(cells, {}), ts)
+
+    ab, cd = piece({(0, 0): "a", (1, 0): "b"}), piece({(0, 0): "c", (-1, 3): "d"})
+    assert seed_of([(ab, 0, 0), (cd, 1, 0)], 4, ts).cells == {
+        (0, 0): "a", (1, 0): "b", (4, 0): "c", (3, 3): "d"}
+    assert seed_of([(cd, 1, 1), (ab, 0, 0)], 4, ts).cells == {
+        (4, 4): "c", (3, 7): "d", (0, 0): "a", (1, 0): "b"}
+    ef = piece({(2, -4): "e", (1, -4): "f"})
+    with pytest.raises(BodyTooSmall, match=r"a piece placed at block \(0, 1\) "
+                                           r"lands on a placed cell"):
+        seed_of([(ab, 0, 0), (cd, 1, 0), (ef, 0, 1)], 4, ts)
 
 
 def rescaled(tas, tau):
@@ -251,6 +263,34 @@ def test_block_lemma_against_the_checking_path(compiler, variant, monkeypatch):
             for (st, count), (want, want_count) in zip(trusted, checked):
                 assert st is want and count == want_count, (name, tau)
     assert seeds >= 15 and cuts, (seeds, cuts)
+
+
+@pytest.mark.parametrize("compiler, variant",
+                         [(compile_strong, v) for v in STRONG_VARIANTS]
+                         + [(compile_weak, v) for v in WEAK_VARIANTS])
+def test_seeds_built_from_pieces_match_the_merged_dict_oracle(compiler, variant):
+    """Every compiled seed equals oracles.oracle_seeds' merged-dict build
+    in key, size, rows, sorted cells and count, and simulator_tas lists
+    them in the same order; every piece's declared face table, and every
+    seed's faces, are the table model._row_faces reads off its rows."""
+    for tau in (2, 3, 4):
+        for name, tas in seeded_systems().items():
+            tas = rescaled(tas, tau)
+            comp = compiler(tas, variant)
+            universal = comp.universal_tiles
+            want = oracle_seeds(comp, tas)
+            assert len(comp.input_supertiles) == len(want), (name, tau)
+            for (st, count), (w, w_count) in zip(comp.input_supertiles, want):
+                assert (st.key, st.size, st.rows, sorted(st.cells.items()),
+                        count) == (w.key, w.size, w.rows,
+                                   sorted(w.cells.items()), w_count), (name, tau)
+            got = comp.simulator_tas().initial_state
+            ordered = TAS(universal, comp.tau, want).initial_state
+            assert [(st.rows, c) for st, c in got] == [(st.rows, c) for st, c in ordered]
+            built = [piece_supertile(lay, universal)[0] for lay in pieces(comp)]
+            for st in built + [st for st, _ in comp.input_supertiles]:
+                assert st.faces(universal) == model._row_faces(
+                    st.rows, st.width, universal), (name, tau)
 
 
 # -- the one block check --------------------------------------------------

@@ -31,6 +31,7 @@ from twoham import (
     decode_producibles,
     explore,
 )
+from twoham import model
 from twoham.dynamics import ProducibleSet
 from twoham.model import window, window_block
 from twoham.representation import BlockReader
@@ -702,6 +703,29 @@ def compiled_explorations(taus, shuffle_seeds):
                                comp, explore(tas, 3, shuffle_seed=k))
 
 
+# the key modulus at import, before any colliding_keys fixture patches it
+REAL_KEY_MOD = model._KEY_MOD
+
+
+@pytest.fixture(scope="module")
+def explorations():
+    """compiled_explorations as a list, built once per test run for each
+    argument pair and dropped when this module's tests end.  Only tests
+    under real keys take it; the colliding_keys test explores afresh, so
+    no supertile keyed one way is kept for a test keyed the other."""
+    kept = {}
+
+    def explored(taus, shuffle_seeds):
+        assert model._KEY_MOD == REAL_KEY_MOD, "never kept under colliding keys"
+        args = (taus, shuffle_seeds)
+        if args not in kept:
+            kept[args] = list(compiled_explorations(taus, shuffle_seeds))
+        return kept[args]
+
+    yield explored
+    kept.clear()
+
+
 def test_no_compiled_simulator_member_is_a_corrupt_macrotile():
     """The lemma of compiled.anchored_rep: on every member of the suite's
     explorations under all five compilers at tau 2 and 4, the one block
@@ -721,18 +745,22 @@ def test_no_compiled_simulator_member_is_a_corrupt_macrotile():
     assert decoded >= 700, decoded
 
 
-def test_window_decoder_matches_the_dict_check_on_every_window():
+def test_window_decoder_matches_the_dict_check_on_every_window(explorations):
     """compiled.anchored_rep's row-mask check against the dict-level
     oracle on every distinct window the reader cuts from the suite's
     explorations under all five compilers at tau 2, 3 and 4, plain and
-    shuffled: the same None, tile id or CorruptMacrotile message."""
+    shuffled: the same None, tile id or CorruptMacrotile message.  The
+    members are read in discovery order and at the reader's offsets,
+    which equal rep.offsets_for's (test_compiled) but come from parents,
+    so no kept member builds its cells or fingerprint here."""
     seen = {}
-    for sim, comp, _ in compiled_explorations((2, 3, 4), (None, 7)):
+    for sim, comp, _ in explorations((2, 3, 4), (None, 7)):
         rep, m = comp.rep, comp.m
         check = oracle_anchored_decode(*block_check(comp))
+        offsets = BlockReader(rep).offsets
         windows = set()
-        for s in sim.members():
-            for ox, oy in rep.offsets_for(s):
+        for s in sim.supertiles:
+            for ox, oy in offsets(s):
                 for by in range(-oy // m, (s.height - 1 - oy) // m + 1):
                     for bx in range(-ox // m, (s.width - 1 - ox) // m + 1):
                         windows.add(window(s, ox + m * bx, oy + m * by, m))
@@ -745,11 +773,11 @@ def test_window_decoder_matches_the_dict_check_on_every_window():
     assert seen.get("tile", 0) >= 1000 and seen.get("None", 0) >= 400, seen
 
 
-def test_reach_bitsets_match_the_search_oracle():
+def test_reach_bitsets_match_the_search_oracle(explorations):
     records = sum(reach_matches_oracle(sim, COARSE)
                   for sim in random_explorations(4321))
     assert records >= 10, records
-    for sim, comp, target in compiled_explorations((2, 3, 4), (None, 7)):
+    for sim, comp, target in explorations((2, 3, 4), (None, 7)):
         reach_matches_oracle(sim, comp.rep, target)
 
 
