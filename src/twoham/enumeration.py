@@ -10,9 +10,15 @@ tile constructed.
 
 The walk skips whole blocks arithmetically, so an index deep inside a
 block that could never be materialized raises instead of looping forever.
+
+`get_nth_tas` keeps the tile list of the last block it built.  A block's
+indices are contiguous, so a sweep in index order builds each block's
+list once, and one cached block is enough.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import CapExceeded, FeasibilityCapExceeded
 from .model import DIRECTIONS, NULL_GLUE, OPPOSITE, Glue, TileSet, TileType, interaction
@@ -71,8 +77,20 @@ def full_tile_list(num_glues, strengths):
     return tiles
 
 
+@lru_cache(maxsize=1)
+def _block_tiles(num_glues, strengths):
+    return tuple(full_tile_list(num_glues, strengths))
+
+
 def get_nth_tas(n, tau) -> CanonicalTileSet:
-    """The n-th tile set in the frozen enumeration order (0-indexed)."""
+    """The n-th tile set in the frozen enumeration order (0-indexed).
+
+    The tiles are picked from the cached tile list of the last block,
+    keyed by glue count and strengths (the same list at every tau), so
+    tile sets from one block share their tile types.  Tile types and
+    glues are immutable tuples, so that sharing changes nothing a caller
+    can reach.
+    """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"index must be a non-negative integer, got {n!r}")
     if not isinstance(tau, int) or isinstance(tau, bool) or tau < 1:
@@ -94,7 +112,7 @@ def get_nth_tas(n, tau) -> CanonicalTileSet:
                 f"index {n} sits {remaining} subsets into a block; "
                 f"the budget is {_SUBSET_CAP}")
         strengths = tuple(_digits_lsd(start + offset, base, num_glues))
-        tiles = full_tile_list(num_glues, strengths)
+        tiles = _block_tiles(num_glues, strengths)
         chosen = [tiles[i] for i in range(tile_count) if (remaining >> i) & 1]
         return CanonicalTileSet(TileSet(chosen), num_glues, strengths,
                                 remaining)

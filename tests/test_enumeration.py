@@ -5,6 +5,7 @@ import pytest
 from twoham import DIRECTIONS, Glue, NULL_GLUE, TileSet, TileType
 from twoham.enumeration import (
     CanonicalTileSet,
+    _block_tiles,
     canonicalize_tileset,
     full_tile_list,
     functionally_equivalent,
@@ -113,6 +114,49 @@ def test_zero_strength_digits_kept():
     strengths = {g.strength for t in listed for g in
                  (t.north, t.east, t.south, t.west) if g.label == "0"}
     assert strengths == {0}
+
+
+# (index, tau) in a fixed order whose block changes on every call: the
+# tau=2 one-glue blocks with strengths (1,) and (2,), the first two-glue
+# block, and tau=3 indices whose (num_glues, strengths) equal a tau=2
+# block's, since a block's tile list does not depend on tau
+BLOCK_HOPPING_SWEEP = (
+    (5, 2), ((1 << 15) + 9, 2), ((1 << 16) + 77, 2), (3, 3),
+    ((1 << 15) + 4321, 3), (40, 2), ((1 << 16) + 1000, 2),
+    ((1 << 15) + 1, 2), (3 * (1 << 15) + 12345, 3), (32767, 3),
+)
+
+
+def test_block_hopping_sweep_matches_fresh_tile_lists():
+    _block_tiles.cache_clear()
+    keys = []
+    for n, tau in BLOCK_HOPPING_SWEEP:
+        c = get_nth_tas(n, tau)
+        keys.append((c.num_glues, c.glue_strengths))
+        listed = full_tile_list(c.num_glues, c.glue_strengths)
+        want = [t for i, t in enumerate(listed) if (c.subset_index >> i) & 1]
+        assert list(c.tile_set) == want
+        if n < 60:
+            assert sides_of(c.tile_set) == oracle_get_nth_tas(n, tau)
+    assert all(a != b for a, b in zip(keys, keys[1:]))
+    assert {(2,), (1, 1)} <= {k[1] for k in keys}
+    info = _block_tiles.cache_info()
+    assert (info.hits, info.misses) == (0, len(BLOCK_HOPPING_SWEEP))
+    assert info.currsize == 1
+    # the one block held is the last one built
+    _block_tiles(*keys[-1])
+    assert _block_tiles.cache_info().hits == 1
+
+
+def test_returned_tile_lists_do_not_alias_the_cache():
+    first = sides_of(get_nth_tas(7, 2).tile_set)
+    full_tile_list(1, (1,)).clear()
+    full_tile_list(1, (1,)).append(tile("x"))
+    hits = _block_tiles.cache_info().hits
+    assert sides_of(get_nth_tas(7, 2).tile_set) == first
+    assert [t.id for t in get_nth_tas(7, 2).tile_set] == ["t1", "t2", "t3"]
+    assert _block_tiles.cache_info().hits == hits + 2
+    assert full_tile_list(1, (1,)) is not full_tile_list(1, (1,))
 
 
 def test_single_glue_coverage():
